@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-parallel test-chaos test-distributed test-elastic verify bench bench-smoke bench-scaling bench-hotpath bench-hotpath-smoke bench-check bench-throughput bench-throughput-smoke bench-check-throughput soak-smoke profile-parent figures report examples clean
+.PHONY: install test test-parallel test-chaos test-distributed test-elastic verify bench bench-smoke bench-scaling bench-hotpath bench-hotpath-smoke bench-check bench-throughput bench-throughput-smoke bench-check-throughput soak-smoke profile-parent profile-joiner figures report examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -96,6 +96,13 @@ soak-smoke:
 # e.g. `make profile-parent PROFILE_ARGS='--backend socket --top 40'`.
 profile-parent:
 	PYTHONPATH=src $(PYTHON) scripts/profile_parent.py $(PROFILE_ARGS)
+
+# Time the FP-tree Joiner's probe/insert loop on rwData and nbData with
+# K co-located joiners, gc on and off: us/probe, us/insert, new nodes per
+# document and gen-0/1/2 collections; join perf PRs start here.  Override
+# with e.g. `make profile-joiner PROFILE_ARGS='--data nb --isolated'`.
+profile-joiner:
+	PYTHONPATH=src $(PYTHON) scripts/profile_joiner.py $(PROFILE_ARGS)
 
 # Instrumented smoke run: exercises the observability layer end to end
 # and persists the metric snapshot for the report tooling.

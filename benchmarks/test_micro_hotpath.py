@@ -6,10 +6,12 @@ style, in nanoseconds per document:
 
 * ``{dataset}.{NLJ,HBJ,FPJ}.probe_ns`` / ``insert_ns`` — the default
   (dictionary-encoded) joiners, per-document streaming discipline;
-* ``{dataset}.{NLJ,HBJ,FPJ}.plain_probe_ns`` / ``plain_insert_ns`` — the
+* ``{dataset}.{NLJ,HBJ}.plain_probe_ns`` / ``plain_insert_ns`` — the
   string-keyed reference implementations (``interned=False``), so every
-  report self-documents the encoding speedup;
-* ``{dataset}.{NLJ,HBJ,FPJ}.batch_probe_ns`` / ``batch_insert_ns`` —
+  report self-documents the encoding speedup.  FPJ has a single storage
+  path (flat-array tree, no twin, no batch kernel) and reports only
+  ``probe_ns`` / ``insert_ns``;
+* ``{dataset}.{NLJ,HBJ}.batch_probe_ns`` / ``batch_insert_ns`` —
   the columnar batch kernels, ``BATCH`` documents at a time.  The
   probe metric *includes* the one-pass batch encode (symmetric with
   ``probe_ns``, whose per-document path pays the interner encode on
@@ -80,6 +82,8 @@ BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
 DATASETS = ("rwData", "nbData")
 JOINERS = ("NLJ", "HBJ", "FPJ")
+#: joiners that keep a string-keyed twin and columnar batch kernels
+TWIN_JOINERS = ("NLJ", "HBJ")
 
 #: The same workload measured on the pre-interning implementation (the
 #: tree at "Add process-parallel execution backend ..."), i.e. the
@@ -114,14 +118,14 @@ def windows_for(dataset: str, size: int = SIZE, windows: int = WINDOWS):
     return [gen.next_window(size) for _ in range(windows)]
 
 
-def make_joiner(name: str, order: AttributeOrder, interned: bool):
+def make_joiner(name: str, order: AttributeOrder, interned: bool = True):
     if name == "NLJ":
         return NestedLoopJoiner(interned=interned)
     if name == "HBJ":
         return HashJoiner(interned=interned)
-    if name == "FPJ":
-        return FPTreeJoiner(order, interned=interned)
-    raise ValueError(name)
+    if name == "FPJ" and interned:
+        return FPTreeJoiner(order)
+    raise ValueError((name, interned))
 
 
 def time_joiner(make, windows, reps: int = REPS):
@@ -273,17 +277,19 @@ def collect_metrics(size: int = SIZE, windows: int = WINDOWS, reps: int = REPS):
         order = AttributeOrder.from_documents(ws[0])
         for name in JOINERS:
             probe, insert = time_joiner(
-                lambda: make_joiner(name, order, interned=True), ws, reps=reps
+                lambda: make_joiner(name, order), ws, reps=reps
             )
             metrics[f"{dataset}.{name}.probe_ns"] = round(probe, 1)
             metrics[f"{dataset}.{name}.insert_ns"] = round(insert, 1)
+            if name not in TWIN_JOINERS:
+                continue
             probe, insert = time_joiner(
                 lambda: make_joiner(name, order, interned=False), ws, reps=reps
             )
             metrics[f"{dataset}.{name}.plain_probe_ns"] = round(probe, 1)
             metrics[f"{dataset}.{name}.plain_insert_ns"] = round(insert, 1)
             probe, insert = time_joiner_batched(
-                lambda: make_joiner(name, order, interned=True), ws, reps=reps
+                lambda: make_joiner(name, order), ws, reps=reps
             )
             metrics[f"{dataset}.{name}.batch_probe_ns"] = round(probe, 1)
             metrics[f"{dataset}.{name}.batch_insert_ns"] = round(insert, 1)
@@ -315,7 +321,7 @@ def _ratios(metrics: dict[str, float], pairs: dict[str, tuple[str, str]]) -> dic
 
 
 def write_report(metrics: dict[str, float], path: Path = BENCH_FILE) -> dict:
-    joiner_keys = [f"{d}.{j}" for d in DATASETS for j in JOINERS]
+    joiner_keys = [f"{d}.{j}" for d in DATASETS for j in TWIN_JOINERS]
     report = {
         "workload": {
             "seed": SEED,
@@ -378,12 +384,18 @@ def write_report(metrics: dict[str, float], path: Path = BENCH_FILE) -> dict:
             "batch_gates": (
                 "the batch entry points gate adaptively: plain document "
                 "sequences take the per-document loop when the columnar "
-                "build would cost more than the kernel saves (FPJ "
-                "probes, HBJ view-less inserts), so callers without a "
-                "pre-built batch are never slower than streaming; the "
-                "FPJ/HBJ batch_* metrics measure the pre-built-batch "
-                "kernels, whose encode share is charged to the probe "
-                "column per the batch_probe note"
+                "build would cost more than the kernel saves (HBJ "
+                "view-less inserts), so callers without a pre-built "
+                "batch are never slower than streaming; the HBJ batch_* "
+                "metrics measure the pre-built-batch kernels, whose "
+                "encode share is charged to the probe column per the "
+                "batch_probe note"
+            ),
+            "fpj": (
+                "FPJ has one storage path (flat-array FP-tree): its "
+                "plain_* and batch_* rows and their ratio entries were "
+                "removed on purpose with the code they measured; the "
+                "batch entry points run LocalJoiner's per-document loop"
             ),
             "hbj_views": (
                 "HBJ batch_insert_ns maintains the posting-set views a "
@@ -409,16 +421,18 @@ def test_metrics_cover_all_hot_paths():
         for key in ("route_ns", "ship_ns", "ship_pickle_ns"):
             assert metrics[f"{dataset}.{key}"] > 0.0, key
         for name in JOINERS:
-            for op in (
-                "probe_ns",
-                "insert_ns",
-                "plain_probe_ns",
-                "plain_insert_ns",
-                "batch_probe_ns",
-                "batch_insert_ns",
-            ):
+            ops = ["probe_ns", "insert_ns"]
+            if name in TWIN_JOINERS:
+                ops += [
+                    "plain_probe_ns",
+                    "plain_insert_ns",
+                    "batch_probe_ns",
+                    "batch_insert_ns",
+                ]
+            for op in ops:
                 key = f"{dataset}.{name}.{op}"
                 assert metrics[key] > 0.0, key
+    assert not [key for key in metrics if ".FPJ.plain_" in key or ".FPJ.batch_" in key]
 
 
 def test_interned_and_plain_joiners_agree_on_bench_workload():
@@ -426,7 +440,7 @@ def test_interned_and_plain_joiners_agree_on_bench_workload():
     for dataset in DATASETS:
         ws = windows_for(dataset, size=60, windows=2)
         order = AttributeOrder.from_documents(ws[0])
-        for name in JOINERS:
+        for name in TWIN_JOINERS:
             fast = make_joiner(name, order, interned=True)
             slow = make_joiner(name, order, interned=False)
             for window in ws:
@@ -443,9 +457,9 @@ def test_batched_kernels_agree_on_bench_workload():
     for dataset in DATASETS:
         ws = windows_for(dataset, size=60, windows=2)
         order = AttributeOrder.from_documents(ws[0])
-        for name in JOINERS:
-            batched = make_joiner(name, order, interned=True)
-            reference = make_joiner(name, order, interned=True)
+        for name in TWIN_JOINERS:
+            batched = make_joiner(name, order)
+            reference = make_joiner(name, order)
             for window in ws:
                 for start in range(0, len(window), 16):
                     chunk = window[start : start + 16]

@@ -1,0 +1,123 @@
+"""Time the FP-tree Joiner's probe/insert loop, with and without the GC.
+
+``make profile-joiner`` runs this: K co-located :class:`FPTreeJoiner`
+instances (the tasks of one executor or worker process) receive every
+document of a tumbling window *as the same object*, probe then insert,
+and reset at the window boundary — once with the cyclic collector on and
+once with it off, on rwData (server logs) and nbData (NoBench).  The two
+gc rows differ by what the collector costs the insert path; ``--isolated``
+gives every joiner a private dictionary, which is what a document costs
+when nothing is shared.
+
+Reported per (dataset, gc mode): µs per probe and per insert
+(``perf_counter`` around each call; every window keeps its fastest of
+``--repeats`` passes, so a burst of host noise costs one window of one
+pass, not the row), new tree nodes per inserted document, and the
+gen-0/1/2 collections the loop triggered.  Join perf PRs should start
+from this output.
+
+Usage::
+
+    PYTHONPATH=src python scripts/profile_joiner.py [--data rw|nb|both]
+        [--joiners K] [--windows N] [--repeats R] [--isolated] [--seed S]
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+from time import perf_counter
+
+from repro.core.interning import PairInterner
+from repro.data.nobench import NoBenchGenerator
+from repro.data.serverlogs import ServerLogGenerator
+from repro.join.fptree_join import FPTreeJoiner
+from repro.join.ordering import AttributeOrder
+
+#: dataset -> (generator, window size, co-located joiners): the window
+#: sizes and per-process replication of the repo benchmark's workloads
+DATASETS = {
+    "rw": (ServerLogGenerator, 500, 6),
+    "nb": (NoBenchGenerator, 250, 4),
+}
+
+
+def run_once(data: str, seed: int, n_windows: int, k: int, isolated: bool) -> dict:
+    """One pass over fresh windows; returns times, node and gc counts."""
+    generator_cls, window_docs, _ = DATASETS[data]
+    generator = generator_cls(seed=seed)
+    windows = [generator.next_window(window_docs) for _ in range(n_windows + 1)]
+    order = AttributeOrder.from_documents(windows[0])
+    shared = None if isolated else PairInterner()
+    joiners = [FPTreeJoiner(order, interner=shared) for _ in range(k)]
+    # the generated input is the harness's, keep the collector off it
+    gc.collect()
+    gc.freeze()
+    before = [generation["collections"] for generation in gc.get_stats()]
+    probe_windows, insert_windows = [], []
+    nodes = 0
+    for window in windows[1:]:
+        probe_s = insert_s = 0.0
+        for document in window:
+            for joiner in joiners:
+                start = perf_counter()
+                joiner.probe(document)
+                middle = perf_counter()
+                joiner.add(document)
+                insert_s += perf_counter() - middle
+                probe_s += middle - start
+        probe_windows.append(probe_s)
+        insert_windows.append(insert_s)
+        for joiner in joiners:
+            nodes += joiner.tree.node_count
+            joiner.reset()
+    after = [generation["collections"] for generation in gc.get_stats()]
+    gc.unfreeze()
+    return {
+        "probe_s": probe_windows,
+        "insert_s": insert_windows,
+        "nodes_per_doc": nodes / (n_windows * window_docs * k),
+        "collections": [b - a for a, b in zip(before, after)],
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--data", default="both", choices=("rw", "nb", "both"))
+    parser.add_argument("--joiners", type=int, help="default: 6 (rw) / 4 (nb)")
+    parser.add_argument("--windows", type=int, default=12)
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--isolated", action="store_true",
+                        help="one private dictionary per joiner (no sharing)")
+    parser.add_argument("--seed", type=int, default=7)
+    args = parser.parse_args()
+
+    print(f"{'data':<5}{'gc':<5}{'K':>3}{'probe us':>10}{'insert us':>11}"
+          f"{'nodes/doc':>11}  gen0/1/2 collections")
+    for data in ("rw", "nb") if args.data == "both" else (args.data,):
+        k = args.joiners or DATASETS[data][2]
+        for gc_on in (True, False):
+            (gc.enable if gc_on else gc.disable)()
+            try:
+                runs = [
+                    run_once(data, args.seed, args.windows, k, args.isolated)
+                    for _ in range(args.repeats)
+                ]
+            finally:
+                gc.enable()
+            calls = args.windows * DATASETS[data][1] * k
+            probe_us, insert_us = (
+                sum(map(min, zip(*(run[key] for run in runs)))) / calls * 1e6
+                for key in ("probe_s", "insert_s")
+            )
+            print(
+                f"{data:<5}{'on' if gc_on else 'off':<5}{k:>3}"
+                f"{probe_us:>10.2f}{insert_us:>11.2f}"
+                f"{runs[-1]['nodes_per_doc']:>11.2f}  "
+                + "/".join(str(c) for c in runs[-1]["collections"])
+            )
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -113,6 +113,8 @@ class Document:
         "_hash",
         "_avpair_set",
         "_encoded",
+        "_path_key",
+        "_path",
         "_wire_keys",
     )
 
@@ -140,6 +142,12 @@ class Document:
         #: last dictionary-encoded view of this document, tagged with the
         #: interner that produced it (see :mod:`repro.core.interning`)
         self._encoded = None
+        #: the pair ids sorted for FP-tree insertion, and the token of the
+        #: (dictionary, attribute order) they were sorted under — every
+        #: co-located Joiner receiving this object reuses the path (see
+        #: :meth:`repro.join.fptree.FPTree.path`)
+        self._path_key = None
+        self._path = None
         #: cached ``(type(value), attribute, value)`` key tuple for the
         #: wire codec — a document routed to several workers is encoded
         #: into one frame per worker, and the keys don't change between

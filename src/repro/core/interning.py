@@ -24,10 +24,13 @@ Lifetime
 --------
 Ids are append-only: an id, once assigned, never changes meaning, so an
 :class:`EncodedDocument` stays valid for the lifetime of the interner
-that produced it.  Components therefore keep **one interner for their
-whole lifetime** (a Joiner keeps its dictionary across window resets;
-an Assigner keeps its across repartitionings) and only the *indexes
-built on the ids* (posting lists, FP-trees, owner maps) are evicted.
+that produced it.  A dictionary therefore outlives the *indexes built on
+its ids* (posting lists, FP-trees, owner maps), which are what window
+resets and repartitionings evict: an Assigner keeps one interner across
+repartitionings, an HBJ/NLJ joiner keeps one across resets, and all
+FP-tree Joiner tasks of a process share :func:`process_interner`, whose
+size is bounded by starting a fresh *generation* (a new interner) once
+it holds :data:`PROCESS_INTERNER_PAIRS` pairs.
 """
 
 from __future__ import annotations
@@ -127,12 +130,14 @@ class EncodedDocument:
 class PairInterner:
     """Bidirectional dictionary attribute/AV-pair <-> dense integer id.
 
-    One interner per component.  Ids are dense (``0..n-1``), assigned in
-    first-seen order, and never reused or remapped, which is what lets
-    encoded views and id-keyed indexes outlive window boundaries.
+    Ids are dense (``0..n-1``), assigned in first-seen order, and never
+    reused or remapped, which is what lets encoded views and id-keyed
+    indexes outlive window boundaries.
     """
 
-    __slots__ = ("_attr_ids", "_attrs", "_pair_ids", "_pairs", "_pair_attrs")
+    __slots__ = (
+        "_attr_ids", "_attrs", "_pair_ids", "_pairs", "_pair_attrs", "_order_keys",
+    )
 
     def __init__(self) -> None:
         self._attr_ids: dict[str, int] = {}
@@ -143,6 +148,9 @@ class PairInterner:
         self._pair_ids: dict[tuple, int] = {}
         self._pairs: list[AVPair] = []
         self._pair_attrs: list[int] = []
+        #: (order attributes, per-attr-id sort keys) of the attribute
+        #: order last asked for — see :meth:`order_keys`
+        self._order_keys: Optional[tuple[tuple[str, ...], list]] = None
 
     # ------------------------------------------------------------------
     # Interning
@@ -197,6 +205,23 @@ class PairInterner:
     def pair_count(self) -> int:
         return len(self._pairs)
 
+    def order_keys(self, order) -> list:
+        """The per-attr-id sort-key list of an attribute order.
+
+        Everything sorting this dictionary's ids under ``order`` (any
+        object with an ``attributes`` tuple — equal tuples are the same
+        order) gets the *same* list, so the keys are derived once per
+        (order, dictionary) and the list's identity can stand for that
+        pair: FP-trees tag the sorted path they cache on a document with
+        it.  Callers grow the list as attributes are interned.  Only the
+        latest order is remembered; structures built under an earlier
+        one keep the list they hold.
+        """
+        cached = self._order_keys
+        if cached is None or cached[0] != order.attributes:
+            cached = self._order_keys = (order.attributes, [])
+        return cached[1]
+
     # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
@@ -232,3 +257,29 @@ class PairInterner:
         """Intern a bare pair set (e.g. a partition's) into a pair-id set."""
         pair_id = self.pair_id
         return frozenset(pair_id(attribute, value) for attribute, value in pairs)
+
+
+#: pairs after which :func:`process_interner` starts a new generation
+PROCESS_INTERNER_PAIRS = 1 << 16
+
+_process_interner = PairInterner()
+
+
+def process_interner() -> PairInterner:
+    """The current generation of this process's shared pair dictionary.
+
+    Every FP-tree Joiner task of a process interns into it, so a pair is
+    interned once per process instead of once per task per window, and
+    (with :meth:`PairInterner.order_keys`) a document's sorted path is
+    shared by every co-located task.  A stream of never-repeating values
+    must not grow it forever: once the current generation holds more than
+    :data:`PROCESS_INTERNER_PAIRS` pairs the next call starts an empty
+    one.  Structures pin the generation they were built on — ids of
+    different generations are not comparable — and ask again when they
+    are rebuilt at a window boundary, after which the old generation is
+    unreferenced and freed.
+    """
+    global _process_interner
+    if len(_process_interner._pairs) > PROCESS_INTERNER_PAIRS:
+        _process_interner = PairInterner()
+    return _process_interner

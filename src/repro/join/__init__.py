@@ -8,7 +8,7 @@ from repro.join.binary import (
     BinaryStreamJoiner,
     binary_join_window,
 )
-from repro.join.fptree import FPNode, FPTree
+from repro.join.fptree import FPTree, NodeView
 from repro.join.fptree_join import FPTreeJoiner, fptree_join
 from repro.join.hash_join import HashJoiner
 from repro.join.nested_loop import NestedLoopJoiner
@@ -28,7 +28,6 @@ __all__ = [
     "BinaryJoinPair",
     "BinaryStreamJoiner",
     "binary_join_window",
-    "FPNode",
     "FPTree",
     "FPTreeJoiner",
     "fptree_join",
@@ -36,6 +35,7 @@ __all__ = [
     "JoinPair",
     "LocalJoiner",
     "NestedLoopJoiner",
+    "NodeView",
     "minibatch_join",
     "MultiStreamJoiner",
     "StreamPair",

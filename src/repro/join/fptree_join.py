@@ -14,26 +14,21 @@ tree without inspection.  If the probe lacks one of these ubiquitous
 attributes no conflict on it is possible and the algorithm falls back to
 the general traversal from the root, which is always correct.
 
-:func:`fptree_join` dispatches on the tree's storage mode.  Interned
-trees (the default used by :class:`FPTreeJoiner`) run a traversal whose
-fast path jumps through the int-keyed child dicts (one pair-id lookup
-per ubiquitous level, no ``AVPair`` allocation) and whose DFS splits
-into a "no pair shared yet" stack and a "collecting" stack so no
-per-node ``(node, shared)`` tuples are allocated.  Plain trees run the
-original seed traversal, kept as the measurement reference; results are
-set-identical (DFS visit order may differ between the modes, which
-callers must not rely on).
+The traversal runs on the flat arrays of :class:`~repro.join.fptree.FPTree`:
+the fast path jumps through the edge dict (one pair-id lookup per
+ubiquitous level), the DFS walks first-child / next-sibling links and
+reads each node's label and doc ids from their columns.  The order in
+which partner ids are returned is unspecified.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.columnar import ColumnarBatch
-from repro.core.document import AVPair, Document
+from repro.core.document import Document
 from repro.core.interning import PairInterner
-from repro.join.base import Batch, LocalJoiner
-from repro.join.fptree import FPTree
+from repro.join.base import LocalJoiner
+from repro.join.fptree import EDGE_SHIFT, FPTree
 from repro.join.ordering import AttributeOrder
 from repro.obs.registry import MetricsRegistry
 
@@ -48,91 +43,39 @@ def fptree_join(
     ``use_fast_path=False`` disables the ubiquitous-attribute shortcut
     (Algorithm 2, lines 2-6) and runs the plain pruning DFS; results are
     identical — the flag exists for the ablation benchmark.
-    """
-    if tree.interner is not None:
-        return _fptree_join_encoded(tree, document, use_fast_path)
-    return _fptree_join_plain(tree, document, use_fast_path)
-
-
-def _fptree_join_plain(
-    tree: FPTree, document: Document, use_fast_path: bool
-) -> list[int]:
-    """Reference traversal over a string-keyed tree (seed implementation)."""
-    result: list[int] = []
-    pairs = document.pairs
-    start = tree.root
-    shared_at_start = 0
-
-    if use_fast_path:
-        num = tree.ubiquitous_prefix_length()
-        ubiquitous = tree.order.attributes[:num]
-        if num and all(attribute in pairs for attribute in ubiquitous):
-            node = tree.root
-            for attribute in ubiquitous:
-                child = node.children.get(AVPair(attribute, pairs[attribute]))
-                if child is None:
-                    # Every stored document carries this attribute with a
-                    # different value, i.e. conflicts with the probe.
-                    return result
-                result.extend(child.doc_ids)
-                node = child
-            start = node
-            shared_at_start = num
-
-    # General traversal (Algorithm 3): depth-first with conflict pruning.
-    stack = [(child, shared_at_start) for child in start.children.values()]
-    while stack:
-        node, shared = stack.pop()
-        attribute, value = node.label  # type: ignore[misc]  # never root
-        probe_value = pairs.get(attribute, _MISSING)
-        if probe_value is not _MISSING:
-            if probe_value != value:
-                continue  # conflict: prune this node and all its children
-            shared += 1
-        if shared and node.doc_ids:
-            result.extend(node.doc_ids)
-        for child in node.children.values():
-            stack.append((child, shared))
-    return result
-
-
-def _fptree_join_encoded(
-    tree: FPTree, document: Document, use_fast_path: bool
-) -> list[int]:
-    """Traversal over a pair-id-keyed tree.
 
     The probe is *not* encoded: conflict checks read the probe's raw
     attribute -> value mapping through the node labels (CPython's
     string-keyed dicts are as fast as lookups get), and only the fast
-    path resolves pair ids — one dictionary lookup per ubiquitous level —
-    to jump through the int-keyed child dicts.  The ubiquity precheck of
-    Algorithm 2 is merged into the descent itself: a probe missing some
-    ubiquitous attribute abandons the descent and falls back to the
-    general traversal, so the overwhelmingly common full-hit case touches
-    each ubiquitous attribute once instead of twice.  The DFS carries no
-    per-node ``(node, shared)`` tuples: nodes that have not shared a pair
-    yet live on a ``pending`` stack, and once a path is collecting, its
-    subtree is scanned by iterating child dicts directly — only internal
-    nodes whose subtree survives are ever pushed, leaves are consumed in
-    the child loop.
+    path resolves pair ids.  The ubiquity precheck of Algorithm 2 is
+    merged into the descent itself: a probe missing some ubiquitous
+    attribute abandons the descent and falls back to the general
+    traversal.  The DFS carries no per-node ``(node, shared)`` tuples:
+    nodes that have not shared a pair yet live on a ``pending`` stack,
+    and once a path is collecting, only internal nodes whose subtree
+    survives are pushed — leaves are consumed in the sibling loop.
     """
-    pairs = document.pairs
-    pairs_get = pairs.get
+    pairs_get = document._pairs.get
     result: list[int] = []
     extend = result.extend
-    start = tree.root
-    collecting_from_start = False
+    doc_ids = tree._doc_ids
+    first_child = tree._first_child
+    next_sibling = tree._next_sibling
+    labels = tree._label
+    #: nodes on a collecting path whose children remain to be scanned
+    stack: list[int] = []
+    collecting = False
 
     if use_fast_path:
         num = tree._ubiq_len
         if num is None:
             num = tree.ubiquitous_prefix_length()
         if num:
-            pair_ids_get = tree.interner._pair_ids.get  # type: ignore[union-attr]
-            attributes = tree.order.attributes
-            node = tree.root
-            level = 0
-            while level < num:
+            pair_ids_get = tree.interner._pair_ids.get
+            edges_get = tree._edges.get
+            attributes = tree._attributes
+            node = 0
+            for level in range(num):
                 attribute = attributes[level]
                 value = pairs_get(attribute, _MISSING)
                 if value is _MISSING:
@@ -140,131 +83,60 @@ def _fptree_join_encoded(
                     # conflict on it is possible: abandon the descent and
                     # run the general traversal (always correct).
                     del result[:]
-                    node = None
                     break
                 pid = pair_ids_get((attribute, value))
-                child = None if pid is None else node.children.get(pid)
-                if child is None:
+                if pid is not None:
+                    node = edges_get((node << EDGE_SHIFT) | pid)
+                if pid is None or node is None:
                     # Every stored document carries this attribute with a
                     # different value, i.e. conflicts with the probe.  (A
                     # pair the interner has never seen cannot be stored.)
                     return result
-                if child.doc_ids:
-                    extend(child.doc_ids)
-                node = child
-                level += 1
-            if node is not None:
-                start = node
-                collecting_from_start = True
-
-    # General traversal (Algorithm 3).  ``stack`` holds nodes already on
-    # a collecting path whose children remain to be scanned.
-    if collecting_from_start:
-        stack = [start] if start.children else []
-    else:
-        stack = []
-        pending = list(start.children.values())
-        while pending:
-            node = pending.pop()
-            attribute, value = node.label  # type: ignore[misc]  # never root
-            probe_value = pairs_get(attribute, _MISSING)
-            if probe_value is _MISSING:
-                # Absent from the probe: neither shared nor conflict.
-                pending.extend(node.children.values())
-            elif probe_value == value:
-                # First shared pair on this path: collect from here down.
-                if node.doc_ids:
-                    extend(node.doc_ids)
-                if node.children:
+                ids = doc_ids[node]
+                if ids:
+                    extend(ids)
+            else:
+                # collecting from the end of the prefix downwards
+                collecting = True
+                if first_child[node]:
                     stack.append(node)
-            # else: conflict — prune the subtree.
+
+    # General traversal (Algorithm 3) from the root: ``pending`` holds
+    # nodes whose path shares nothing with the probe yet.
+    if not collecting:
+        pending = [0]
+        while pending:
+            node = first_child[pending.pop()]
+            while node:
+                attribute, value = labels[node]
+                probe_value = pairs_get(attribute, _MISSING)
+                if probe_value is _MISSING:
+                    # Absent from the probe: neither shared nor conflict.
+                    if first_child[node]:
+                        pending.append(node)
+                elif probe_value == value:
+                    # First shared pair on this path: collect from here.
+                    ids = doc_ids[node]
+                    if ids:
+                        extend(ids)
+                    if first_child[node]:
+                        stack.append(node)
+                # else: conflict — prune the subtree.
+                node = next_sibling[node]
     while stack:
-        parent = stack.pop()
-        for node in parent.children.values():
-            attribute, value = node.label  # type: ignore[misc]  # never root
+        node = first_child[stack.pop()]
+        while node:
+            attribute, value = labels[node]
             probe_value = pairs_get(attribute, _MISSING)
             # Test order favors the common matching node: one comparison
             # when the probe shares the pair, two to prune a conflict.
-            if probe_value != value and probe_value is not _MISSING:
-                continue  # conflict: prune
-            if node.doc_ids:
-                extend(node.doc_ids)
-            if node.children:
-                stack.append(node)
-    return result
-
-
-def _fptree_join_ids(
-    tree: FPTree, probe_map: dict, num: int, ubiq_aids
-) -> list[int]:
-    """Traversal with a pre-interned probe map ``{attr id -> pair id}``.
-
-    The columnar batch kernel: all conflict checks compare machine
-    integers through the nodes' ``attr_id``/``pair_id`` fields, and the
-    fast path descends on ``probe_map[aid]`` directly — the per-level
-    ``(attribute, value)`` tuple construction and string-keyed dictionary
-    lookup of the per-document traversal are resolved once per batch
-    (``ubiq_aids``) instead of once per probe.  Result-identical to
-    :func:`_fptree_join_encoded`; pass ``num=0`` to disable the fast
-    path.
-    """
-    probe_get = probe_map.get
-    result: list[int] = []
-    extend = result.extend
-    start = tree.root
-    collecting_from_start = False
-
-    if num:
-        node = tree.root
-        level = 0
-        while level < num:
-            pid = probe_get(ubiq_aids[level])
-            if pid is None:
-                # The probe lacks this ubiquitous attribute: no conflict
-                # on it is possible, fall back to the general traversal.
-                del result[:]
-                node = None
-                break
-            child = node.children.get(pid)
-            if child is None:
-                # Every stored document conflicts with the probe here.
-                return result
-            if child.doc_ids:
-                extend(child.doc_ids)
-            node = child
-            level += 1
-        if node is not None:
-            start = node
-            collecting_from_start = True
-
-    if collecting_from_start:
-        stack = [start] if start.children else []
-    else:
-        stack = []
-        pending = list(start.children.values())
-        while pending:
-            node = pending.pop()
-            opid = probe_get(node.attr_id)
-            if opid is None:
-                # Absent from the probe: neither shared nor conflict.
-                pending.extend(node.children.values())
-            elif opid == node.pair_id:
-                # First shared pair on this path: collect from here down.
-                if node.doc_ids:
-                    extend(node.doc_ids)
-                if node.children:
+            if probe_value == value or probe_value is _MISSING:
+                ids = doc_ids[node]
+                if ids:
+                    extend(ids)
+                if first_child[node]:
                     stack.append(node)
-            # else: conflict — prune the subtree.
-    while stack:
-        parent = stack.pop()
-        for node in parent.children.values():
-            opid = probe_get(node.attr_id)
-            if opid != node.pair_id and opid is not None:
-                continue  # conflict: prune
-            if node.doc_ids:
-                extend(node.doc_ids)
-            if node.children:
-                stack.append(node)
+            node = next_sibling[node]
     return result
 
 
@@ -274,20 +146,20 @@ class FPTreeJoiner(LocalJoiner):
     Parameters
     ----------
     order:
-        Fixed global attribute order.  If omitted, the order is derived
-        from the first inserted document and extended implicitly (unknown
-        attributes rank last); deriving the order from a window sample via
-        :meth:`with_sample_order` yields better tree sharing.
+        Fixed global attribute order.  If omitted, attributes are ordered
+        by name (unknown attributes rank last); deriving the order from a
+        window sample via :meth:`with_sample_order` yields better tree
+        sharing.
     registry:
         Optional metrics registry; probe/insert timings and counts are
         recorded through the shared :class:`LocalJoiner` hook.
     use_fast_path:
         Forwarded to :func:`fptree_join`; disable for ablation runs.
-    interned:
-        Use dictionary-encoded trees (default).  The joiner owns one
-        :class:`~repro.core.interning.PairInterner` for its lifetime and
-        hands it to every tree, including across :meth:`reset` — window
-        eviction drops the tree, never the dictionary.
+    interner:
+        The pair dictionary the tree stores ids of.  Joiners handed the
+        same dictionary (and order) share the sorted path cached on each
+        document; omitted, the joiner makes a private one.  Either way
+        :meth:`reset` evicts the tree, never the dictionary.
     """
 
     name = "FPJ"
@@ -297,16 +169,11 @@ class FPTreeJoiner(LocalJoiner):
         order: Optional[AttributeOrder] = None,
         registry: Optional[MetricsRegistry] = None,
         use_fast_path: bool = True,
-        interned: bool = True,
+        interner: Optional[PairInterner] = None,
     ):
         super().__init__(order=order, registry=registry)
         self.use_fast_path = use_fast_path
-        self.interned = interned
-        self._interner: Optional[PairInterner] = PairInterner() if interned else None
-        self.tree = FPTree(
-            order if order is not None else AttributeOrder(()),
-            interner=self._interner,
-        )
+        self.tree = FPTree(order, interner)
 
     @classmethod
     def with_sample_order(
@@ -314,132 +181,23 @@ class FPTreeJoiner(LocalJoiner):
         sample,
         use_fast_path: bool = True,
         registry: Optional[MetricsRegistry] = None,
-        interned: bool = True,
     ) -> "FPTreeJoiner":
         """Build a joiner whose order is computed from a document sample."""
         return cls(
             AttributeOrder.from_documents(sample),
             registry=registry,
             use_fast_path=use_fast_path,
-            interned=interned,
         )
 
     def _insert(self, document: Document) -> None:
         self.tree.insert(document)
 
     def _probe(self, document: Document) -> list[int]:
-        # Dispatch directly on the storage mode (one call fewer than
-        # going through :func:`fptree_join` — this is the hot path).
-        tree = self.tree
-        if tree.interner is not None:
-            return _fptree_join_encoded(tree, document, self.use_fast_path)
-        return _fptree_join_plain(tree, document, self.use_fast_path)
-
-    # ------------------------------------------------------------------
-    # Columnar batch kernels
-    # ------------------------------------------------------------------
-    def _ubiq_aids(self, tree: FPTree, num: int) -> list:
-        """Attribute ids of the first ``num`` order positions."""
-        attr_ids = tree.interner._attr_ids
-        return [attr_ids[a] for a in tree.order.attributes[:num]]
-
-    def _probe_batch(self, documents: Batch) -> list[list[int]]:
-        tree = self.tree
-        interner = tree.interner
-        if interner is None:
-            return super()._probe_batch(documents)
-        # Adaptive gate: for a plain sequence the columnar build costs
-        # more than FPJ's ~3µs probe saves (FPJ is already near-pure id
-        # work through the encode cache), so sequences take the per-
-        # document path and never pay for columns.  Pre-built batches —
-        # whose columns the caller already paid for — take the row
-        # kernel, which amortizes the fast-path prefix across the batch.
-        if not isinstance(documents, ColumnarBatch):
-            probe = self._probe
-            return [probe(document) for document in documents]
-        batch = self._coerce_batch(documents, interner)
-        num = tree.ubiquitous_prefix_length() if self.use_fast_path else 0
-        ubiq_aids = self._ubiq_aids(tree, num) if num else ()
-        pair_attrs = interner._pair_attrs
-        offsets = batch.offsets
-        pair_ids = batch.pair_ids
-        documents_list = batch.documents
-        results: list[list[int]] = []
-        append = results.append
-        start = offsets[0]
-        for row in range(len(batch)):
-            end = offsets[row + 1]
-            # the batch build (or routing) already cached the row's
-            # encoding on the document — its attr map IS the probe map
-            encoded = (
-                documents_list[row]._encoded if documents_list is not None else None
-            )
-            if encoded is not None and encoded.interner is interner:
-                probe_map = encoded.attr_to_pair
-            else:
-                probe_map = {pair_attrs[pid]: pid for pid in pair_ids[start:end]}
-            start = end
-            append(_fptree_join_ids(tree, probe_map, num, ubiq_aids))
-        return results
-
-    def _insert_batch(self, documents: Batch) -> None:
-        tree = self.tree
-        interner = tree.interner
-        if interner is None:
-            super()._insert_batch(documents)
-            return
-        batch = self._coerce_batch(documents, interner)
-        pair_attrs = interner._pair_attrs
-        offsets = batch.offsets
-        pair_ids = batch.pair_ids
-        insert_row = tree.insert_row
-        start = offsets[0]
-        for row, document in enumerate(batch.documents):
-            end = offsets[row + 1]
-            insert_row(
-                document, [(pair_attrs[pid], pid) for pid in pair_ids[start:end]]
-            )
-            start = end
-
-    def _process_batch(self, documents: Batch) -> list[list[int]]:
-        tree = self.tree
-        interner = tree.interner
-        if interner is None:
-            return super()._process_batch(documents)
-        batch = self._coerce_batch(documents, interner)
-        fast = self.use_fast_path
-        pair_attrs = interner._pair_attrs
-        offsets = batch.offsets
-        pair_ids = batch.pair_ids
-        insert_row = tree.insert_row
-        results: list[list[int]] = []
-        append = results.append
-        # The ubiquitous prefix can shrink as rows are inserted; the aid
-        # list is re-derived only when the length actually changes.
-        num = -1
-        ubiq_aids: list = []
-        start = offsets[0]
-        for row, document in enumerate(batch.documents):
-            end = offsets[row + 1]
-            probe_map = {pair_attrs[pid]: pid for pid in pair_ids[start:end]}
-            start = end
-            if fast:
-                current = tree._ubiq_len
-                if current is None:
-                    current = tree.ubiquitous_prefix_length()
-            else:
-                current = 0
-            if current != num:
-                num = current
-                ubiq_aids = self._ubiq_aids(tree, num) if num else []
-            append(_fptree_join_ids(tree, probe_map, num, ubiq_aids))
-            insert_row(document, probe_map.items())
-        return results
+        return fptree_join(self.tree, document, self.use_fast_path)
 
     def reset(self) -> None:
         """Evict the whole tree — the tumbling-window eviction of §V-A."""
-        order = self.order if self.order is not None else self.tree.order
-        self.tree = FPTree(order, interner=self._interner)
+        self.tree.clear()
 
     def __len__(self) -> int:
         return self.tree.doc_count

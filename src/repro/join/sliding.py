@@ -22,7 +22,6 @@ from collections import deque
 from typing import Optional, Sequence
 
 from repro.core.document import Document
-from repro.core.interning import PairInterner
 from repro.exceptions import WindowError
 from repro.join.base import JoinPair
 from repro.join.fptree import FPTree
@@ -43,17 +42,13 @@ class SlidingFPTreeJoiner:
 
     def __init__(
         self, window_size: int, order: Optional[AttributeOrder] = None,
-        use_fast_path: bool = True, interned: bool = True,
+        use_fast_path: bool = True,
     ):
         if window_size <= 0:
             raise WindowError(f"window size must be positive, got {window_size}")
         self.window_size = window_size
         self.use_fast_path = use_fast_path
-        self._interner: Optional[PairInterner] = PairInterner() if interned else None
-        self.tree = FPTree(
-            order if order is not None else AttributeOrder(()),
-            interner=self._interner,
-        )
+        self.tree = FPTree(order)
         self._arrivals: deque[int] = deque()
 
     def _shrink_to(self, limit: int) -> None:
@@ -75,9 +70,9 @@ class SlidingFPTreeJoiner:
         self._arrivals.append(document.doc_id)
 
     def reset(self) -> None:
-        # The sliding extent is dropped; the pair dictionary (if interned)
-        # is component-lifetime state and survives.
-        self.tree = FPTree(self.tree.order, interner=self._interner)
+        # The sliding extent is dropped; the tree's pair dictionary
+        # survives.
+        self.tree.clear()
         self._arrivals.clear()
 
     def __len__(self) -> int:
@@ -95,17 +90,13 @@ class TimeSlidingFPTreeJoiner:
 
     def __init__(
         self, window_length: float, order: Optional[AttributeOrder] = None,
-        use_fast_path: bool = True, interned: bool = True,
+        use_fast_path: bool = True,
     ):
         if window_length <= 0:
             raise WindowError(f"window length must be positive, got {window_length}")
         self.window_length = window_length
         self.use_fast_path = use_fast_path
-        self._interner: Optional[PairInterner] = PairInterner() if interned else None
-        self.tree = FPTree(
-            order if order is not None else AttributeOrder(()),
-            interner=self._interner,
-        )
+        self.tree = FPTree(order)
         self._arrivals: deque[tuple[float, int]] = deque()
         self._clock = float("-inf")
 
@@ -132,7 +123,7 @@ class TimeSlidingFPTreeJoiner:
         self._arrivals.append((timestamp, document.doc_id))
 
     def reset(self) -> None:
-        self.tree = FPTree(self.tree.order, interner=self._interner)
+        self.tree.clear()
         self._arrivals.clear()
         self._clock = float("-inf")
 

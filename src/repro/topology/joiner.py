@@ -6,12 +6,19 @@ arriving document is matched against the FP-tree (FPTreeJoin) and then
 inserted, so it can join with forthcoming documents.  When window-done
 markers from *all* Assigners have arrived, the Joiner reports its window
 statistics and evicts the entire tree.
+
+All Joiner tasks of a process intern into one pair dictionary
+(:func:`~repro.core.interning.process_interner`), so the documents the
+local Assigner fan-out or a decoded worker batch hands to several tasks
+*as the same object* are interned and sorted once, by whichever task
+sees them first.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.interning import PairInterner, process_interner
 from repro.join.base import JoinPair
 from repro.join.binary import BinaryJoinPair, BinaryStreamJoiner
 from repro.join.fptree_join import FPTreeJoiner
@@ -64,7 +71,13 @@ class JoinerBolt(Bolt):
         self.binary = binary
         self._n_assigners = 0
         self._task_index = 0
-        self._joiner: Optional[FPTreeJoiner | SlidingFPTreeJoiner] = None
+        #: built on the first document after prepare, a new attribute
+        #: order or a new dictionary generation; tumbling resets it
+        self._joiner: Optional[
+            FPTreeJoiner | SlidingFPTreeJoiner | BinaryStreamJoiner
+        ] = None
+        self._joiner_order: Optional[AttributeOrder] = None
+        self._joiner_interner: Optional[PairInterner] = None
         self._docs = 0
         self._pair_count = 0
         self._pairs: set[JoinPair | BinaryJoinPair] = set()
@@ -73,49 +86,52 @@ class JoinerBolt(Bolt):
         self._order: Optional[AttributeOrder] = None
         self._metrics = NULL_REGISTRY
 
-    def _fresh_joiner(self) -> Optional[FPTreeJoiner | SlidingFPTreeJoiner]:
-        if not self.compute_joins:
-            return None
+    def _fresh_joiner(self) -> FPTreeJoiner | SlidingFPTreeJoiner | BinaryStreamJoiner:
         # Use the Merger's sample-derived global order (Section V-A) when
-        # available; until the first partitions arrive the order is
-        # derived incrementally, which is slower but equally correct.
-        if self.binary:
-            order = self._order
-            registry = self._metrics
-            return BinaryStreamJoiner(
-                lambda: FPTreeJoiner(order, registry=registry)
-            )
+        # available; until the first partitions arrive attributes are
+        # ordered by name, which is slower but equally correct.
+        order = self._joiner_order = self._order
         if self.sliding_size is not None:
-            return SlidingFPTreeJoiner(self.sliding_size, order=self._order)
-        return FPTreeJoiner(self._order, registry=self._metrics)
+            return SlidingFPTreeJoiner(self.sliding_size, order=order)
+        interner = self._joiner_interner = process_interner()
+        registry = self._metrics
+        if self.binary:
+            return BinaryStreamJoiner(
+                lambda: FPTreeJoiner(order, registry=registry, interner=interner)
+            )
+        return FPTreeJoiner(order, registry=registry, interner=interner)
 
     def prepare(self, context: ComponentContext) -> None:
         self._task_index = context.task_index
         self._n_assigners = context.parallelism_of(msg.ASSIGNER)
         self._metrics = context.metrics
-        self._joiner = self._fresh_joiner()
 
     # ------------------------------------------------------------------
     def process(self, tup: StreamTuple, collector: Collector) -> None:
         if tup.stream == msg.ASSIGNED:
             document, _window_id, side = tup.values
             self._docs += 1
-            if isinstance(self._joiner, BinaryStreamJoiner):
-                cross_pairs = self._joiner.process(document, side)
+            if not self.compute_joins:
+                return
+            joiner = self._joiner
+            if joiner is None:
+                joiner = self._joiner = self._fresh_joiner()
+            if self.binary:
+                cross_pairs = joiner.process(document, side)
                 self._pair_count += len(cross_pairs)
                 if self.collect_pairs:
                     self._pairs.update(cross_pairs)
-            elif self._joiner is not None:
+            else:
                 # A document can reach the same Joiner once only (the
                 # Assigner emits one tuple per target machine), so no
                 # dedup is needed within a machine.
-                partners = self._joiner.probe(document)
+                partners = joiner.probe(document)
                 self._pair_count += len(partners)
                 if self.collect_pairs:
                     assert document.doc_id is not None
                     for partner in partners:
                         self._pairs.add(JoinPair.of(partner, document.doc_id))
-                self._joiner.add(document)
+                joiner.add(document)
         elif tup.stream == msg.PARTITIONS:
             (partition_set,) = tup.values
             if partition_set.attribute_order is not None:
@@ -142,5 +158,13 @@ class JoinerBolt(Bolt):
         self._pairs = set()
         if self._joiner is not None and self.sliding_size is None:
             # tumbling semantics: evict the entire tree (Section V-A);
-            # a sliding joiner keeps its state across the boundary
-            self._joiner = self._fresh_joiner()
+            # a sliding joiner keeps its state across the boundary.  The
+            # joiner itself is kept unless the Merger shipped another
+            # order or the process dictionary started a new generation.
+            if (
+                self._joiner_order is self._order
+                and self._joiner_interner is process_interner()
+            ):
+                self._joiner.reset()
+            else:
+                self._joiner = None

@@ -18,7 +18,7 @@ def _check_invariants(tree: FPTree, live_docs: list[Document]) -> None:
 
     # every stored document's path equals its ordered pair list
     for doc in live_docs:
-        terminal = tree._terminals[doc.doc_id]
+        terminal = tree.terminal(doc.doc_id)
         assert terminal.path_pairs() == tree.order.sort_document(doc)
         assert doc.doc_id in terminal.doc_ids
 
@@ -26,7 +26,7 @@ def _check_invariants(tree: FPTree, live_docs: list[Document]) -> None:
     expected = Counter()
     for doc in live_docs:
         expected.update(doc.pairs.keys())
-    assert tree._attr_doc_count == expected
+    assert tree.attribute_counts() == expected
 
     # node count equals reachable nodes; no empty leaves linger
     reachable = list(tree.iter_nodes())

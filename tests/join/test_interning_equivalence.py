@@ -1,11 +1,12 @@
 """Dictionary-encoded joiners are result-identical to the references.
 
-The interned hot paths (the ``interned=True`` defaults of NLJ / HBJ /
-FPJ) must agree with the string-keyed seed implementations
-(``interned=False``) *probe for probe* — not just on the window's final
-pair set — across randomized multi-window streams that deliberately mix
-the value types interning must keep apart (``1`` vs ``"1"``) and
-together (``1`` vs ``True`` vs ``1.0``).
+The interned hot paths must agree with a reference *probe for probe* —
+not just on the window's final pair set — across randomized multi-window
+streams that deliberately mix the value types interning must keep apart
+(``1`` vs ``"1"``) and together (``1`` vs ``True`` vs ``1.0``).  NLJ and
+HBJ are compared with their string-keyed seed twins
+(``interned=False``); FPJ has one storage path, so its reference is the
+brute-force oracle (:meth:`Document.joinable` over the stored window).
 """
 
 import random
@@ -42,28 +43,28 @@ def generate_windows(seed: int, windows: int = 3, size: int = 60):
     return stream
 
 
+TWIN_FACTORIES = [
+    pytest.param(lambda interned: NestedLoopJoiner(interned=interned), id="NLJ"),
+    pytest.param(lambda interned: HashJoiner(interned=interned), id="HBJ"),
+]
+
 JOINER_FACTORIES = [
-    pytest.param(lambda order, interned: NestedLoopJoiner(interned=interned), id="NLJ"),
-    pytest.param(lambda order, interned: HashJoiner(interned=interned), id="HBJ"),
+    pytest.param(lambda order: NestedLoopJoiner(), id="NLJ"),
+    pytest.param(lambda order: HashJoiner(), id="HBJ"),
+    pytest.param(lambda order: FPTreeJoiner(order), id="FPJ"),
     pytest.param(
-        lambda order, interned: FPTreeJoiner(order, interned=interned), id="FPJ"
-    ),
-    pytest.param(
-        lambda order, interned: FPTreeJoiner(
-            order, interned=interned, use_fast_path=False
-        ),
+        lambda order: FPTreeJoiner(order, use_fast_path=False),
         id="FPJ-no-fast-path",
     ),
 ]
 
 
-@pytest.mark.parametrize("make", JOINER_FACTORIES)
+@pytest.mark.parametrize("make", TWIN_FACTORIES)
 @pytest.mark.parametrize("seed", [11, 23, 42])
 def test_interned_matches_plain_probe_for_probe(make, seed):
     windows = generate_windows(seed)
-    order = AttributeOrder.from_documents(windows[0])
-    interned = make(order, True)
-    plain = make(order, False)
+    interned = make(True)
+    plain = make(False)
     for window in windows:
         for doc in window:
             assert sorted(interned.probe(doc)) == sorted(plain.probe(doc)), doc.pairs
@@ -75,13 +76,30 @@ def test_interned_matches_plain_probe_for_probe(make, seed):
         plain.reset()
 
 
+@pytest.mark.parametrize("make", JOINER_FACTORIES[2:])
+@pytest.mark.parametrize("seed", [11, 23, 42])
+def test_fptree_joiner_matches_oracle_probe_for_probe(make, seed):
+    windows = generate_windows(seed)
+    joiner = make(AttributeOrder.from_documents(windows[0]))
+    for window in windows:
+        stored: list[Document] = []
+        for doc in window:
+            expected = sorted(d.doc_id for d in stored if d.joinable(doc))
+            assert sorted(joiner.probe(doc)) == expected, doc.pairs
+            joiner.add(doc)
+            stored.append(doc)
+        assert len(joiner) == len(stored)
+        # The dictionary survives the window reset; results must not.
+        joiner.reset()
+
+
 @pytest.mark.parametrize("make", JOINER_FACTORIES)
 @pytest.mark.parametrize("seed", [11, 23, 42])
 def test_interned_joiner_is_exact(make, seed):
     """Belt and braces: the interned joiners against brute force."""
     for window in generate_windows(seed, windows=2, size=40):
         order = AttributeOrder.from_documents(window)
-        joiner = make(order, True)
+        joiner = make(order)
         assert join_result_set(joiner, window) == brute_force_pairs(window)
 
 

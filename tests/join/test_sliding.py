@@ -113,7 +113,7 @@ class TestFPTreeRemoval:
         assert tree.doc_count == 0
         assert tree.node_count == 0
         assert tree.header == {}
-        assert tree._attr_doc_count == {}
+        assert tree.attribute_counts() == {}
 
     @given(
         docs=document_lists(min_size=4, max_size=20),

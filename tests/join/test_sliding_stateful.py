@@ -51,13 +51,13 @@ class SlidingJoinerMachine(RuleBasedStateMachine):
     @invariant()
     def tree_statistics_consistent(self):
         tree = self.joiner.tree
-        assert tree.doc_count == len(tree._terminals)
+        assert tree.doc_count == len(tree.stored_doc_ids())
         # attribute counts must sum to the pairs of the stored documents
-        stored = set(tree._terminals)
+        stored = set(tree.stored_doc_ids())
         expected_pairs = sum(
             len(d) for d in self.model if d.doc_id in stored
         )
-        assert sum(tree._attr_doc_count.values()) == expected_pairs
+        assert sum(tree.attribute_counts().values()) == expected_pairs
 
 
 TestSlidingJoinerStateful = SlidingJoinerMachine.TestCase

@@ -515,6 +515,66 @@ class TestJoiner:
         assert stats.join_pairs == 0
         assert stats.documents == 2
 
+    def _window(self, joiner, docs, window_id, collector):
+        for doc in docs:
+            joiner.process(
+                doc_tuple(doc, window_id, source=msg.ASSIGNER, stream=msg.ASSIGNED),
+                collector,
+            )
+        for _ in range(2):
+            joiner.process(
+                StreamTuple(msg.WINDOW_DONE, (window_id,), msg.ASSIGNER, 0), collector
+            )
+
+    def test_joiner_survives_tumbles_until_the_order_changes(self):
+        from repro.join.ordering import AttributeOrder
+
+        bolt = self._joiner()
+        collector = FakeCollector()
+        self._window(bolt, [Document({"a": 1, "b": 2}, doc_id=0)], 0, collector)
+        first = bolt._joiner
+        self._window(bolt, [Document({"a": 1, "b": 2}, doc_id=1)], 1, collector)
+        assert bolt._joiner is first and len(first) == 0  # reset, not rebuilt
+        order = AttributeOrder(("b", "a"))
+        pset = msg.PartitionSet(1, [], None, 1.0, 1.0, 1, attribute_order=order)
+        bolt.process(StreamTuple(msg.PARTITIONS, (pset,), msg.MERGER, 0), collector)
+        self._window(bolt, [Document({"a": 1, "b": 2}, doc_id=2)], 2, collector)
+        assert bolt._joiner is None  # the order in force changed: rebuilt lazily
+        self._window(bolt, [Document({"a": 1, "b": 2}, doc_id=3)], 3, collector)
+        assert bolt._joiner is not first and bolt._joiner.tree.order is order
+
+    def test_process_dictionary_is_bounded_across_generations(self, monkeypatch):
+        """A stream of never-repeating values must not grow the shared
+        dictionary forever: it turns over in generations, and windows on
+        either side of a turnover still join exactly."""
+        from repro.core import interning
+        from repro.join.base import brute_force_pairs
+
+        cap, window_docs = 400, 12
+        monkeypatch.setattr(interning, "PROCESS_INTERNER_PAIRS", cap)
+        monkeypatch.setattr(interning, "_process_interner", interning.PairInterner())
+        tasks = [self._joiner(collect_pairs=True) for _ in range(2)]  # one process
+        generations = []
+        for window_id in range(300):
+            docs = [
+                Document(
+                    {"k": i % 4, "u": f"{window_id}-{i}"},
+                    doc_id=window_id * window_docs + i,
+                )
+                for i in range(window_docs)
+            ]
+            expected = brute_force_pairs(docs)
+            for bolt in tasks:
+                collector = FakeCollector()
+                self._window(bolt, docs, window_id, collector)
+                stats, pairs = collector.on_stream(msg.JOIN_STATS)[0][1]
+                assert pairs == expected and stats.join_pairs == len(expected)
+            current = interning.process_interner()
+            assert current.pair_count <= cap + 2 * window_docs
+            if not generations or generations[-1] is not current:
+                generations.append(current)
+        assert len(generations) > 5
+
 
 class TestMergerPersistence:
     def test_snapshot_restore_round_trip(self, fig3_documents):
