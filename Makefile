@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-parallel test-chaos test-distributed test-elastic verify bench bench-smoke bench-scaling bench-hotpath bench-hotpath-smoke bench-check bench-throughput bench-throughput-smoke bench-check-throughput soak-smoke profile-parent profile-joiner figures report examples clean
+.PHONY: install test test-parallel test-chaos test-distributed test-elastic verify bench bench-smoke bench-repo-smoke bench-scaling bench-hotpath bench-hotpath-smoke bench-check bench-throughput bench-throughput-smoke bench-check-throughput soak-smoke profile-parent profile-joiner figures report examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -36,7 +36,7 @@ test-elastic:
 # the full pre-merge gate: tier-1, the forked backend suite, chaos,
 # the socket-transport suite, the elastic suite, the benchmark smokes,
 # and a capped soak on every backend
-verify: test test-parallel test-chaos test-distributed test-elastic bench-hotpath-smoke bench-throughput-smoke soak-smoke
+verify: test test-parallel test-chaos test-distributed test-elastic bench-hotpath-smoke bench-throughput-smoke bench-repo-smoke soak-smoke
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -56,6 +56,12 @@ bench-hotpath:
 # on the bench workload, without the multi-minute measurement run
 bench-hotpath-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_micro_hotpath.py
+
+# One-second-sized pass of the repo benchmark (bench/, BENCHMARK.json):
+# its brute-force oracle, the rw_local == rw_pipe2 per-window digests
+# and the leak scan, on all four workloads
+bench-repo-smoke:
+	$(PYTHON) -m pytest bench/ -q
 
 # Fail on >25% per-metric regression vs the committed BENCH_hotpath.json
 bench-check:
@@ -99,7 +105,8 @@ profile-parent:
 
 # Time the FP-tree Joiner's probe/insert loop on rwData and nbData with
 # K co-located joiners, gc on and off: us/probe, us/insert, new nodes per
-# document and gen-0/1/2 collections; join perf PRs start here.  Override
+# document and gen-0/1/2 collections, and us per assignment of those K
+# joiners beside one shared window index; join perf PRs start here.  Override
 # with e.g. `make profile-joiner PROFILE_ARGS='--data nb --isolated'`.
 profile-joiner:
 	PYTHONPATH=src $(PYTHON) scripts/profile_joiner.py $(PROFILE_ARGS)

@@ -1,20 +1,26 @@
 """Time the FP-tree Joiner's probe/insert loop, with and without the GC.
 
 ``make profile-joiner`` runs this: K co-located :class:`FPTreeJoiner`
-instances (the tasks of one executor or worker process) receive every
-document of a tumbling window *as the same object*, probe then insert,
-and reset at the window boundary — once with the cyclic collector on and
-once with it off, on rwData (server logs) and nbData (NoBench).  The two
-gc rows differ by what the collector costs the insert path; ``--isolated``
-gives every joiner a private dictionary, which is what a document costs
-when nothing is shared.
+instances (what the tasks of one executor or worker process kept before
+they shared an index, and what ``bench/replay.py`` still times) receive
+every document of a tumbling window *as the same object*, probe then
+insert, and reset at the window boundary — once with the cyclic
+collector on and once with it off, on rwData (server logs) and nbData
+(NoBench).  The two gc rows differ by what the collector costs the
+insert path; ``--isolated`` gives every joiner a private dictionary,
+which is what a document costs when nothing is shared.
 
 Reported per (dataset, gc mode): µs per probe and per insert
 (``perf_counter`` around each call; every window keeps its fastest of
 ``--repeats`` passes, so a burst of host noise costs one window of one
 pass, not the row), new tree nodes per inserted document, and the
-gen-0/1/2 collections the loop triggered.  Join perf PRs should start
-from this output.
+gen-0/1/2 collections the loop triggered.  Beside each row, the
+**shared** columns time what the Joiner tasks run today — one
+:class:`SharedWindowIndex` that the same K owners ``arrive`` at — as µs
+per assignment (one document at one owner, timed per window), next to
+the K joiners' µs per assignment (probe + insert, which carries its
+per-call timer reads, about 0.1 µs).  Join perf PRs should start from
+this output.
 
 Usage::
 
@@ -33,6 +39,7 @@ from repro.data.nobench import NoBenchGenerator
 from repro.data.serverlogs import ServerLogGenerator
 from repro.join.fptree_join import FPTreeJoiner
 from repro.join.ordering import AttributeOrder
+from repro.join.shared_index import SharedWindowIndex
 
 #: dataset -> (generator, window size, co-located joiners): the window
 #: sizes and per-process replication of the repo benchmark's workloads
@@ -72,10 +79,21 @@ def run_once(data: str, seed: int, n_windows: int, k: int, isolated: bool) -> di
             nodes += joiner.tree.node_count
             joiner.reset()
     after = [generation["collections"] for generation in gc.get_stats()]
+    index = SharedWindowIndex(order, interner=shared)
+    owners = range(k)
+    shared_windows = []
+    for window in windows[1:]:
+        start = perf_counter()
+        for document in window:
+            for owner in owners:
+                index.arrive(document, owner)
+        shared_windows.append(perf_counter() - start)
+        index.reset()
     gc.unfreeze()
     return {
         "probe_s": probe_windows,
         "insert_s": insert_windows,
+        "shared_s": shared_windows,
         "nodes_per_doc": nodes / (n_windows * window_docs * k),
         "collections": [b - a for a, b in zip(before, after)],
     }
@@ -93,7 +111,8 @@ def main() -> int:
     args = parser.parse_args()
 
     print(f"{'data':<5}{'gc':<5}{'K':>3}{'probe us':>10}{'insert us':>11}"
-          f"{'nodes/doc':>11}  gen0/1/2 collections")
+          f"{'nodes/doc':>11}{'us/assignment: K joiners':>26}{'shared index':>14}"
+          "  gen0/1/2 collections")
     for data in ("rw", "nb") if args.data == "both" else (args.data,):
         k = args.joiners or DATASETS[data][2]
         for gc_on in (True, False):
@@ -106,14 +125,15 @@ def main() -> int:
             finally:
                 gc.enable()
             calls = args.windows * DATASETS[data][1] * k
-            probe_us, insert_us = (
+            probe_us, insert_us, shared_us = (
                 sum(map(min, zip(*(run[key] for run in runs)))) / calls * 1e6
-                for key in ("probe_s", "insert_s")
+                for key in ("probe_s", "insert_s", "shared_s")
             )
             print(
                 f"{data:<5}{'on' if gc_on else 'off':<5}{k:>3}"
                 f"{probe_us:>10.2f}{insert_us:>11.2f}"
-                f"{runs[-1]['nodes_per_doc']:>11.2f}  "
+                f"{runs[-1]['nodes_per_doc']:>11.2f}"
+                f"{probe_us + insert_us:>26.2f}{shared_us:>14.2f}  "
                 + "/".join(str(c) for c in runs[-1]["collections"])
             )
     return 0

@@ -15,6 +15,7 @@ from repro.join.nested_loop import NestedLoopJoiner
 from repro.join.minibatch import minibatch_join
 from repro.join.multistream import MultiStreamJoiner, StreamPair
 from repro.join.ordering import AttributeOrder
+from repro.join.shared_index import SharedWindowIndex
 from repro.join.sliding import (
     SlidingFPTreeJoiner,
     TimeSlidingFPTreeJoiner,
@@ -41,6 +42,7 @@ __all__ = [
     "StreamPair",
     "predict_nlj_hbj_winner",
     "profile_and_predict",
+    "SharedWindowIndex",
     "SlidingFPTreeJoiner",
     "TimeSlidingFPTreeJoiner",
     "sliding_join_stream",

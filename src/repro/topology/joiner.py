@@ -1,33 +1,105 @@
 """The Joiner bolt (Fig. 2): per-machine windowed FP-tree join.
 
-Each Joiner instance owns one partition's documents.  Within a tumbling
+Each Joiner task owns one partition's documents.  Within a tumbling
 window it follows the probe-then-insert discipline of Section V: every
-arriving document is matched against the FP-tree (FPTreeJoin) and then
-inserted, so it can join with forthcoming documents.  When window-done
-markers from *all* Assigners have arrived, the Joiner reports its window
-statistics and evicts the entire tree.
+arriving document is matched against the documents the task received
+earlier (FPTreeJoin) and then stored, so it can join with forthcoming
+documents.  When window-done markers from *all* Assigners have arrived,
+the task reports its window statistics and gives the window up.
 
-All Joiner tasks of a process intern into one pair dictionary
-(:func:`~repro.core.interning.process_interner`), so the documents the
-local Assigner fan-out or a decoded worker batch hands to several tasks
-*as the same object* are interned and sorted once, by whichever task
-sees them first.
+The Joiner tasks of one executor do not each keep a tree: they share a
+:class:`JoinerGroup`, which holds **one owner-tagged index per open
+window** (:class:`~repro.join.shared_index.SharedWindowIndex`).  A
+document assigned to k co-located tasks is probed and inserted once and
+every task still gets exactly the partners its private tree would have
+returned, so per-machine results are unchanged.  All indexes intern
+into one pair dictionary
+(:func:`~repro.core.interning.process_interner`).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.interning import PairInterner, process_interner
+from repro.core.interning import process_interner
 from repro.join.base import JoinPair
 from repro.join.binary import BinaryJoinPair, BinaryStreamJoiner
 from repro.join.fptree_join import FPTreeJoiner
 from repro.join.ordering import AttributeOrder
+from repro.join.shared_index import SharedWindowIndex
 from repro.join.sliding import SlidingFPTreeJoiner
-from repro.obs.registry import NULL_REGISTRY
+from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.streaming.component import Bolt, Collector, ComponentContext
 from repro.streaming.tuples import StreamTuple
 from repro.topology import messages as msg
+
+
+class JoinerGroup:
+    """The window indexes shared by the Joiner tasks of one executor.
+
+    ``build_topology`` hands one group to every :class:`JoinerBolt` of a
+    topology; it is deliberately not module-global, because two sessions
+    alive in one interpreter reuse window ids and doc ids.  A group
+    pickles *empty*: the tasks shipped to a socket worker in one
+    ``WorkerInit`` (or to a migration target in one ``adopt``) arrive
+    sharing one fresh group, whatever the sender's group held.  A forked
+    worker inherits the parent's group, which is empty unless the parent
+    runs a dead worker's tasks inline; entries inherited then belong to
+    owners the child does not run: they never match the child's, and
+    there are no more of them than windows open at the fork.
+
+    An index is dropped when the last owner that fed it tumbles that
+    window.  One evicted index is kept as a spare and reused for the
+    next window, unless the Merger shipped another attribute order or
+    the process dictionary started a new generation since it was built.
+    An owner migrated to another worker mid-window never tumbles here;
+    what it leaves behind is bounded by the windows in flight at the
+    migration, once per task.
+    """
+
+    def __init__(self) -> None:
+        self._open: dict[int, SharedWindowIndex] = {}
+        self._spare: Optional[SharedWindowIndex] = None
+
+    def __reduce__(self) -> tuple:
+        return (JoinerGroup, ())
+
+    def index(
+        self,
+        window_id: int,
+        order: Optional[AttributeOrder],
+        registry: MetricsRegistry,
+    ) -> SharedWindowIndex:
+        """The index of ``window_id``, opened under ``order`` if new."""
+        index = self._open.get(window_id)
+        if index is None:
+            interner = process_interner()
+            index, self._spare = self._spare, None
+            if (
+                index is None
+                or index.order is not order
+                or index.tree.interner is not interner
+            ):
+                # Use the Merger's sample-derived global order (Section
+                # V-A) when available; until the first partitions arrive
+                # attributes are ordered by name, which is slower but
+                # equally correct.
+                index = SharedWindowIndex(order, registry=registry, interner=interner)
+            self._open[window_id] = index
+        return index
+
+    def release(self, window_id: int, owner: int) -> None:
+        """``owner`` tumbled ``window_id``."""
+        index = self._open.get(window_id)
+        if index is not None and index.release(owner):
+            del self._open[window_id]
+            # tumbling semantics: evict the entire tree (Section V-A)
+            index.reset()
+            self._spare = index
+
+    def __len__(self) -> int:
+        """Open windows."""
+        return len(self._open)
 
 
 class JoinerBolt(Bolt):
@@ -52,6 +124,12 @@ class JoinerBolt(Bolt):
         guarantee for pairs straddling the partition change — exactness
         holds while partitions are stable, which is why the paper scopes
         its guarantees to tumbling windows.
+    group:
+        The executor's shared window indexes; a bolt built without one
+        makes a private group.  Only the tumbling self-join uses it:
+        a sliding extent (the last N documents *of this task*) and the
+        two per-stream stores of ``binary`` mode are per task by
+        definition, so those modes keep a per-task joiner.
     """
 
     def __init__(
@@ -60,6 +138,7 @@ class JoinerBolt(Bolt):
         collect_pairs: bool = False,
         sliding_size: Optional[int] = None,
         binary: bool = False,
+        group: Optional[JoinerGroup] = None,
     ):
         if sliding_size is not None and sliding_size <= 0:
             raise ValueError(f"sliding_size must be positive, got {sliding_size}")
@@ -69,37 +148,29 @@ class JoinerBolt(Bolt):
         self.collect_pairs = collect_pairs
         self.sliding_size = sliding_size
         self.binary = binary
+        self._per_task = binary or sliding_size is not None
+        self._group = group if group is not None else JoinerGroup()
         self._n_assigners = 0
         self._task_index = 0
-        #: built on the first document after prepare, a new attribute
-        #: order or a new dictionary generation; tumbling resets it
-        self._joiner: Optional[
-            FPTreeJoiner | SlidingFPTreeJoiner | BinaryStreamJoiner
-        ] = None
-        self._joiner_order: Optional[AttributeOrder] = None
-        self._joiner_interner: Optional[PairInterner] = None
+        #: sliding / binary only: built on the first document after
+        #: prepare; a binary joiner is rebuilt every window
+        self._joiner: Optional[SlidingFPTreeJoiner | BinaryStreamJoiner] = None
         self._docs = 0
         self._pair_count = 0
         self._pairs: set[JoinPair | BinaryJoinPair] = set()
-        self._seen_doc_ids: set[int] = set()
         self._done_markers: dict[int, int] = {}
         self._order: Optional[AttributeOrder] = None
         self._metrics = NULL_REGISTRY
 
-    def _fresh_joiner(self) -> FPTreeJoiner | SlidingFPTreeJoiner | BinaryStreamJoiner:
-        # Use the Merger's sample-derived global order (Section V-A) when
-        # available; until the first partitions arrive attributes are
-        # ordered by name, which is slower but equally correct.
-        order = self._joiner_order = self._order
+    def _fresh_joiner(self) -> SlidingFPTreeJoiner | BinaryStreamJoiner:
+        order = self._order
         if self.sliding_size is not None:
             return SlidingFPTreeJoiner(self.sliding_size, order=order)
-        interner = self._joiner_interner = process_interner()
+        interner = process_interner()
         registry = self._metrics
-        if self.binary:
-            return BinaryStreamJoiner(
-                lambda: FPTreeJoiner(order, registry=registry, interner=interner)
-            )
-        return FPTreeJoiner(order, registry=registry, interner=interner)
+        return BinaryStreamJoiner(
+            lambda: FPTreeJoiner(order, registry=registry, interner=interner)
+        )
 
     def prepare(self, context: ComponentContext) -> None:
         self._task_index = context.task_index
@@ -109,29 +180,22 @@ class JoinerBolt(Bolt):
     # ------------------------------------------------------------------
     def process(self, tup: StreamTuple, collector: Collector) -> None:
         if tup.stream == msg.ASSIGNED:
-            document, _window_id, side = tup.values
+            document, window_id, side = tup.values
             self._docs += 1
             if not self.compute_joins:
                 return
-            joiner = self._joiner
-            if joiner is None:
-                joiner = self._joiner = self._fresh_joiner()
-            if self.binary:
-                cross_pairs = joiner.process(document, side)
-                self._pair_count += len(cross_pairs)
-                if self.collect_pairs:
-                    self._pairs.update(cross_pairs)
-            else:
-                # A document can reach the same Joiner once only (the
-                # Assigner emits one tuple per target machine), so no
-                # dedup is needed within a machine.
-                partners = joiner.probe(document)
-                self._pair_count += len(partners)
-                if self.collect_pairs:
-                    assert document.doc_id is not None
-                    for partner in partners:
-                        self._pairs.add(JoinPair.of(partner, document.doc_id))
-                joiner.add(document)
+            if self._per_task:
+                self._process_per_task(document, side)
+                return
+            # A document can reach the same Joiner once only (the
+            # Assigner emits one tuple per target machine), so no
+            # dedup is needed within a machine.
+            index = self._group.index(window_id, self._order, self._metrics)
+            partners = index.arrive(document, self._task_index)
+            self._pair_count += len(partners)
+            if self.collect_pairs:
+                for partner in partners:
+                    self._pairs.add(JoinPair.of(partner, document.doc_id))
         elif tup.stream == msg.PARTITIONS:
             (partition_set,) = tup.values
             if partition_set.attribute_order is not None:
@@ -143,6 +207,25 @@ class JoinerBolt(Bolt):
             if count >= self._n_assigners:
                 del self._done_markers[window_id]
                 self._tumble(window_id, collector)
+
+    def _process_per_task(self, document, side) -> None:
+        """Sliding and binary modes: probe-then-insert on this task's own joiner."""
+        joiner = self._joiner
+        if joiner is None:
+            joiner = self._joiner = self._fresh_joiner()
+        if self.binary:
+            cross_pairs = joiner.process(document, side)
+            self._pair_count += len(cross_pairs)
+            if self.collect_pairs:
+                self._pairs.update(cross_pairs)
+        else:
+            partners = joiner.probe(document)
+            self._pair_count += len(partners)
+            if self.collect_pairs:
+                assert document.doc_id is not None
+                for partner in partners:
+                    self._pairs.add(JoinPair.of(partner, document.doc_id))
+            joiner.add(document)
 
     def _tumble(self, window_id: int, collector: Collector) -> None:
         stats = msg.JoinerWindowStats(
@@ -156,15 +239,10 @@ class JoinerBolt(Bolt):
         self._docs = 0
         self._pair_count = 0
         self._pairs = set()
-        if self._joiner is not None and self.sliding_size is None:
-            # tumbling semantics: evict the entire tree (Section V-A);
-            # a sliding joiner keeps its state across the boundary.  The
-            # joiner itself is kept unless the Merger shipped another
-            # order or the process dictionary started a new generation.
-            if (
-                self._joiner_order is self._order
-                and self._joiner_interner is process_interner()
-            ):
-                self._joiner.reset()
-            else:
-                self._joiner = None
+        if not self._per_task:
+            self._group.release(window_id, self._task_index)
+        elif self.binary:
+            # tumbling semantics: evict both stores; the next window's
+            # are built on the order and dictionary generation then in
+            # force.  A sliding joiner keeps its state across the boundary.
+            self._joiner = None

@@ -42,7 +42,7 @@ from repro.streaming.transport.framing import parse_address
 from repro.topology import messages as msg
 from repro.topology.messages import wire_codec
 from repro.topology.assigner import AssignerBolt
-from repro.topology.joiner import JoinerBolt
+from repro.topology.joiner import JoinerBolt, JoinerGroup
 from repro.topology.json_reader import DocumentSpout, TwoStreamSpout
 from repro.topology.merger import MergerBolt
 from repro.topology.partition_creator import PartitionCreatorBolt
@@ -256,6 +256,9 @@ def build_topology(
     assigner.subscribe(msg.MERGER, msg.PARTITIONS, AllGrouping())
     assigner.subscribe(msg.MERGER, msg.PARTITION_UPDATE, AllGrouping())
 
+    # one window index per executor: every Joiner task of this topology
+    # that lands in the same process shares the group (and so the tree)
+    group = JoinerGroup()
     joiner = builder.set_bolt(
         msg.JOINER,
         lambda: JoinerBolt(
@@ -263,6 +266,7 @@ def build_topology(
             collect_pairs=config.collect_pairs,
             sliding_size=config.sliding_size,
             binary=config.binary,
+            group=group,
         ),
         parallelism=config.m,
     )

@@ -1,0 +1,217 @@
+"""The owner-tagged window index: one tree, every owner's private answer.
+
+:class:`SharedWindowIndex` must hand each owner exactly what a private
+``FPTreeJoiner`` fed only that owner's arrivals would have — under *any*
+arrival interleaving, not just the FIFO fan-out the executor produces.
+Hypothesis drives arrivals, releases and two concurrently open windows
+against k isolated joiners per window and against the brute-force join.
+"""
+
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+
+from repro.core.document import Document
+from repro.core.interning import PairInterner
+from repro.join.base import JoinPair, brute_force_pairs
+from repro.join.fptree_join import FPTreeJoiner
+from repro.join.ordering import AttributeOrder
+from repro.join.shared_index import SharedWindowIndex
+from repro.obs.registry import MetricsRegistry
+
+ORDER = AttributeOrder(("c", "a", "f"))  # the rest rank last, by name
+OWNERS = 3
+WINDOWS = 2
+
+#: few attributes and values, so that most documents join some other;
+#: ``1`` / ``True`` / ``1.0`` intern to one pair, ``"1"`` to another
+ATTRIBUTES = st.sampled_from(["a", "c", "f", "g"])
+VALUES = st.sampled_from([0, 1, True, 1.0, "1"])
+PAIRS = st.dictionaries(ATTRIBUTES, VALUES, min_size=1, max_size=3)
+
+
+class _Window:
+    """One open window: the shared index beside its isolated reference."""
+
+    def __init__(self, interner: PairInterner):
+        self.index = SharedWindowIndex(ORDER, interner=interner)
+        self.reopen()
+
+    def reopen(self) -> None:
+        self.pool: dict[int, dict] = {}
+        self.isolated = [
+            FPTreeJoiner(ORDER, interner=PairInterner()) for _ in range(OWNERS)
+        ]
+        self.arrived: list[list[Document]] = [[] for _ in range(OWNERS)]
+        self.pairs: list[set[JoinPair]] = [set() for _ in range(OWNERS)]
+        self.released: set[int] = set()
+
+    def undelivered(self) -> list[tuple[int, int]]:
+        return [
+            (doc_id, owner)
+            for doc_id in self.pool
+            for owner in range(OWNERS)
+            if owner not in self.released
+            and all(d.doc_id != doc_id for d in self.arrived[owner])
+        ]
+
+
+class SharedIndexMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        # both windows intern into one dictionary, like one process
+        interner = PairInterner()
+        self.windows = [_Window(interner) for _ in range(WINDOWS)]
+        #: doc ids collide across windows on purpose
+        self.next_id = [0] * WINDOWS
+        self.objects: dict[tuple[int, int], Document] = {}
+
+    @rule(window=st.integers(0, WINDOWS - 1), pairs=PAIRS)
+    def new_document(self, window, pairs):
+        doc_id = self.next_id[window]
+        self.next_id[window] += 1
+        self.windows[window].pool[doc_id] = pairs
+
+    @precondition(lambda self: any(w.undelivered() for w in self.windows))
+    @rule(data=st.data())
+    def arrive_as_the_same_object(self, data):
+        self._arrive(data, same_object=True)
+
+    @precondition(lambda self: any(w.undelivered() for w in self.windows))
+    @rule(data=st.data())
+    def arrive_as_an_equal_object(self, data):
+        # a fan-out split across two decoded frames: equal, not identical
+        self._arrive(data, same_object=False)
+
+    def _arrive(self, data, same_object):
+        window_id = data.draw(
+            st.sampled_from([i for i, w in enumerate(self.windows) if w.undelivered()])
+        )
+        window = self.windows[window_id]
+        doc_id, owner = data.draw(st.sampled_from(window.undelivered()))
+        document = self.objects.get((window_id, doc_id)) if same_object else None
+        if document is None:
+            document = Document(dict(window.pool[doc_id]), doc_id=doc_id)
+            self.objects[(window_id, doc_id)] = document
+        expected = sorted(window.isolated[owner].probe(document))
+        window.isolated[owner].add(document)
+        assert expected == sorted(
+            d.doc_id for d in window.arrived[owner] if d.joinable(document)
+        )
+        got = window.index.arrive(document, owner)
+        assert sorted(got) == expected
+        window.arrived[owner].append(document)
+        window.pairs[owner].update(JoinPair.of(p, doc_id) for p in got)
+
+    def _releasable(self) -> list[tuple[int, int]]:
+        # windows close late, so that arrivals pile up first
+        return [
+            (i, owner)
+            for i, w in enumerate(self.windows)
+            for owner in range(OWNERS)
+            if len(w.pool) >= 4 and owner not in w.released
+        ]
+
+    @precondition(lambda self: self._releasable())
+    @rule(data=st.data())
+    def release(self, data):
+        window_id, owner = data.draw(st.sampled_from(self._releasable()))
+        window = self.windows[window_id]
+        window.released.add(owner)
+        fed = {owner for owner in range(OWNERS) if window.arrived[owner]}
+        assert window.index.release(owner) == (fed <= window.released)
+        if len(window.released) == OWNERS:
+            # the group's spare rule: evict, reuse for the next window
+            window.index.reset()
+            assert len(window.index) == 0
+            window.reopen()
+            for key in [k for k in self.objects if k[0] == window_id]:
+                del self.objects[key]
+            self.next_id[window_id] = 0
+
+    @invariant()
+    def each_owner_holds_its_exact_join(self):
+        for window in self.windows:
+            distinct = {d.doc_id for arrived in window.arrived for d in arrived}
+            assert len(window.index) == len(distinct)
+            for owner in range(OWNERS):
+                assert window.pairs[owner] == brute_force_pairs(window.arrived[owner])
+
+
+TestSharedIndexStateful = SharedIndexMachine.TestCase
+TestSharedIndexStateful.settings = settings(
+    max_examples=100, stateful_step_count=60, deadline=None
+)
+
+
+def _docs():
+    return Document({"a": 1, "d": 1}, doc_id=0), Document({"a": 1, "e": 1}, doc_id=1)
+
+
+def test_cached_partner_list_is_not_reused_after_an_insert():
+    """d@0, e@0, e@1, d@1: at owner 1, e arrived before d, so the pair is
+    found by d's arrival — which must re-probe, because e was inserted
+    after the probe that d's cached list came from."""
+    d, e = _docs()
+    index = SharedWindowIndex()
+    assert index.arrive(d, 0) == []
+    assert index.arrive(e, 0) == [0]
+    assert index.arrive(e, 1) == []  # cache hit on e; d is not owner 1's yet
+    assert index.arrive(d, 1) == [1]  # cache miss: e joined the tree since
+    assert len(index) == 2
+
+
+def test_later_owner_reuses_the_first_probe():
+    """The FIFO fan-out d@0, d@1, e@0, e@1 costs one probe per document."""
+    d, e = _docs()
+    registry = MetricsRegistry()
+    index = SharedWindowIndex(registry=registry)
+    results = [index.arrive(doc, owner) for doc in (d, e) for owner in (0, 1)]
+    assert results == [[], [], [0], [0]]
+    snap = registry.snapshot()
+    # physical operations: the histograms' observation counts
+    assert snap.histograms["joiner.probe_seconds{algorithm=FPJ}"]["count"] == 2
+    assert snap.histograms["joiner.insert_seconds{algorithm=FPJ}"]["count"] == 2
+    # per-assignment counters: what k private joiners would have counted
+    assert snap.counters["joiner.probes{algorithm=FPJ}"] == 4
+    assert snap.counters["joiner.inserts{algorithm=FPJ}"] == 4
+    assert snap.counters["joiner.partners{algorithm=FPJ}"] == 2
+
+
+def test_rejects_a_second_arrival_at_the_same_owner_and_a_missing_id():
+    d, _ = _docs()
+    index = SharedWindowIndex()
+    index.arrive(d, 0)
+    with pytest.raises(ValueError, match="already arrived at owner 0"):
+        index.arrive(Document({"a": 1, "d": 1}, doc_id=0), 0)
+    with pytest.raises(ValueError, match="doc_id"):
+        index.arrive(Document({"a": 1}), 1)
+    assert len(index) == 1 and index.arrive(d, 1) == []
+
+
+def test_release_reports_the_last_holder():
+    d, e = _docs()
+    index = SharedWindowIndex()
+    index.arrive(d, 0)
+    index.arrive(e, 2)
+    assert not index.release(1)  # never fed it: nothing changes
+    assert not index.release(0)
+    assert index.arrive(d, 2) == [1]  # owner 2 still sees only its own
+    assert index.release(2)
+    index.reset()
+    assert len(index) == 0 and index.arrive(e, 0) == []
+
+
+def test_the_pure_core_does_not_import_the_runtime():
+    import ast
+    import inspect
+
+    import repro.join.shared_index as module
+
+    imported = {
+        node.module
+        for node in ast.walk(ast.parse(inspect.getsource(module)))
+        if isinstance(node, ast.ImportFrom)
+    }
+    assert not [m for m in imported if m.startswith(("repro.streaming", "repro.topology"))]

@@ -276,6 +276,38 @@ class TestTopologyChaos:
         assert faulted.dead_letters  # entries surfaced on the result
         assert all(d.component == msg.JOINER for d in faulted.dead_letters)
 
+    @pytest.mark.parametrize("backend", ["local", "parallel"])
+    def test_poison_at_one_colocated_task_matches_isolated_joiners(self, backend):
+        """A document quarantined at one Joiner task while the tasks
+        sharing its window index accept it: the shared index must leave
+        every task with exactly what m isolated per-task joiners produce
+        under the same plan — the quarantined task never counts the
+        document, its neighbours do."""
+        from tests.topology.per_task import run_per_task
+
+        windows = _windows()
+        # sticky rules fire per process on its nth Joiner delivery: one
+        # replica each of two documents (window 0 is all-broadcast and
+        # joins plenty), in every process that runs Joiner tasks
+        plan = (
+            FaultPlan()
+            .raise_in(msg.JOINER, nth=150, stream=msg.ASSIGNED)
+            .raise_in(msg.JOINER, nth=330, stream=msg.ASSIGNED)
+        )
+        config = _config(
+            backend=backend,
+            workers=2 if backend == "parallel" else None,
+            max_retries=1,
+            dead_letters=True,
+            fault_plan=plan,
+        )
+        shared, shared_stats = run_per_task(config, windows, isolated=False)
+        isolated, isolated_stats = run_per_task(config, windows, isolated=True)
+        assert shared_stats["dead_letters"] == isolated_stats["dead_letters"] >= 2
+        assert shared == isolated
+        clean, _ = run_per_task(_config(), windows, isolated=False)
+        assert shared != clean  # the quarantined replicas did carry joins
+
     def test_kill_and_restart_is_fully_byte_identical(self):
         """Without poison, recovery must preserve *all* outputs — metrics,
         join pairs and tuple accounting (modulo the restart counter)."""

@@ -526,22 +526,101 @@ class TestJoiner:
                 StreamTuple(msg.WINDOW_DONE, (window_id,), msg.ASSIGNER, 0), collector
             )
 
-    def test_joiner_survives_tumbles_until_the_order_changes(self):
+    def test_index_survives_tumbles_until_the_order_changes(self):
         from repro.join.ordering import AttributeOrder
 
         bolt = self._joiner()
+        group = bolt._group
         collector = FakeCollector()
         self._window(bolt, [Document({"a": 1, "b": 2}, doc_id=0)], 0, collector)
-        first = bolt._joiner
+        first = group._spare
+        assert len(group) == 0 and first is not None and len(first) == 0
         self._window(bolt, [Document({"a": 1, "b": 2}, doc_id=1)], 1, collector)
-        assert bolt._joiner is first and len(first) == 0  # reset, not rebuilt
+        assert group._spare is first  # reset, not rebuilt
         order = AttributeOrder(("b", "a"))
         pset = msg.PartitionSet(1, [], None, 1.0, 1.0, 1, attribute_order=order)
         bolt.process(StreamTuple(msg.PARTITIONS, (pset,), msg.MERGER, 0), collector)
         self._window(bolt, [Document({"a": 1, "b": 2}, doc_id=2)], 2, collector)
-        assert bolt._joiner is None  # the order in force changed: rebuilt lazily
-        self._window(bolt, [Document({"a": 1, "b": 2}, doc_id=3)], 3, collector)
-        assert bolt._joiner is not first and bolt._joiner.tree.order is order
+        # the order in force changed: the spare was not reused
+        assert group._spare is not first and group._spare.tree.order is order
+
+    def test_colocated_tasks_share_one_index(self):
+        """Three tasks of one executor: each document is stored once and
+        every task reports what a private tree would have."""
+        from repro.join.base import JoinPair
+        from repro.topology.joiner import JoinerGroup
+
+        group = JoinerGroup()
+        tasks = []
+        for task_index in range(3):
+            bolt = JoinerBolt(collect_pairs=True, group=group)
+            bolt.prepare(context(msg.JOINER, task_index, 3, **{msg.ASSIGNER: 2}))
+            tasks.append(bolt)
+        docs = [Document({"a": 1, f"k{i}": i}, doc_id=i) for i in range(4)]
+        assigned = {0: (0, 1, 2, 3), 1: (1, 3), 2: (0,)}
+        collector = FakeCollector()
+        for doc in docs:
+            for task_index, bolt in enumerate(tasks):
+                if doc.doc_id in assigned[task_index]:
+                    bolt.process(
+                        doc_tuple(doc, 7, source=msg.ASSIGNER, stream=msg.ASSIGNED),
+                        collector,
+                    )
+        assert len(group) == 1 and len(group.index(7, None, None)) == 4
+        for bolt in tasks[:2]:
+            self._window(bolt, [], 7, collector)
+        assert len(group) == 1  # task 2 still holds window 7
+        self._window(tasks[2], [], 7, collector)
+        assert len(group) == 0
+        results = {
+            stats.task_index: (stats.documents, stats.join_pairs, pairs)
+            for _, (stats, pairs), _ in collector.on_stream(msg.JOIN_STATS)
+        }
+        assert results == {
+            0: (4, 6, frozenset(JoinPair(a, b) for a in range(4) for b in range(a + 1, 4))),
+            1: (2, 1, frozenset({JoinPair(1, 3)})),
+            2: (1, 0, frozenset()),
+        }
+
+    def test_pickles_without_window_state(self):
+        """A Joiner task ships pristine index-wise: mid-window it pickles
+        without a tree, a mask dict or an open window, and the bolts of
+        one payload still share one (empty) group after loading."""
+        import pickle
+
+        from repro.join.fptree import FPTree
+        from repro.join.shared_index import SharedWindowIndex
+        from repro.topology.joiner import JoinerGroup
+
+        group = JoinerGroup()
+        bolts = [JoinerBolt(group=group) for _ in range(2)]
+        for task_index, bolt in enumerate(bolts):
+            bolt.prepare(context(msg.JOINER, task_index, 2, **{msg.ASSIGNER: 2}))
+        collector = FakeCollector()
+        self._window(bolts[0], [Document({"a": 1}, doc_id=0)], 0, collector)  # a spare
+        for doc_id in (1, 2):
+            bolts[0].process(
+                doc_tuple(Document({"a": 1}, doc_id=doc_id), 1,
+                          source=msg.ASSIGNER, stream=msg.ASSIGNED),
+                collector,
+            )
+        assert len(group) == 1 and group._spare is None
+
+        payload = pickle.dumps({("joiner", i): bolt for i, bolt in enumerate(bolts)})
+        for forbidden in (SharedWindowIndex, FPTree):
+            assert forbidden.__qualname__.encode() not in payload
+        loaded = list(pickle.loads(payload).values())
+        assert loaded[0]._group is loaded[1]._group is not group
+        assert len(loaded[0]._group) == 0 and loaded[0]._group._spare is None
+        assert loaded[0]._docs == 2  # the task's own counters do travel
+        # the loaded tasks join from scratch, together
+        for bolt in loaded:
+            bolt.process(
+                doc_tuple(Document({"a": 1}, doc_id=9), 1,
+                          source=msg.ASSIGNER, stream=msg.ASSIGNED),
+                collector,
+            )
+        assert len(loaded[0]._group.index(1, None, None)) == 1
 
     def test_process_dictionary_is_bounded_across_generations(self, monkeypatch):
         """A stream of never-repeating values must not grow the shared
