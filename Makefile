@@ -52,7 +52,7 @@ bench-hotpath:
 	PYTHONPATH=src $(PYTHON) benchmarks/test_micro_hotpath.py
 
 # Fast correctness smoke over the benchmark harness itself: batched
-# kernels agree with the streaming loop and both ship paths round-trip
+# kernels agree with the streaming loop and the ship path round-trips
 # on the bench workload, without the multi-minute measurement run
 bench-hotpath-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_micro_hotpath.py
@@ -97,9 +97,11 @@ soak-smoke:
 		--max-seconds 8 --epoch-windows 2 --assert-memory
 
 # cProfile the parent-side data plane (routing, encoding, shipping,
-# barrier bookkeeping) over a short zipf soak on the parallel/pipe
-# backend; perf PRs against the parent loop start here.  Override with
-# e.g. `make profile-parent PROFILE_ARGS='--backend socket --top 40'`.
+# barrier bookkeeping) over a benchmark-shaped session — joins on, 2
+# pipe workers, 4 warm-up + 40 pushed rwData windows — and print entries
+# per document, frames per window and journal bytes per document beside
+# the rows; perf PRs against the parent loop start here.  Override with
+# e.g. `make profile-parent PROFILE_ARGS='--data nb --transport socket'`.
 profile-parent:
 	PYTHONPATH=src $(PYTHON) scripts/profile_parent.py $(PROFILE_ARGS)
 

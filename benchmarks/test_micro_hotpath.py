@@ -20,9 +20,7 @@ style, in nanoseconds per document:
   each document is matched against state as of its chunk's start, the
   stored-state-only ``probe_batch`` contract (see docs/performance.md);
 * ``{dataset}.ship_ns`` — the columnar wire path: encode a batch into a
-  buffer frame, frame it, decode it back to documents, per document —
-  and ``{dataset}.ship_pickle_ns``, the dictionary-codec pickle path it
-  replaces;
+  buffer frame, frame it, decode it back to documents, per document;
 * ``{dataset}.route_ns`` — :class:`DocumentRouter` routing against an
   AG partitioning of the first window.
 
@@ -41,9 +39,10 @@ only statistic stable enough to gate on.
 ``seed_baseline`` ratios compare against constants frozen on the
 machine that measured the seed; absolute host speed differences show up
 uniformly in them.  The same-run ratio families (``speedup_vs_plain``,
-``batch_speedup``, ``ship_speedup``) are host-calibrated by
-construction — both sides measured in the same pass — and are the
-numbers to read for algorithmic claims.
+``batch_speedup``) are host-calibrated by construction — both sides
+measured in the same pass — and are the numbers to read for algorithmic
+claims.  ``workload.cpu_count`` records the host the absolute rows come
+from.
 
 The pytest entry points run a scaled-down workload as a smoke test; the
 full measurement runs via ``python benchmarks/test_micro_hotpath.py``.
@@ -52,6 +51,7 @@ full measurement runs via ``python benchmarks/test_micro_hotpath.py``.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -65,9 +65,9 @@ from repro.join.nested_loop import NestedLoopJoiner
 from repro.join.ordering import AttributeOrder
 from repro.partitioning.association import AssociationGroupPartitioner
 from repro.partitioning.router import DocumentRouter
-from repro.streaming.transport.framing import FrameDecoder, encode_frame
+from repro.streaming.transport.framing import FrameDecoder
 from repro.streaming.tuples import StreamTuple
-from repro.topology.messages import ASSIGNED, ColumnarWireCodec, DictionaryWireCodec
+from repro.topology.messages import ASSIGNED, ColumnarWireCodec
 
 SEED = 7
 WINDOWS = 3
@@ -202,16 +202,14 @@ def _assigned_entries(windows):
 
 
 def time_ship(windows, reps: int = REPS):
-    """Best-of-``reps`` wire-path ns/doc: columnar frames vs pickling.
+    """Best-of-``reps`` wire-path ns/doc through the columnar frame codec.
 
     Measures the full parent→worker round trip the parallel backend
-    performs per batch — encode, frame, decode back to documents — for
-    the columnar frame codec and for the per-entry dictionary codec it
-    replaces.
+    performs per batch — encode, frame, decode back to documents.
     """
     per_window = _assigned_entries(windows)
     n = sum(len(w) for w in windows)
-    best_frame = best_pickle = float("inf")
+    best = float("inf")
     for _ in range(reps):
         codec = ColumnarWireCodec()
         decoder = FrameDecoder()
@@ -225,32 +223,8 @@ def time_ship(windows, reps: int = REPS):
                     bytes(part) for part in frame.parts()
                 ))
                 codec.decode_batch(received)
-        best_frame = min(best_frame, (perf_counter() - t) * 1e9 / n)
-
-        link = DictionaryWireCodec().link_codec()
-        decoder = FrameDecoder()
-        seq = 0
-        t = perf_counter()
-        for entries in per_window:
-            for start in range(0, len(entries), BATCH):
-                seq += 1
-                encoded = [
-                    (
-                        component,
-                        task_index,
-                        tup.stream,
-                        tup.source,
-                        tup.source_task,
-                        tup.direct_task,
-                        link.encode(tup.stream, tup.values),
-                    )
-                    for component, task_index, tup in entries[start : start + BATCH]
-                ]
-                (received,) = decoder.feed(encode_frame(("batch", seq, encoded)))
-                for entry in received[2]:
-                    link.decode(entry[2], entry[6])
-        best_pickle = min(best_pickle, (perf_counter() - t) * 1e9 / n)
-    return best_frame, best_pickle
+        best = min(best, (perf_counter() - t) * 1e9 / n)
+    return best
 
 
 def time_route(windows, reps: int = REPS):
@@ -293,9 +267,7 @@ def collect_metrics(size: int = SIZE, windows: int = WINDOWS, reps: int = REPS):
             )
             metrics[f"{dataset}.{name}.batch_probe_ns"] = round(probe, 1)
             metrics[f"{dataset}.{name}.batch_insert_ns"] = round(insert, 1)
-        ship, ship_pickle = time_ship(ws, reps=reps)
-        metrics[f"{dataset}.ship_ns"] = round(ship, 1)
-        metrics[f"{dataset}.ship_pickle_ns"] = round(ship_pickle, 1)
+        metrics[f"{dataset}.ship_ns"] = round(time_ship(ws, reps=reps), 1)
         metrics[f"{dataset}.route_ns"] = round(time_route(ws, reps=reps), 1)
     return metrics
 
@@ -331,6 +303,7 @@ def write_report(metrics: dict[str, float], path: Path = BENCH_FILE) -> dict:
             "runs": RUNS,
             "machines": M,
             "batch": BATCH,
+            "cpu_count": os.cpu_count(),
             "unit": "ns per document, min over reps x runs",
         },
         "seed_baseline": SEED_BASELINE,
@@ -357,10 +330,6 @@ def write_report(metrics: dict[str, float], path: Path = BENCH_FILE) -> dict:
                 for key in joiner_keys
                 for op in ("probe", "insert")
             },
-        ),
-        "ship_speedup": _ratios(
-            metrics,
-            {d: (f"{d}.ship_pickle_ns", f"{d}.ship_ns") for d in DATASETS},
         ),
         "notes": {
             "seed_baseline": (
@@ -418,7 +387,7 @@ def write_report(metrics: dict[str, float], path: Path = BENCH_FILE) -> dict:
 def test_metrics_cover_all_hot_paths():
     metrics = collect_metrics(size=40, windows=2, reps=1)
     for dataset in DATASETS:
-        for key in ("route_ns", "ship_ns", "ship_pickle_ns"):
+        for key in ("route_ns", "ship_ns"):
             assert metrics[f"{dataset}.{key}"] > 0.0, key
         for name in JOINERS:
             ops = ["probe_ns", "insert_ns"]
@@ -474,8 +443,8 @@ def test_batched_kernels_agree_on_bench_workload():
                 reference.reset()
 
 
-def test_ship_paths_roundtrip_identically():
-    """Both timed wire paths decode back to the original documents."""
+def test_ship_path_roundtrips_identically():
+    """The timed wire path decodes back to the original documents."""
     ws = windows_for("rwData", size=40, windows=1)
     entries = _assigned_entries(ws)[0]
     codec = ColumnarWireCodec()

@@ -1,15 +1,19 @@
-"""Profile the parent-side data plane over a short zipf soak.
+"""Profile the parent-side data plane over a benchmark-shaped session.
 
-``make profile-parent`` runs this: a cProfile capture of the parent
-process (routing, encoding, shipping, barrier bookkeeping — worker
-processes are *not* profiled) while a short rate-ramped zipf soak runs
-on the parallel/pipe backend, then the top cumulative rows.  Perf PRs
-against the parent loop should start from this output.
+``make profile-parent`` runs this: the session the repo benchmark's
+parallel workloads run (``bench/workloads.py``: m = 8 AG, **joins on**,
+2 pipe or socket workers, rwData windows of 500 documents or nbData
+windows of 250) pushed through :class:`StreamJoinSession` — 4 warm-up
+windows, then N windows under cProfile (worker processes are *not*
+profiled).  Next to the top cumulative rows it prints what the parent
+shipped per document: entries (one per (document, worker) reached),
+frames per window and journal bytes — the numbers worker-granular
+fan-out is about.  Perf PRs against the parent loop start here.
 
 Usage::
 
-    PYTHONPATH=src python scripts/profile_parent.py [--backend pipe|socket|local]
-        [--seconds N] [--workload zipf] [--top 25]
+    PYTHONPATH=src python scripts/profile_parent.py [--data rw|nb]
+        [--transport pipe|socket] [--windows N] [--top 25]
 """
 
 from __future__ import annotations
@@ -18,43 +22,105 @@ import argparse
 import cProfile
 import pstats
 import sys
+from time import perf_counter, process_time
 
-from repro.soak import SoakConfig, run_soak
+from repro import StreamJoinConfig, StreamJoinSession
+from repro.data.nobench import NoBenchGenerator
+from repro.data.serverlogs import ServerLogGenerator
+from repro.streaming.transport.framing import BufferFrame
+
+WARMUP_WINDOWS = 4
+#: documents per window, as in bench/workloads.py
+WINDOW_DOCS = {"rw": 500, "nb": 250}
+
+
+class CountingLink:
+    """Counts what the cluster stages on one worker link."""
+
+    def __init__(self, link, totals: dict):
+        self._link = link
+        self._totals = totals
+
+    def _count(self, message, nbytes) -> None:
+        if isinstance(message, BufferFrame):
+            slots = message.envelope[2]
+            entries = slots if type(slots) is int else len(slots)
+        elif message[0] == "batch":
+            entries = len(message[2])
+        else:
+            return
+        totals = self._totals
+        totals["frames"] += 1
+        totals["entries"] += entries
+        totals["bytes"] += nbytes or 0
+
+    def send(self, message):
+        nbytes = self._link.send(message)
+        self._count(message, nbytes)
+        return nbytes
+
+    def stage(self, message):
+        nbytes = self._link.stage(message)
+        self._count(message, nbytes)
+        return nbytes
+
+    def __getattr__(self, name):
+        return getattr(self._link, name)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--backend", default="pipe",
-                        choices=("pipe", "socket", "local"))
-    parser.add_argument("--workload", default="zipf")
-    parser.add_argument("--seconds", type=float, default=6.0)
+    parser.add_argument("--data", default="rw", choices=("rw", "nb"))
+    parser.add_argument("--transport", default="pipe", choices=("pipe", "socket"))
+    parser.add_argument("--windows", type=int, default=40)
     parser.add_argument("--top", type=int, default=25)
     args = parser.parse_args()
 
-    backend = "local" if args.backend == "local" else "parallel"
-    config = SoakConfig(
-        workload=args.workload,
-        seed=7,
-        m=8,
-        backend=backend,
-        transport="pipe" if args.backend == "local" else args.backend,
-        workers=2 if backend == "parallel" else None,
-        initial_rate=1000.0 if backend == "parallel" else 500.0,
-        window_seconds=0.25,
-        epoch_windows=3,
-        max_seconds=args.seconds,
-        max_window_size=10_000,
+    generator = (ServerLogGenerator if args.data == "rw" else NoBenchGenerator)(seed=7)
+    size = WINDOW_DOCS[args.data]
+    windows = [
+        generator.next_window(size) for _ in range(WARMUP_WINDOWS + args.windows)
+    ]
+    session = StreamJoinSession(
+        StreamJoinConfig(
+            m=8,
+            algorithm="AG",
+            compute_joins=True,
+            backend="parallel",
+            transport=args.transport,
+            workers=2,
+        )
     )
+    totals = {"frames": 0, "entries": 0, "bytes": 0}
+    transport = session._cluster._transport
+    spawn = transport.spawn
+    transport.spawn = lambda init: CountingLink(spawn(init), totals)
 
+    for window in windows[:WARMUP_WINDOWS]:
+        session.push_window(window)
+    totals.update(frames=0, entries=0, bytes=0)
     profiler = cProfile.Profile()
+    wall, cpu = perf_counter(), process_time()
     profiler.enable()
-    report = run_soak(config)
+    for window in windows[WARMUP_WINDOWS:]:
+        session.push_window(window)
+    session._cluster.drain()
     profiler.disable()
+    wall, cpu = perf_counter() - wall, process_time() - cpu
+    result = session.result()
 
+    docs = args.windows * size
+    summary = result.summary()
     print(
-        f"# {args.backend}.{args.workload}: "
-        f"{report.sustained_docs_per_sec:.1f} docs/sec sustained, "
-        f"{report.documents} docs over {report.windows} windows"
+        f"# {args.data} x {args.transport}2, joins on: {docs} docs over "
+        f"{args.windows} windows, {docs / wall:.0f} docs/s and "
+        f"{cpu / docs * 1e6:.1f} parent CPU us/doc under the profiler"
+    )
+    print(
+        f"# replication {summary.replication:.2f} copies/doc -> "
+        f"{totals['entries'] / docs:.2f} entries/doc (incl. control tuples), "
+        f"{totals['frames'] / args.windows:.1f} frames/window, "
+        f"{totals['bytes'] / docs:.0f} journal bytes/doc"
     )
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats("cumulative").print_stats(args.top)

@@ -257,6 +257,13 @@ class FaultRuntime:
         self._slowed_batches = 0
         self._acks = 0
 
+    @property
+    def selects_deliveries(self) -> bool:
+        """True when a :class:`RaiseInBolt` rule has to be shown every
+        (tuple, task) delivery on its own — executors then deliver a
+        fan-out per task instead of once per executor."""
+        return bool(self._raises)
+
     def kill_on_batch(self) -> Optional[int]:
         """Called per received batch; the exit code to die with, or None."""
         self._batches += 1

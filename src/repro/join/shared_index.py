@@ -105,6 +105,21 @@ class SharedWindowIndex:
         self.tree.insert(document)
         self._insert_seconds.observe(perf_counter() - start)
 
+    def _stored_partners(self, document: Document, mask: int) -> list[int]:
+        """Everything stored that joins with ``document`` (whose current
+        owner mask is ``mask``), indexing the document if it is new."""
+        doc_id = document.doc_id
+        if not mask:
+            partners = self._probe(document)
+            self._insert(document)  # rejects a missing doc_id
+        elif doc_id == self._cached_id:
+            return self._cached
+        else:
+            partners = self._probe(document)
+        self._cached_id = doc_id
+        self._cached = partners
+        return partners
+
     def arrive(self, document: Document, owner: int) -> list[int]:
         """Probe-then-insert ``document`` on behalf of ``owner``.
 
@@ -117,18 +132,9 @@ class SharedWindowIndex:
         masks = self._masks
         bit = 1 << owner
         mask = masks.get(doc_id, 0)
-        if not mask:
-            partners = self._probe(document)
-            self._insert(document)  # rejects a missing doc_id
-            self._cached_id = doc_id
-            self._cached = partners
-        elif mask & bit:
+        if mask & bit:
             raise ValueError(f"doc_id {doc_id} already arrived at owner {owner}")
-        elif doc_id == self._cached_id:
-            partners = self._cached
-        else:
-            partners = self._cached = self._probe(document)
-            self._cached_id = doc_id
+        partners = self._stored_partners(document, mask)
         if self._fed != bit:
             # other owners' documents are stored too: keep this owner's
             self._fed |= bit
@@ -140,6 +146,59 @@ class SharedWindowIndex:
             self._insert_count.inc()
             self._partner_count.inc(len(partners))
         return partners
+
+    def arrive_many(
+        self, document: Document, owner_mask: int
+    ) -> list[tuple[int, list[int]]]:
+        """:meth:`arrive` for every owner in ``owner_mask`` at once.
+
+        One mask lookup, at most one probe and one insert, one pass over
+        the partner list.  Returns ``(owner, partners)`` per owner in
+        ascending owner order — for each exactly what ``arrive(document,
+        owner)`` would have returned, in any interleaving with other
+        ``arrive`` / ``arrive_many`` calls.  Raises before changing
+        anything if the document already arrived at one of the owners.
+        """
+        doc_id = document.doc_id
+        masks = self._masks
+        mask = masks.get(doc_id, 0)
+        if mask & owner_mask:
+            raise ValueError(
+                f"doc_id {doc_id} already arrived at owners "
+                f"{mask & owner_mask:#b} of {owner_mask:#b}"
+            )
+        partners = self._stored_partners(document, mask)
+        self._fed |= owner_mask
+        # partners grouped by which of the arriving owners hold them:
+        # co-located owners mostly hold the same documents, so there are
+        # far fewer distinct groups than (partner, owner) pairs
+        shared: dict[int, list[int]] = {}
+        for partner in partners:
+            common = masks[partner] & owner_mask
+            if common:
+                group = shared.get(common)
+                if group is None:
+                    shared[common] = [partner]
+                else:
+                    group.append(partner)
+        arrivals = []
+        total = 0
+        rest = owner_mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            mine: list[int] = []
+            for common, group in shared.items():
+                if common & bit:
+                    mine += group
+            total += len(mine)
+            arrivals.append((bit.bit_length() - 1, mine))
+        masks[doc_id] = mask | owner_mask
+        if self._observed:
+            self._probe_count.inc(len(arrivals))
+            self._insert_count.inc(len(arrivals))
+            self._partner_count.inc(total)
+        return arrivals
 
     def release(self, owner: int) -> bool:
         """``owner``'s window closed; True once every owner that fed the

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from time import perf_counter
 from typing import Any, Optional, Protocol
 
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.tracing import Span
+from repro.streaming.tuples import StreamTuple
 
 
 class Collector(Protocol):
@@ -29,7 +31,8 @@ class Collector(Protocol):
 
         Semantically identical to calling :meth:`emit` once per target
         with ``direct_task=target``, in target order; executors override
-        it to collapse the fanout into one accounting/routing pass.
+        it to carry the fan-out as one entry per destination executor
+        with the target set as a bitmask (see :meth:`Bolt.process_fanout`).
         """
         for target in targets:
             self.emit(stream, values, direct_task=target)
@@ -101,11 +104,67 @@ class Bolt(ABC):
         """Called once before the first ``process``."""
 
     @abstractmethod
-    def process(self, tup: "StreamTuple", collector: Collector) -> None:  # noqa: F821
+    def process(self, tup: StreamTuple, collector: Collector) -> None:
         """Handle one incoming tuple."""
 
+    def process_fanout(
+        self, tup: StreamTuple, mask: int, tasks, collectors
+    ) -> bool:
+        """Handle one tuple addressed to several tasks of this executor.
 
-# imported late to avoid a cycle in type checking tools
-from repro.streaming.tuples import StreamTuple  # noqa: E402  (re-export for typing)
+        Offered to the lowest addressee, once per (tuple, executor):
+        ``mask`` is the bitmask of the addressed task indices of this
+        component, ``tasks`` and ``collectors`` are indexable by task
+        index.  Return False, having changed nothing, to keep the
+        per-task meaning: the executor then delivers the tuple to each
+        addressee through :meth:`process`, ascending — what the base
+        does, so retry budgets, fault rules and dead letters keep
+        addressing one task.  A bolt whose co-located tasks share state
+        overrides this to do the shared work once for all of them and
+        return True; it must raise before it changes anything, because a
+        failed call is redelivered per addressee the same way.
+        """
+        return False
 
-__all__ = ["Bolt", "Collector", "ComponentContext", "Spout", "StreamTuple"]
+    def join_executor(self, resident: "Bolt") -> None:
+        """This task was adopted (live migration) by an executor that
+        already runs ``resident``, a task of the same component: share
+        whatever co-located tasks share."""
+
+    def leave_executor(self) -> None:
+        """This task migrated away: release what it holds of the state
+        its executor's tasks share."""
+
+
+def offer_fanout(
+    task: Bolt, tup: StreamTuple, mask: int, tasks, collectors, histogram=None
+) -> bool:
+    """Executor side of :meth:`Bolt.process_fanout`: offer a fan-out
+    entry to its lowest addressee ``task`` in one call, timed into
+    ``histogram`` when it is taken.
+
+    False means the entry must be delivered per owner instead: the bolt
+    keeps the per-task meaning, or the call failed — retry budgets and
+    dead letters address one task, and the per-owner delivery meets the
+    same error again.
+    """
+    try:
+        if histogram is None:
+            return task.process_fanout(tup, mask, tasks, collectors)
+        start = perf_counter()
+        handled = task.process_fanout(tup, mask, tasks, collectors)
+        if handled:
+            histogram.observe(perf_counter() - start)
+        return handled
+    except Exception:
+        return False
+
+
+__all__ = [
+    "Bolt",
+    "Collector",
+    "ComponentContext",
+    "Spout",
+    "StreamTuple",
+    "offer_fanout",
+]

@@ -30,7 +30,7 @@ from typing import Any, Callable, Optional, Sequence
 from repro.exceptions import TopologyError, TupleProcessingError
 from repro.faults import FaultPlan
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry, ObservabilitySnapshot
-from repro.streaming.component import Bolt, ComponentContext, Spout
+from repro.streaming.component import Bolt, ComponentContext, Spout, offer_fanout
 from repro.streaming.grouping import Grouping
 from repro.streaming.recovery import (
     DeadLetter,
@@ -39,7 +39,7 @@ from repro.streaming.recovery import (
     truncated_repr,
 )
 from repro.streaming.topology import Topology
-from repro.streaming.tuples import StreamTuple
+from repro.streaming.tuples import StreamTuple, lowest_owner, owners_of
 
 #: one pre-resolved routing edge: (bolt name, grouping.targets, parallelism)
 Route = tuple[str, Callable[[StreamTuple, int], Sequence[int]], int]
@@ -83,14 +83,14 @@ class _TaskCollector:
         self._cluster._route(tup, self._routes.get(stream, ()))
 
     def emit_fanout(self, stream: str, values: tuple, targets) -> None:
-        """Emit one payload to several direct tasks in one routing pass.
+        """Emit one payload to several direct tasks as one addressed entry.
 
         Equivalent to ``emit(stream, values, direct_task=t)`` per target
-        — same tuples, same delivery order, same accounting totals — but
-        the per-emit bookkeeping (emission counters, budget check,
-        grouping resolution, queue-depth watermark) runs once for the
-        whole fanout.  This is the Assigner's document hot path: one
-        routed document fans out to several Joiner tasks.
+        — same accounting totals, same per-task delivery order — but the
+        target set travels as data: one tuple, one bitmask, one
+        :meth:`ClusterBase._deliver` per subscribed bolt.  This
+        is the Assigner's document hot path: one routed document fans
+        out to several Joiner tasks.
         """
         cluster = self._cluster
         n = len(targets)
@@ -103,24 +103,23 @@ class _TaskCollector:
                 f"tuple budget of {cluster.max_tuples} exceeded — "
                 "likely a control-message loop in the topology"
             )
-        for bolt_name, _targets_fn, parallelism in self._routes.get(stream, ()):
+        routes = self._routes.get(stream, ())
+        if not routes or not n:
+            return
+        try:
+            mask = 0
             for target in targets:
-                if not 0 <= target < parallelism:
-                    raise TopologyError(
-                        f"direct_task {target} out of range for "
-                        f"{parallelism} tasks"
-                    )
-                cluster._deliver(
-                    bolt_name,
-                    target,
-                    StreamTuple(
-                        stream=stream,
-                        values=values,
-                        source=self._component,
-                        source_task=self._task_index,
-                        direct_task=target,
-                    ),
+                mask |= 1 << target
+        except ValueError:  # a negative target: fails the range test below
+            mask = -1
+        tup = StreamTuple(stream, values, self._component, self._task_index)
+        for bolt_name, _targets_fn, parallelism in routes:
+            if mask >> parallelism:
+                raise TopologyError(
+                    f"direct tasks {tuple(targets)} out of range for "
+                    f"{parallelism} tasks"
                 )
+            cluster._deliver(bolt_name, mask, tup)
         depth = len(cluster._queue)
         if depth > cluster.max_queue_depth:
             cluster.max_queue_depth = depth
@@ -133,9 +132,10 @@ class ClusterBase:
 
     Subclass hooks:
 
-    * :meth:`_deliver` — hand one tuple to a task.  The base enqueues
-      onto the in-process FIFO; a distributed backend may ship it to a
-      worker instead.
+    * :meth:`_deliver` — hand one tuple to the tasks of a component
+      that a bitmask names (one bit for an ordinary delivery, several
+      for a fan-out).  The base enqueues one entry onto the in-process
+      FIFO; a distributed backend may ship it to workers instead.
     * :meth:`_on_idle` — called when the FIFO runs empty inside
       :meth:`_drain`; return True if new local work arrived (the drain
       loop continues).  Backends use this to flush batches and collect
@@ -193,14 +193,16 @@ class ClusterBase:
         self.failures = 0
         #: deepest the work queue ever got — a backpressure indicator
         self.max_queue_depth = 0
-        #: FIFO of (delivery seq, bolt name, task index, tuple)
-        self._queue: deque[tuple[int, str, int, StreamTuple]] = deque()
+        #: FIFO of (delivery seq, bolt name, bitmask of the addressed
+        #: tasks, tuple)
+        self._queue: deque[tuple[Any, str, int, StreamTuple]] = deque()
         #: monotonically increasing delivery sequence number; assigned at
         #: enqueue time and used to key retry budgets (an ``id()`` key
         #: could be recycled by the allocator mid-run)
         self._seq = 0
         self._tasks: dict[str, list[Spout | Bolt]] = {}
-        self._collectors: dict[tuple[str, int], _TaskCollector] = {}
+        #: component -> its tasks' collectors, by task index
+        self._collectors: dict[str, list[_TaskCollector]] = {}
         self.emitted = 0
         self.processed = 0
         self._component_emitted: dict[str, int] = {}
@@ -246,6 +248,7 @@ class ClusterBase:
         self._queue_gauge = registry.gauge("executor.queue_depth_max")
         for name, spec in self.topology.components.items():
             instances = []
+            collectors = self._collectors[name] = []
             for task_index in range(spec.parallelism):
                 instance = spec.factory()
                 context = ComponentContext(
@@ -264,8 +267,10 @@ class ClusterBase:
                         raise TopologyError(f"{name!r} factory did not return a Bolt")
                     instance.prepare(context)
                 instances.append(instance)
-                self._collectors[(name, task_index)] = _TaskCollector(
-                    self, name, task_index, self._routes_by_source[name]
+                collectors.append(
+                    _TaskCollector(
+                        self, name, task_index, self._routes_by_source[name]
+                    )
                 )
             self._tasks[name] = instances
             self._component_emitted[name] = 0
@@ -294,7 +299,7 @@ class ClusterBase:
             )
         for bolt_name, targets, parallelism in routes:
             for task_index in targets(tup, parallelism):
-                self._deliver(bolt_name, task_index, tup)
+                self._deliver(bolt_name, 1 << task_index, tup)
         depth = len(self._queue)
         if depth > self.max_queue_depth:
             # high-water mark moved: record it (and mirror to the gauge
@@ -303,10 +308,11 @@ class ClusterBase:
             if self._obs:
                 self._queue_gauge.set(depth)
 
-    def _deliver(self, component: str, task_index: int, tup: StreamTuple) -> None:
-        """Hand one tuple to one task (base: enqueue on the local FIFO)."""
+    def _deliver(self, component: str, mask: int, tup: StreamTuple) -> None:
+        """Hand one tuple to the tasks of ``component`` in ``mask`` (base:
+        one entry on the local FIFO — this process is one executor)."""
         self._seq += 1
-        self._queue.append((self._seq, component, task_index, tup))
+        self._queue.append((self._seq, component, mask, tup))
 
     def _on_idle(self) -> bool:
         """Hook: the local FIFO ran empty.  Return True if more local
@@ -317,14 +323,43 @@ class ClusterBase:
         """Hook: the spouts are exhausted and the FIFO is drained."""
 
     def _drain(self) -> None:
-        retry_counts: dict[int, int] = {}
+        retry_counts: dict[Any, int] = {}
         queue = self._queue
         obs = self._obs
         faults = self._fault_runtime
+        per_task = faults is not None and faults.selects_deliveries
         while True:
             while queue:
-                seq, component, task_index, tup = queue.popleft()
-                task = self._tasks[component][task_index]
+                seq, component, mask, tup = queue.popleft()
+                tasks = self._tasks[component]
+                if mask & (mask - 1):  # addressed to several tasks
+                    # one call for all of them — unless a fault rule has
+                    # to select one (tuple, task) delivery
+                    if not per_task and offer_fanout(
+                        tasks[lowest_owner(mask)],
+                        tup,
+                        mask,
+                        tasks,
+                        self._collectors[component],
+                        self._exec_hists[component] if obs else None,
+                    ):
+                        # accounting stays per assignment
+                        n = mask.bit_count()
+                        self.processed += n
+                        self._component_processed[component] += n
+                        if obs:
+                            self._proc_counters[component].inc(n)
+                    else:
+                        # one delivery per owner, keyed (seq, owner), at
+                        # the head of the FIFO
+                        queue.extendleft(
+                            ((seq, owner), component, 1 << owner, tup)
+                            for owner in reversed(owners_of(mask))
+                        )
+                    continue
+                task_index = mask.bit_length() - 1
+                task = tasks[task_index]
+                collector = self._collectors[component][task_index]
                 try:
                     if faults is not None:
                         faults.check_raise(
@@ -332,10 +367,10 @@ class ClusterBase:
                         )
                     if obs:
                         start = perf_counter()
-                        task.process(tup, self._collectors[(component, task_index)])
+                        task.process(tup, collector)
                         self._exec_hists[component].observe(perf_counter() - start)
                     else:
-                        task.process(tup, self._collectors[(component, task_index)])
+                        task.process(tup, collector)
                 except Exception as exc:
                     self.failures += 1
                     attempts = retry_counts.get(seq, 0)
@@ -351,7 +386,7 @@ class ClusterBase:
                         ) from exc
                     retry_counts[seq] = attempts + 1
                     # redeliver immediately to the same task (replay)
-                    queue.appendleft((seq, component, task_index, tup))
+                    queue.appendleft((seq, component, mask, tup))
                     continue
                 if retry_counts:
                     # the delivery succeeded: its retry budget is spent
@@ -410,7 +445,7 @@ class ClusterBase:
             for task_index in range(spec.parallelism):
                 spout = self._tasks[spec.name][task_index]
                 assert isinstance(spout, Spout)
-                collector = self._collectors[(spec.name, task_index)]
+                collector = self._collectors[spec.name][task_index]
                 while spout.next_tuple(collector):
                     self._drain()
                 self._drain()
@@ -429,7 +464,7 @@ class ClusterBase:
                 if (name, task_index) not in active:
                     continue
                 assert isinstance(spout, Spout)
-                has_more = spout.next_tuple(self._collectors[(name, task_index)])
+                has_more = spout.next_tuple(self._collectors[name][task_index])
                 self._drain()
                 if not has_more:
                     active.discard((name, task_index))

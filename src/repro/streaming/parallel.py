@@ -24,7 +24,11 @@ the emissions back.  Three properties keep runs exact and replayable:
 
 * **Per-task FIFO.**  Every delivery to a remote task flows through its
   worker's single ordered link, so a task observes tuples in exactly
-  the order the local backend would have delivered them.
+  the order the local backend would have delivered them.  A fan-out
+  (``emit_fanout``) travels as **one entry per destination worker**
+  carrying the bitmask of that worker's addressed tasks; buffering,
+  journaling, shedding and the wire handle the entry once, while every
+  counter keeps counting per assignment (``popcount(mask)``).
 * **Two-phase overlapped barrier.**  When a tuple on a configured
   *barrier stream* (the window-end markers) is shipped, the parent
   flushes all pending batches at the next queue-idle point and records
@@ -77,10 +81,12 @@ pure :class:`~repro.streaming.elastic.ElasticController` once per
 the hot worker's hottest task to it; a scale-down migrates a cold
 worker's tasks into the least-loaded survivor and retires it.
 Migration reuses the replay machinery wholesale: the source drains, its
-journaled/sticky history for the moved tasks merges into the
+journaled/sticky history for the moved tasks — entries addressed to
+moved and kept tasks together are cut in two by mask — merges into the
 destination's books under the original batch seqs, the destination
 receives an ``("adopt", tasks)`` message followed by the re-encoded
-history as suppressed batches, and routing (``_placement``) swaps — so
+history as suppressed batches, the source a ``("disown", keys)``, and
+routing (``_placement`` and the per-worker task masks) swaps — so
 per-task delivery order and the seq-deterministic release are
 preserved and output stays byte-identical to the static pool.  With
 ``policy.shed`` armed, sustained backpressure (consecutive
@@ -130,7 +136,12 @@ from repro.streaming.transport import (
     make_transport,
 )
 from repro.streaming.transport.framing import BufferFrame, parse_address
-from repro.streaming.tuples import StreamTuple
+from repro.streaming.tuples import (
+    StreamTuple,
+    lowest_owner,
+    owners_of,
+    split_entries,
+)
 
 #: default number of tuples per shipped batch; deep batches amortize
 #: per-frame encode/send/ack costs — the flush barrier still bounds a
@@ -191,7 +202,8 @@ class _WorkerHandle:
         self.assigned = assigned
         self.link: Optional[WorkerLink] = None
         self.pending: set[int] = set()
-        #: raw (component, task_index, StreamTuple) entries not yet shipped
+        #: raw (component, task_index, StreamTuple, mask) entries not yet
+        #: shipped: one tuple for this worker's tasks in ``mask``
         self.buffer: list = []
         self.buffer_since = 0.0
         self.said_bye = False
@@ -216,7 +228,8 @@ class _WorkerHandle:
         #: retired by a scale-down: tasks migrated away, worker stopped
         self.retired = False
         self.fork_baseline: Optional[ObservabilitySnapshot] = None
-        #: per-task documents delivered since the last elastic evaluation
+        #: entries delivered since the last elastic evaluation, counted
+        #: per ``(component, mask)``; expanded per task when evaluated
         self.delivered_docs: dict[tuple[str, int], int] = {}
         #: batch seq -> staged payload bytes, mirrors ``journal``
         self.journal_nbytes: dict[int, int] = {}
@@ -436,6 +449,10 @@ class ParallelCluster(ClusterBase):
         for handle in self._workers:
             for key in handle.assigned:
                 self._placement[key] = handle
+        #: component -> [(worker, bitmask of its tasks of the component)],
+        #: derived from ``_placement``; how a fan-out is cut per worker
+        self._worker_masks: dict[str, list[tuple[_WorkerHandle, int]]] = {}
+        self._rebuild_worker_masks()
         self._batch_seq = 0
         self._barrier_pending = False
         self._last_idle_poll = 0.0
@@ -510,12 +527,36 @@ class ParallelCluster(ClusterBase):
     # ------------------------------------------------------------------
     # Delivery / batching
     # ------------------------------------------------------------------
-    def _deliver(self, component: str, task_index: int, tup: StreamTuple) -> None:
-        key = (component, task_index)
-        handle = self._placement.get(key)
-        if handle is None:
-            super()._deliver(component, task_index, tup)
-            return
+    def _rebuild_worker_masks(self) -> None:
+        """Placement changed (construction, migration, degradation)."""
+        masks: dict[str, dict[int, int]] = {}
+        for (component, task_index), handle in self._placement.items():
+            per_worker = masks.setdefault(component, {})
+            per_worker[handle.index] = per_worker.get(handle.index, 0) | (
+                1 << task_index
+            )
+        self._worker_masks = {
+            component: [
+                (self._workers[index], mask)
+                for index, mask in sorted(per_worker.items())
+            ]
+            for component, per_worker in masks.items()
+        }
+
+    def _deliver(self, component: str, mask: int, tup: StreamTuple) -> None:
+        for handle, worker_mask in self._worker_masks.get(component, ()):
+            owners = mask & worker_mask
+            if owners:
+                self._buffer(handle, component, tup, owners)
+                mask ^= owners
+        if mask:  # tasks that run inline (non-remote, or a degraded worker's)
+            super()._deliver(component, mask, tup)
+
+    def _buffer(
+        self, handle: _WorkerHandle, component: str, tup: StreamTuple, mask: int
+    ) -> None:
+        """Queue one entry — ``tup`` for ``handle``'s tasks in ``mask`` —
+        for the worker's next batch."""
         if (
             self._elastic is not None
             and self._elastic.shed_active
@@ -529,43 +570,48 @@ class ParallelCluster(ClusterBase):
             # overload has persisted — quarantine instead of queueing.
             # Barrier and sticky tuples are never shed (they carry
             # window/control semantics, not load).
-            self._shed(handle, component, task_index, tup)
+            self._shed(handle, component, mask, tup)
             return
-        handle.delivered_docs[key] = handle.delivered_docs.get(key, 0) + 1
+        if self._elastic is not None:
+            key = (component, mask)
+            handle.delivered_docs[key] = handle.delivered_docs.get(key, 0) + 1
         if not handle.buffer:
             handle.buffer_since = monotonic()
         # buffered raw: encoding happens at flush time, so a journal
         # replay can re-encode with a replacement link's fresh codec
-        handle.buffer.append((component, task_index, tup))
+        handle.buffer.append((component, lowest_owner(mask), tup, mask))
         if tup.stream in self._barrier_streams:
             self._barrier_pending = True
         if len(handle.buffer) >= self._batch_size:
             self._flush(handle)
 
     def _shed(
-        self, handle: _WorkerHandle, component: str, task_index: int,
+        self, handle: _WorkerHandle, component: str, mask: int,
         tup: StreamTuple,
     ) -> None:
-        self.shed_tuples += 1
+        """Quarantine one entry: a dead letter per addressed task."""
+        n = mask.bit_count()
+        self.shed_tuples += n
         if self._obs:
             self.registry.counter(
                 "executor.shed_tuples", component=component
-            ).inc()
-        self._record_dead_letter(
-            DeadLetter(
-                component=component,
-                task_index=task_index,
-                stream=tup.stream,
-                attempts=0,
-                cause=(
-                    f"shed: worker {handle.index} saturated for "
-                    f"{self._elastic.pressure_streak} consecutive windows"
-                ),
-                values_repr=truncated_repr(tup.values),
-                worker=handle.index,
-                reason="shed",
+            ).inc(n)
+        for task_index in owners_of(mask):
+            self._record_dead_letter(
+                DeadLetter(
+                    component=component,
+                    task_index=task_index,
+                    stream=tup.stream,
+                    attempts=0,
+                    cause=(
+                        f"shed: worker {handle.index} saturated for "
+                        f"{self._elastic.pressure_streak} consecutive windows"
+                    ),
+                    values_repr=truncated_repr(tup.values),
+                    worker=handle.index,
+                    reason="shed",
+                )
             )
-        )
 
     def _encode_batch(self, handle: _WorkerHandle, raw: list) -> list:
         encode = self._link_codecs[handle.index].encode
@@ -578,8 +624,9 @@ class ParallelCluster(ClusterBase):
                 tup.source_task,
                 tup.direct_task,
                 encode(tup.stream, tup.values),
+                mask,
             )
-            for component, task_index, tup in raw
+            for component, task_index, tup, mask in raw
         ]
 
     def _flush(self, handle: _WorkerHandle) -> None:
@@ -985,7 +1032,7 @@ class ParallelCluster(ClusterBase):
             raise _WorkerLost from None
 
     def _journal_entries(self, handle: _WorkerHandle, stored) -> list:
-        """Journaled batch → raw ``(component, task_index, tup)`` triples.
+        """Journaled batch → raw ``(component, task_index, tup, mask)`` entries.
 
         Frame-codec journals store encoded frames; inline degradation
         needs the tuples back, so frames are decoded through the same
@@ -1007,8 +1054,9 @@ class ParallelCluster(ClusterBase):
                     source_task=source_task,
                     direct_task=direct,
                 ),
+                mask,
             )
-            for component, task_index, stream, source, source_task, direct, values
+            for component, task_index, stream, source, source_task, direct, values, mask
             in entries
         ]
 
@@ -1066,30 +1114,35 @@ class ParallelCluster(ClusterBase):
             self.registry.counter("executor.degraded_workers").inc()
         for key in handle.assigned:
             self._placement.pop(key, None)
+        self._rebuild_worker_masks()
         handle.incarnation += 1
         plan = self._fault_plan
         faults = (
             plan.runtime(handle.index, handle.incarnation) if plan is not None else None
         )
-        for entry_index, (component, task_index, tup) in enumerate(
+        # one inline delivery per (entry, addressed task), under the
+        # worker's per-owner fault key
+        for entry_index, (component, _lowest, tup, mask) in enumerate(
             entry for _seq, entry in handle.sticky[: handle.sticky_mark]
         ):
-            self._replay_inline(
-                handle, component, task_index, tup,
-                emissions=None, faults=faults,
-                key=("sticky", entry_index), batch_seq=None,
-            )
+            for task_index in owners_of(mask):
+                self._replay_inline(
+                    handle, component, task_index, tup,
+                    emissions=None, faults=faults,
+                    key=("sticky", entry_index, task_index), batch_seq=None,
+                )
         for seq in sorted(handle.journal):
             acked = seq not in handle.pending
             emissions: Optional[list] = None if acked else []
-            for entry_index, (component, task_index, tup) in enumerate(
+            for entry_index, (component, _lowest, tup, mask) in enumerate(
                 self._journal_entries(handle, handle.journal[seq])
             ):
-                self._replay_inline(
-                    handle, component, task_index, tup,
-                    emissions=emissions, faults=faults,
-                    key=(seq, entry_index), batch_seq=seq,
-                )
+                for task_index in owners_of(mask):
+                    self._replay_inline(
+                        handle, component, task_index, tup,
+                        emissions=emissions, faults=faults,
+                        key=(seq, entry_index, task_index), batch_seq=seq,
+                    )
             if not acked:
                 self._stash[seq] = tuple(emissions or ())
                 handle.pending.discard(seq)
@@ -1098,8 +1151,8 @@ class ParallelCluster(ClusterBase):
         handle.suppress.clear()
         # unsent buffered tuples simply fall through to the local FIFO
         raw, handle.buffer = handle.buffer, []
-        for component, task_index, tup in raw:
-            ClusterBase._deliver(self, component, task_index, tup)
+        for component, _task_index, tup, mask in raw:
+            ClusterBase._deliver(self, component, mask, tup)
 
     def _replay_inline(
         self,
@@ -1170,12 +1223,17 @@ class ParallelCluster(ClusterBase):
         for handle in self._workers:
             if handle.retired or handle.degraded or handle.link is None:
                 continue
+            task_docs: dict[tuple[str, int], int] = {}
+            for (component, mask), count in handle.delivered_docs.items():
+                for task_index in owners_of(mask):
+                    key = (component, task_index)
+                    task_docs[key] = task_docs.get(key, 0) + count
             loads.append(
                 WorkerLoad(
                     worker=handle.index,
                     tasks=tuple(handle.assigned),
-                    task_docs=tuple(sorted(handle.delivered_docs.items())),
-                    docs=sum(handle.delivered_docs.values()),
+                    task_docs=tuple(sorted(task_docs.items())),
+                    docs=sum(task_docs.values()),
                     pending=len(handle.pending),
                     inflight_high_water=handle.inflight_high_water,
                     journal_bytes=sum(handle.journal_nbytes.values()),
@@ -1298,7 +1356,10 @@ class ParallelCluster(ClusterBase):
            placement for the moved tasks transfer to the destination
            under their *original* batch seqs (globally unique, so the
            merge is collision-free and sorted-seq replay preserves
-           per-task delivery order).
+           per-task delivery order).  An entry whose mask names moved
+           and kept tasks is cut in two
+           (:func:`~repro.streaming.tuples.split_entries`); a batch's
+           journaled bytes divide by assignments.
         3. **Ship** — the destination link receives, in one FIFO burst:
            an ``("adopt", tasks)`` message carrying the parent's
            pristine task instances, the moved marked-sticky history as
@@ -1306,7 +1367,9 @@ class ParallelCluster(ClusterBase):
            journal batch re-encoded under its original seq, all
            suppressed (the source already acked them) — re-acks rebuild
            worker state without re-applying effects, the same rule that
-           keeps crash recovery byte-identical.
+           keeps crash recovery byte-identical.  The source is told to
+           ``("disown", keys)``: its copies of the moved tasks release
+           what they hold of the worker's shared state.
 
         If the destination dies mid-ship its books already hold the
         merged history, so the ordinary failure path (respawn + full
@@ -1314,7 +1377,9 @@ class ParallelCluster(ClusterBase):
         """
         if src is dst or not keys:
             return False
-        keyset = set(keys)
+        moving: dict[str, int] = {}
+        for component, task_index in keys:
+            moving[component] = moving.get(component, 0) | (1 << task_index)
         if not self._drain_worker(src):
             return False
         if dst.retired or dst.degraded or dst.link is None:
@@ -1324,12 +1389,15 @@ class ParallelCluster(ClusterBase):
         moved_journal: dict[int, list] = {}
         for seq in sorted(src.journal):
             entries = self._journal_entries(src, src.journal[seq])
-            moved = [e for e in entries if (e[0], e[1]) in keyset]
+            kept, moved = split_entries(entries, moving)
             if not moved:
                 continue
-            kept = [e for e in entries if (e[0], e[1]) not in keyset]
             nbytes = src.journal_nbytes.pop(seq, 0)
-            moved_share = int(nbytes * len(moved) / len(entries))
+            moved_share = int(
+                nbytes
+                * sum(entry[3].bit_count() for entry in moved)
+                / sum(entry[3].bit_count() for entry in entries)
+            )
             if kept:
                 src.journal[seq] = kept
                 src.journal_nbytes[seq] = nbytes - moved_share
@@ -1345,24 +1413,21 @@ class ParallelCluster(ClusterBase):
                 dst.journal_nbytes.get(seq, 0) + moved_share
             )
             moved_journal[seq] = moved
-        moved_sticky = [
-            (seq, entry)
-            for seq, entry in src.sticky
-            if (entry[0], entry[1]) in keyset
-        ]
-        moved_marked = 0
+        kept_sticky: list = []
+        moved_sticky: list = []
+        kept_marked = moved_marked = 0
+        for position, (seq, entry) in enumerate(src.sticky):
+            marked = position < src.sticky_mark
+            kept, moved = split_entries([entry], moving)
+            if kept:
+                kept_sticky.append((seq, kept[0]))
+                kept_marked += marked
+            if moved:
+                moved_sticky.append((seq, moved[0]))
+                moved_marked += marked
         if moved_sticky:
-            moved_marked = sum(
-                1
-                for position, (_seq, entry) in enumerate(src.sticky)
-                if position < src.sticky_mark and (entry[0], entry[1]) in keyset
-            )
-            src.sticky = [
-                (seq, entry)
-                for seq, entry in src.sticky
-                if (entry[0], entry[1]) not in keyset
-            ]
-            src.sticky_mark -= moved_marked
+            src.sticky = kept_sticky
+            src.sticky_mark = kept_marked
             # marked-ness is a pure seq threshold (every boundary advances
             # all marks to the same max_seq), so a stable merge by seq
             # keeps the marked prefix exactly the sum of both prefixes
@@ -1374,11 +1439,12 @@ class ParallelCluster(ClusterBase):
             src.assigned.remove(key)
             dst.assigned.append(key)
             self._placement[key] = dst
-            if key in src.delivered_docs:
-                dst.delivered_docs[key] = dst.delivered_docs.get(
-                    key, 0
-                ) + src.delivered_docs.pop(key)
+        self._rebuild_worker_masks()
         # -- 3: ship adopt + suppressed history over the destination FIFO
+        try:
+            src.link.send(("disown", keys))
+        except LinkDown:
+            pass  # a respawned source starts from what is assigned to it
         sticky_seq = None
         try:
             try:

@@ -14,9 +14,13 @@ entrypoint is a thin receive loop around one session:
 The message vocabulary (plain tuples, first element is the kind):
 
 parent → worker
-    ``("batch", seq, entries)``, ``("adopt", tasks)`` (live partition
-    migration hands a worker additional task instances mid-run),
-    ``("snapshot",)``, ``("stop",)``; a batch may also arrive as a
+    ``("batch", seq, entries)`` — entries are ``(component, task_index,
+    stream, source, source_task, direct, values, mask)``: one tuple for
+    every task of this worker in ``mask``, ``task_index`` the lowest —
+    ``("adopt", tasks)`` and ``("disown", keys)`` (live partition
+    migration hands a worker task instances mid-run and tells the
+    worker they left to let them go), ``("snapshot",)``, ``("stop",)``;
+    a batch may also arrive as a
     :class:`~repro.streaming.transport.framing.BufferFrame` whose
     envelope and buffers the link codec's ``decode_batch`` turns back
     into ``(seq, entries)`` (the columnar wire path)
@@ -25,7 +29,7 @@ worker → parent
     busy_s)`` — ``busy_s`` is the worker-side wall time spent executing
     the batch, the ack-latency load signal of the elastic controller —
     ``("error", worker_index, seq, component, task_index, retries, exc)``,
-    ``("adopted", worker_index, n_tasks)``,
+    ``("adopted", worker_index, n_tasks)`` (a ``disown`` has no reply),
     ``("snapshot", worker_index, dict)``, ``("bye", worker_index)``
 
 Every worker→parent message carries the worker index, which is what
@@ -40,10 +44,11 @@ import traceback
 from time import perf_counter, sleep
 from typing import Any, Optional
 
+from repro.streaming.component import offer_fanout
 from repro.streaming.recovery import format_dead_letter_cause, truncated_repr
 from repro.streaming.transport.base import WorkerInit
 from repro.streaming.transport.framing import BufferFrame
-from repro.streaming.tuples import StreamTuple
+from repro.streaming.tuples import StreamTuple, owners_of
 
 
 class WorkerKilled(BaseException):
@@ -122,17 +127,22 @@ class WorkerSession:
             else None
         )
         self._emit_codec = init.emit_codec
-        self._tasks = init.tasks
-        self._collectors = {
-            key: WorkerCollector(key[0], key[1], init.emit_codec)
-            for key in init.tasks
-        }
-        self._hists = {
-            component: init.registry.histogram(
-                "executor.execute_seconds", component=component
+        #: component -> task index -> task / its collector
+        self._tasks: dict[str, dict[int, Any]] = {}
+        self._collectors: dict[str, dict[int, WorkerCollector]] = {}
+        self._hists: dict = {}
+        self._install(init.tasks)
+
+    def _install(self, tasks: dict) -> None:
+        for (component, task_index), task in tasks.items():
+            self._tasks.setdefault(component, {})[task_index] = task
+            self._collectors.setdefault(component, {})[task_index] = (
+                WorkerCollector(component, task_index, self._emit_codec)
             )
-            for component, _ in init.tasks
-        }
+            if component not in self._hists:
+                self._hists[component] = self._registry.histogram(
+                    "executor.execute_seconds", component=component
+                )
 
     def handle(self, message) -> list[tuple]:
         """Process one parent message; return the replies to ship back."""
@@ -144,6 +154,9 @@ class WorkerSession:
             return [self._handle_batch(message[1], message[2])]
         if kind == "adopt":
             return [self._handle_adopt(message[1])]
+        if kind == "disown":
+            self._handle_disown(message[1])
+            return []
         if kind == "snapshot":
             return [
                 ("snapshot", self.worker_index, self._registry.snapshot().as_dict())
@@ -160,18 +173,24 @@ class WorkerSession:
         follows as replayed batches under their original seqs, so order
         matters — ``adopt`` must precede the replay on the same FIFO
         link, which the cluster guarantees by staging both in one burst.
+        An entry of that replay may address adopted and resident tasks
+        together, so the newcomers first join the executor-level state
+        of a resident of their component.
         """
-        for key, task in tasks.items():
-            self._tasks[key] = task
-            self._collectors[key] = WorkerCollector(
-                key[0], key[1], self._emit_codec
-            )
-            component = key[0]
-            if component not in self._hists:
-                self._hists[component] = self._registry.histogram(
-                    "executor.execute_seconds", component=component
-                )
+        for (component, _task_index), task in tasks.items():
+            residents = self._tasks.get(component)
+            if residents:
+                task.join_executor(next(iter(residents.values())))
+        self._install(tasks)
         return ("adopted", self.worker_index, len(tasks))
+
+    def _handle_disown(self, keys) -> None:
+        """Let go of tasks that migrated to another worker."""
+        for component, task_index in keys:
+            task = self._tasks.get(component, {}).pop(task_index, None)
+            if task is not None:
+                task.leave_executor()
+                del self._collectors[component][task_index]
 
     def _handle_batch(self, seq: int, entries: list, decoded: bool = False) -> tuple:
         faults = self._faults
@@ -182,66 +201,92 @@ class WorkerSession:
             delay = faults.batch_delay()
             if delay > 0:
                 sleep(delay)
+        per_task = faults is not None and faults.selects_deliveries
         obs = self._obs
         batch_start = perf_counter()
         emissions: list = []
+        for collectors in self._collectors.values():
+            for collector in collectors.values():
+                collector.buffer = emissions
         counts: dict[str, int] = {}
         failures = 0
         failed = None
         dead: list[tuple] = []
         for entry_index, entry in enumerate(entries):
-            component, task_index, stream, source, source_task, direct, values = entry
+            component, task_index, stream, source, source_task, direct, values, mask = entry
             tup = StreamTuple(
-                stream=stream,
-                values=values if decoded else self._link_codec.decode(stream, values),
-                source=source,
-                source_task=source_task,
-                direct_task=direct,
+                stream,
+                values if decoded else self._link_codec.decode(stream, values),
+                source,
+                source_task,
+                direct,
             )
-            task = self._tasks[(component, task_index)]
-            collector = self._collectors[(component, task_index)]
-            collector.buffer = emissions
-            attempts = 0
-            quarantined = False
-            while True:
-                try:
-                    if faults is not None:
-                        faults.check_raise(
-                            component, stream, (seq, entry_index), attempts == 0
-                        )
-                    if obs:
-                        start = perf_counter()
-                        task.process(tup, collector)
-                        self._hists[component].observe(perf_counter() - start)
-                    else:
-                        task.process(tup, collector)
-                    break
-                except Exception as exc:  # mirror the base retry budget
-                    failures += 1
-                    if attempts >= self._max_retries:
-                        if self._quarantine:
-                            cause, tb_text = format_dead_letter_cause(exc)
-                            dead.append(
-                                (
-                                    component,
-                                    task_index,
-                                    stream,
-                                    attempts,
-                                    cause,
-                                    tb_text,
-                                    truncated_repr(tup.values),
-                                )
+            tasks = self._tasks[component]
+            collectors = self._collectors[component]
+            if mask == 1 << task_index:
+                owners = (task_index,)
+            elif not per_task and offer_fanout(
+                tasks[task_index],
+                tup,
+                mask,
+                tasks,
+                collectors,
+                self._hists[component] if obs else None,
+            ):
+                # accounting stays per assignment
+                counts[component] = counts.get(component, 0) + mask.bit_count()
+                continue
+            else:
+                # a fault rule selects one (tuple, task) delivery, the
+                # bolt keeps the per-task meaning, or the call failed:
+                # each owner gets its own delivery and retry budget
+                owners = owners_of(mask)
+            for owner in owners:
+                task = tasks[owner]
+                collector = collectors[owner]
+                attempts = 0
+                quarantined = False
+                while True:
+                    try:
+                        if faults is not None:
+                            faults.check_raise(
+                                component, stream, (seq, entry_index, owner),
+                                attempts == 0,
                             )
-                            quarantined = True
-                            break
-                        failed = (component, task_index, attempts, exc)
+                        if obs:
+                            start = perf_counter()
+                            task.process(tup, collector)
+                            self._hists[component].observe(perf_counter() - start)
+                        else:
+                            task.process(tup, collector)
                         break
-                    attempts += 1
+                    except Exception as exc:  # mirror the base retry budget
+                        failures += 1
+                        if attempts >= self._max_retries:
+                            if self._quarantine:
+                                cause, tb_text = format_dead_letter_cause(exc)
+                                dead.append(
+                                    (
+                                        component,
+                                        owner,
+                                        stream,
+                                        attempts,
+                                        cause,
+                                        tb_text,
+                                        truncated_repr(tup.values),
+                                    )
+                                )
+                                quarantined = True
+                                break
+                            failed = (component, owner, attempts, exc)
+                            break
+                        attempts += 1
+                if failed is not None:
+                    break
+                if not quarantined:
+                    counts[component] = counts.get(component, 0) + 1
             if failed is not None:
                 break
-            if quarantined:
-                continue
-            counts[component] = counts.get(component, 0) + 1
         if failed is not None:
             component, task_index, attempts, exc = failed
             try:  # exceptions are usually picklable; fall back to text

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple, Optional
+from typing import Any, Mapping, NamedTuple, Optional
 
 
 class StreamTuple(NamedTuple):
@@ -19,3 +19,54 @@ class StreamTuple(NamedTuple):
     source: str
     source_task: int
     direct_task: Optional[int] = None
+
+
+# Addressed deliveries -------------------------------------------------
+#
+# Executors queue, buffer and journal *entries*: ``(component,
+# task_index, tup, mask)``.  ``mask`` is the bitmask of the component's
+# task indices the tuple is addressed to — a fan-out travels as one
+# entry per executor, not one per task — and ``task_index`` is its
+# lowest set bit.  A per-task delivery is the one-bit mask.
+
+
+def lowest_owner(mask: int) -> int:
+    """Index of the lowest set bit of a non-zero ``mask``."""
+    return (mask & -mask).bit_length() - 1
+
+
+def owners_of(mask: int) -> list[int]:
+    """The task indices ``mask`` names, ascending."""
+    owners = []
+    while mask:
+        low = mask & -mask
+        owners.append(low.bit_length() - 1)
+        mask ^= low
+    return owners
+
+
+def split_entries(
+    entries: list, moving: Mapping[str, int]
+) -> tuple[list, list]:
+    """Split ``entries`` into ``(kept, moved)`` by a set of task keys.
+
+    ``moving`` maps a component to the bitmask of its tasks that leave;
+    an entry addressed to tasks on both sides is cut in two.  Order is
+    preserved on each side, so expanding either half per owner gives the
+    per-task deliveries of the original list that fall on that side, in
+    their original order.
+    """
+    kept: list = []
+    moved: list = []
+    for entry in entries:
+        component, _task_index, tup, mask = entry
+        out = mask & moving.get(component, 0)
+        if not out:
+            kept.append(entry)
+        elif out == mask:
+            moved.append(entry)
+        else:
+            stay = mask ^ out
+            kept.append((component, lowest_owner(stay), tup, stay))
+            moved.append((component, lowest_owner(out), tup, out))
+    return kept, moved

@@ -116,8 +116,6 @@ class AssignerBolt(Bolt):
             self._assignment_counter.inc(len(targets))
             if broadcast:
                 self._broadcast_counter.inc()
-            for target in targets:
-                self._machine_counters[target].inc()
         machine_counts = self._machine_counts
         for target in targets:
             machine_counts[target] += 1
@@ -187,6 +185,11 @@ class AssignerBolt(Bolt):
             ),
         )
         collector.emit(msg.WINDOW_DONE, (window_id,))
+        if self._obs:
+            # per-machine copies, added once per window instead of once
+            # per target per document
+            for counter, count in zip(self._machine_counters, self._machine_counts):
+                counter.inc(count)
         self._reset_window_counters()
 
     def _on_partitions(self, tup: StreamTuple) -> None:

@@ -30,7 +30,7 @@ from repro.join.shared_index import SharedWindowIndex
 from repro.join.sliding import SlidingFPTreeJoiner
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.streaming.component import Bolt, Collector, ComponentContext
-from repro.streaming.tuples import StreamTuple
+from repro.streaming.tuples import StreamTuple, owners_of
 from repro.topology import messages as msg
 
 
@@ -52,9 +52,9 @@ class JoinerGroup:
     window.  One evicted index is kept as a spare and reused for the
     next window, unless the Merger shipped another attribute order or
     the process dictionary started a new generation since it was built.
-    An owner migrated to another worker mid-window never tumbles here;
-    what it leaves behind is bounded by the windows in flight at the
-    migration, once per task.
+    A task migrated to another worker releases its open windows on the
+    way out (:meth:`disown`), and the tasks it joins there take it into
+    their group, so "one index per executor" holds after a migration.
     """
 
     def __init__(self) -> None:
@@ -96,6 +96,11 @@ class JoinerGroup:
             # tumbling semantics: evict the entire tree (Section V-A)
             index.reset()
             self._spare = index
+
+    def disown(self, owner: int) -> None:
+        """``owner`` left this executor: it tumbles nothing here any more."""
+        for window_id in list(self._open):
+            self.release(window_id, owner)
 
     def __len__(self) -> int:
         """Open windows."""
@@ -162,6 +167,14 @@ class JoinerBolt(Bolt):
         self._order: Optional[AttributeOrder] = None
         self._metrics = NULL_REGISTRY
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # a subclass that redefines what one delivery does must see
+        # every delivery: it keeps the per-task fan-out unless it says
+        # how to serve several tasks at once itself
+        if "process" in cls.__dict__ and "process_fanout" not in cls.__dict__:
+            cls.process_fanout = Bolt.process_fanout
+
     def _fresh_joiner(self) -> SlidingFPTreeJoiner | BinaryStreamJoiner:
         order = self._order
         if self.sliding_size is not None:
@@ -177,25 +190,54 @@ class JoinerBolt(Bolt):
         self._n_assigners = context.parallelism_of(msg.ASSIGNER)
         self._metrics = context.metrics
 
+    def join_executor(self, resident: "JoinerBolt") -> None:
+        self._group = resident._group
+
+    def leave_executor(self) -> None:
+        self._group.disown(self._task_index)
+
     # ------------------------------------------------------------------
+    def process_fanout(
+        self, tup: StreamTuple, mask: int, tasks, collectors
+    ) -> bool:
+        """One document assigned to several co-located tasks: index it
+        once and hand every task its own partners."""
+        if tup.stream != msg.ASSIGNED or self._per_task:
+            return False
+        if not self.compute_joins:
+            for owner in owners_of(mask):
+                tasks[owner]._docs += 1
+            return True
+        document, window_id, _side = tup.values
+        index = self._group.index(window_id, self._order, self._metrics)
+        for owner, partners in index.arrive_many(document, mask):
+            bolt = tasks[owner]
+            bolt._docs += 1
+            if partners:
+                bolt._add_partners(document, partners)
+        return True
+
+    def _add_partners(self, document, partners: list[int]) -> None:
+        self._pair_count += len(partners)
+        if self.collect_pairs:
+            for partner in partners:
+                self._pairs.add(JoinPair.of(partner, document.doc_id))
+
     def process(self, tup: StreamTuple, collector: Collector) -> None:
         if tup.stream == msg.ASSIGNED:
             document, window_id, side = tup.values
-            self._docs += 1
-            if not self.compute_joins:
-                return
-            if self._per_task:
+            if self.compute_joins and self._per_task:
                 self._process_per_task(document, side)
-                return
-            # A document can reach the same Joiner once only (the
-            # Assigner emits one tuple per target machine), so no
-            # dedup is needed within a machine.
-            index = self._group.index(window_id, self._order, self._metrics)
-            partners = index.arrive(document, self._task_index)
-            self._pair_count += len(partners)
-            if self.collect_pairs:
-                for partner in partners:
-                    self._pairs.add(JoinPair.of(partner, document.doc_id))
+            elif self.compute_joins:
+                # A document can reach the same Joiner once only (the
+                # Assigner emits one tuple per target machine), so no
+                # dedup is needed within a machine; a second arrival is
+                # rejected before anything is counted.
+                index = self._group.index(window_id, self._order, self._metrics)
+                self._add_partners(
+                    document, index.arrive(document, self._task_index)
+                )
+            self._docs += 1
         elif tup.stream == msg.PARTITIONS:
             (partition_set,) = tup.values
             if partition_set.attribute_order is not None:

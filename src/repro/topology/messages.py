@@ -182,11 +182,11 @@ class WireCodec:
         """Codec instance for one parent->worker link.
 
         Stateless codecs are safely shared, so the base implementation
-        returns ``self``.  Stateful codecs (see
-        :class:`DictionaryWireCodec`) override this to hand out one
-        instance per link: the executor calls it once per worker *before*
-        forking, so encoder (parent) and decoder (child) start from the
-        same empty state and stay in sync over the link's FIFO pipe.
+        returns ``self``.  A stateful codec overrides this to hand out
+        one instance per link: the executor calls it once per worker
+        *before* forking, so encoder (parent) and decoder (child) start
+        from the same empty state and stay in sync over the link's FIFO
+        pipe.
         """
         return self
 
@@ -240,80 +240,6 @@ def _decode_join_stats(values: tuple) -> tuple:
     return (stats, frozenset(pair_cls(left, right) for left, right in encoded_pairs))
 
 
-class _DictionaryLink(WireCodec):
-    """Stateful codec for one parent->worker link.
-
-    The ``assigned`` stream is dictionary-compressed: the first time an
-    AV-pair crosses this link it is shipped in full inside a *delta* and
-    assigned the next dense wire id; afterwards only the id travels.
-    Both sides grow their dictionary in message order, which the link's
-    FIFO pipe guarantees matches assignment order.
-
-    Wire ids key by ``(type(value), attribute, value)`` — unlike the
-    in-process :class:`~repro.core.interning.PairInterner`, which mirrors
-    the joiners' value-equality semantics, the wire must reconstruct
-    documents *faithfully*, so ``True`` and ``1`` (equal in Python) get
-    distinct ids and decode back to their original types.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.register(ASSIGNED, self._encode_assigned_interned, self._decode_assigned_interned)
-        self.register(JOIN_STATS, _encode_join_stats, _decode_join_stats)
-        #: encoder side: typed pair key -> wire id
-        self._wire_ids: dict = {}
-        #: decoder side: wire id -> (attribute, value), grown by deltas
-        self._wire_pairs: list = []
-
-    def _encode_assigned_interned(self, values: tuple) -> tuple:
-        document, window_id, side = values
-        known = self._wire_ids
-        ids = []
-        delta = []
-        append = ids.append
-        for attribute, value in document.pairs.items():
-            key = (value.__class__, attribute, value)
-            wire_id = known.get(key)
-            if wire_id is None:
-                wire_id = len(known)
-                known[key] = wire_id
-                delta.append((attribute, value))
-            append(wire_id)
-        return (tuple(ids), tuple(delta), document.doc_id, window_id, side)
-
-    def _decode_assigned_interned(self, values: tuple) -> tuple:
-        from repro.core.document import Document
-
-        ids, delta, doc_id, window_id, side = values
-        table = self._wire_pairs
-        table.extend(delta)
-        return (
-            Document(dict(table[wire_id] for wire_id in ids), doc_id=doc_id),
-            window_id,
-            side,
-        )
-
-
-class DictionaryWireCodec(WireCodec):
-    """Wire codec whose per-link instances dictionary-compress ``assigned``.
-
-    The shared instance itself behaves exactly like the stateless base
-    (worker->parent traffic is encoded statelessly); only the
-    parent->worker links returned by :meth:`link_codec` carry dictionary
-    state.  Repeatedly shipped AV-pairs — every pair of every broadcast
-    document, under heavy-replication routing — cross the pipe as one
-    integer instead of an (attribute, value) string pair.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.register(ASSIGNED, _encode_assigned, _decode_assigned)
-        self.register(JOIN_STATS, _encode_join_stats, _decode_join_stats)
-
-    def link_codec(self) -> WireCodec:
-        return _DictionaryLink()
-
-
 class ColumnarWireCodec(WireCodec):
     """Batch-framing wire codec: ``assigned`` batches ship as columns.
 
@@ -329,10 +255,9 @@ class ColumnarWireCodec(WireCodec):
 
     The codec is stateless (``link_codec`` returns ``self``) and every
     frame is self-contained, so a journaled frame replays to a respawned
-    worker **verbatim** — bit-identical bytes, zero re-encode — unlike
-    the dictionary codec, whose per-link state forces replays back
-    through the encoder.  Per-entry ``encode``/``decode`` stay available
-    for the non-framed paths (worker->parent emissions, sticky-history
+    worker **verbatim** — bit-identical bytes, zero re-encode.
+    Per-entry ``encode``/``decode`` stay available for the non-framed
+    paths (worker->parent emissions, sticky-history and split-journal
     replay, inline degradation).
     """
 
@@ -345,16 +270,16 @@ class ColumnarWireCodec(WireCodec):
         self.register(JOIN_STATS, _encode_join_stats, _decode_join_stats)
 
     def encode_batch(self, seq: int, entries: list) -> "BufferFrame":
-        """One batch of ``(component, task_index, StreamTuple)`` → frame.
+        """One batch of ``(component, task_index, StreamTuple, mask)``
+        entries → frame (a three-field entry is the one-bit mask of its
+        task).
 
-        ``assigned`` entries ship **deduplicated**: the Assigner emits
-        the same document object once per target task, so the frame
-        encodes each distinct document a single time and represents the
-        fan-out as four flat ``array('q')`` entry columns — document
-        row, context id, target task and direct task per entry — plus a
-        tiny table of the distinct ``(component, source, source_task,
-        window_id, side)`` contexts.  Under replication ``r`` to one
-        worker this divides the encoded document payload by ``r``.
+        An ``assigned`` entry is one (document, worker) pair: three flat
+        ``array('q')`` entry columns — document row, context id and the
+        bitmask of the worker's tasks the document is assigned to — plus
+        a tiny table of the distinct ``(component, source, source_task,
+        window_id, side)`` contexts.  A document object that several
+        entries share is still encoded a single time.
         """
         from array import array
 
@@ -368,13 +293,17 @@ class ColumnarWireCodec(WireCodec):
         ctx_ids: dict[tuple, int] = {}
         entry_doc = array("q")
         entry_ctx = array("q")
-        entry_task = array("q")
-        entry_direct = array("q")
+        entry_mask = array("q")
         n_assigned = 0
         mixed = False
-        for component, task_index, tup in entries:
+        for entry in entries:
+            if len(entry) == 4:
+                component, task_index, tup, mask = entry
+            else:
+                component, task_index, tup = entry
+                mask = 1 << task_index
             values = tup.values
-            if tup.stream == ASSIGNED and _columnar_assignable(values):
+            if tup.stream == ASSIGNED and _columnar_assignable(values, mask):
                 document, window_id, side = values
                 row = doc_rows.get(id(document))
                 if row is None:
@@ -390,9 +319,7 @@ class ColumnarWireCodec(WireCodec):
                 slots.append(n_assigned)
                 entry_doc.append(row)
                 entry_ctx.append(ctx)
-                entry_task.append(task_index)
-                direct = tup.direct_task
-                entry_direct.append(-1 if direct is None else direct)
+                entry_mask.append(mask)
                 n_assigned += 1
             else:
                 mixed = True
@@ -405,92 +332,81 @@ class ColumnarWireCodec(WireCodec):
                         tup.source_task,
                         tup.direct_task,
                         self.encode(tup.stream, values),
+                        mask,
                     )
                 )
         batch = ColumnarBatch.encode(documents)
         # all-assigned batches (the common case) collapse the slot list
         # to its length; mixed batches keep the explicit interleaving
         wire_slots = tuple(slots) if mixed else n_assigned
-        envelope = ("cbatch2", seq, wire_slots, tuple(ctx_table), batch.pair_table)
+        envelope = ("cbatch3", seq, wire_slots, tuple(ctx_table), batch.pair_table)
         buffers = batch.buffers()
         buffers.extend(
             memoryview(column).cast("B")
-            for column in (entry_doc, entry_ctx, entry_task, entry_direct)
+            for column in (entry_doc, entry_ctx, entry_mask)
         )
         return BufferFrame(envelope, buffers)
 
     def decode_batch(self, frame) -> tuple:
         """A received frame → ``(seq, entries)`` with **decoded** values.
 
-        Entries come back in batch order as the same 7-tuple shape the
-        legacy per-entry path uses, but their values need no further
-        per-entry ``decode`` — the session feeds them straight to tasks.
-        Deduplicated documents are materialized once; entries of the
-        same document and context share one values tuple.
+        Entries come back in batch order as ``(component, task_index,
+        stream, source, source_task, direct, values, mask)`` —
+        ``task_index`` the lowest task in ``mask`` — and their values
+        need no further per-entry ``decode``: the session feeds them
+        straight to tasks.  Deduplicated documents are materialized
+        once: entries of one document share the object.
         """
         from repro.core.columnar import ColumnarBatch
+        from repro.streaming.tuples import lowest_owner
 
         _kind, seq, slots, ctx_table, pair_table = frame.envelope
         batch = ColumnarBatch.from_buffers(pair_table, frame.buffers[:3])
         documents = batch.to_documents()
         entry_doc = memoryview(frame.buffers[3]).cast("q")
         entry_ctx = memoryview(frame.buffers[4]).cast("q")
-        entry_task = memoryview(frame.buffers[5]).cast("q")
-        entry_direct = memoryview(frame.buffers[6]).cast("q")
+        entry_mask = memoryview(frame.buffers[5]).cast("q")
         entries = []
         append = entries.append
-        #: (doc row, ctx id) -> shared values tuple for the task fan-out
-        values_cache: dict[tuple[int, int], tuple] = {}
         if type(slots) is int:
             slots = range(slots)
         for slot in slots:
             if type(slot) is int:
-                row = entry_doc[slot]
-                ctx = entry_ctx[slot]
-                component, source, source_task, window_id, side = ctx_table[ctx]
-                values = values_cache.get((row, ctx))
-                if values is None:
-                    values = (documents[row], window_id, side)
-                    values_cache[(row, ctx)] = values
-                direct = entry_direct[slot]
-                append(
-                    (
-                        component,
-                        entry_task[slot],
-                        ASSIGNED,
-                        source,
-                        source_task,
-                        None if direct == -1 else direct,
-                        values,
-                    )
-                )
-            else:
-                component, task_index, stream, source, source_task, direct, values = slot
+                component, source, source_task, window_id, side = ctx_table[
+                    entry_ctx[slot]
+                ]
+                mask = entry_mask[slot]
+                task_index = lowest_owner(mask)
                 append(
                     (
                         component,
                         task_index,
-                        stream,
+                        ASSIGNED,
                         source,
                         source_task,
-                        direct,
-                        self.decode(stream, values),
+                        task_index,
+                        (documents[entry_doc[slot]], window_id, side),
+                        mask,
                     )
                 )
+            else:
+                append(slot[:6] + (self.decode(slot[2], slot[6]), slot[7]))
         batch.release()
         entry_doc.release()
         entry_ctx.release()
-        entry_task.release()
-        entry_direct.release()
+        entry_mask.release()
         return seq, entries
 
 
-def _columnar_assignable(values: tuple) -> bool:
-    """True when an ``assigned`` payload fits the columnar layout (a
-    ``doc_id`` the ``'q'`` column holds unambiguously — negative ids
-    would collide with the column's missing-id sentinel)."""
+def _columnar_assignable(values: tuple, mask: int) -> bool:
+    """True when an ``assigned`` entry fits the columnar layout: a
+    ``doc_id`` the ``'q'`` column holds unambiguously (negative ids
+    would collide with the column's missing-id sentinel) and a task
+    mask that fits its 63 value bits."""
     doc_id = values[0].doc_id
-    return doc_id is None or (type(doc_id) is int and 0 <= doc_id < (1 << 63))
+    return mask < (1 << 63) and (
+        doc_id is None or (type(doc_id) is int and 0 <= doc_id < (1 << 63))
+    )
 
 
 def wire_codec() -> WireCodec:

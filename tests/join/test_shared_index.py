@@ -84,25 +84,72 @@ class SharedIndexMachine(RuleBasedStateMachine):
         # a fan-out split across two decoded frames: equal, not identical
         self._arrive(data, same_object=False)
 
-    def _arrive(self, data, same_object):
-        window_id = data.draw(
+    def _open_window(self, data) -> int:
+        return data.draw(
             st.sampled_from([i for i, w in enumerate(self.windows) if w.undelivered()])
         )
-        window = self.windows[window_id]
-        doc_id, owner = data.draw(st.sampled_from(window.undelivered()))
+
+    def _document(self, window_id, doc_id, same_object) -> Document:
         document = self.objects.get((window_id, doc_id)) if same_object else None
         if document is None:
-            document = Document(dict(window.pool[doc_id]), doc_id=doc_id)
+            pairs = self.windows[window_id].pool[doc_id]
+            document = Document(dict(pairs), doc_id=doc_id)
             self.objects[(window_id, doc_id)] = document
+        return document
+
+    def _arrived(self, window, owner, document, got) -> None:
+        """``got`` is what the index returned to ``owner``: hold it to
+        the owner's private joiner and record the arrival."""
         expected = sorted(window.isolated[owner].probe(document))
         window.isolated[owner].add(document)
         assert expected == sorted(
             d.doc_id for d in window.arrived[owner] if d.joinable(document)
         )
-        got = window.index.arrive(document, owner)
         assert sorted(got) == expected
         window.arrived[owner].append(document)
-        window.pairs[owner].update(JoinPair.of(p, doc_id) for p in got)
+        window.pairs[owner].update(JoinPair.of(p, document.doc_id) for p in got)
+
+    def _arrive(self, data, same_object):
+        window_id = self._open_window(data)
+        window = self.windows[window_id]
+        doc_id, owner = data.draw(st.sampled_from(window.undelivered()))
+        document = self._document(window_id, doc_id, same_object)
+        self._arrived(window, owner, document, window.index.arrive(document, owner))
+
+    @precondition(lambda self: any(w.undelivered() for w in self.windows))
+    @rule(data=st.data(), same_object=st.booleans())
+    def arrive_at_several_owners_at_once(self, data, same_object):
+        """``arrive_many`` mixed freely with ``arrive``: any subset of the
+        owners the document has not reached yet."""
+        window_id = self._open_window(data)
+        window = self.windows[window_id]
+        undelivered = window.undelivered()
+        doc_id = data.draw(st.sampled_from(sorted({d for d, _ in undelivered})))
+        free = [owner for d, owner in undelivered if d == doc_id]
+        owners = data.draw(st.sets(st.sampled_from(free), min_size=1))
+        document = self._document(window_id, doc_id, same_object)
+        got = window.index.arrive_many(document, sum(1 << o for o in owners))
+        assert [owner for owner, _ in got] == sorted(owners)
+        for owner, partners in got:
+            self._arrived(window, owner, document, partners)
+
+    def _delivered(self) -> list[tuple[int, int, int]]:
+        return [
+            (i, d.doc_id, owner)
+            for i, w in enumerate(self.windows)
+            for owner in range(OWNERS)
+            for d in w.arrived[owner]
+        ]
+
+    @precondition(lambda self: self._delivered())
+    @rule(data=st.data(), extra=st.integers(0, (1 << OWNERS) - 1))
+    def a_mask_overlapping_an_earlier_arrival_is_rejected(self, data, extra):
+        """Like a second ``arrive`` at one owner — and before anything
+        changes: the invariants and every later arrival see no trace."""
+        window_id, doc_id, owner = data.draw(st.sampled_from(self._delivered()))
+        document = self._document(window_id, doc_id, same_object=False)
+        with pytest.raises(ValueError, match="already arrived"):
+            self.windows[window_id].index.arrive_many(document, extra | 1 << owner)
 
     def _releasable(self) -> list[tuple[int, int]]:
         # windows close late, so that arrivals pile up first
@@ -188,6 +235,30 @@ def test_rejects_a_second_arrival_at_the_same_owner_and_a_missing_id():
     with pytest.raises(ValueError, match="doc_id"):
         index.arrive(Document({"a": 1}), 1)
     assert len(index) == 1 and index.arrive(d, 1) == []
+
+
+def test_arrive_many_is_one_probe_and_one_insert_for_all_owners():
+    """d@{0,1,2} then e@{1,2} then e@0: per-owner answers and
+    per-assignment counters as with six ``arrive`` calls, two probes and
+    two inserts in the tree — e@0 reuses the cached partner list."""
+    d, e = _docs()
+    registry = MetricsRegistry()
+    index = SharedWindowIndex(registry=registry)
+    assert index.arrive_many(d, 0b111) == [(0, []), (1, []), (2, [])]
+    assert index.arrive_many(e, 0b110) == [(1, [0]), (2, [0])]
+    assert index.arrive(e, 0) == [0]
+    with pytest.raises(ValueError, match="already arrived"):
+        index.arrive_many(Document({"a": 1, "d": 1}, doc_id=0), 0b1100)
+    late = index.arrive_many(Document({"a": 1}, doc_id=2), 0b1001)
+    assert [(owner, sorted(partners)) for owner, partners in late] == [
+        (0, [0, 1]), (3, []),
+    ]
+    snap = registry.snapshot()
+    assert snap.histograms["joiner.probe_seconds{algorithm=FPJ}"]["count"] == 3
+    assert snap.histograms["joiner.insert_seconds{algorithm=FPJ}"]["count"] == 3
+    assert snap.counters["joiner.probes{algorithm=FPJ}"] == 8
+    assert snap.counters["joiner.inserts{algorithm=FPJ}"] == 8
+    assert snap.counters["joiner.partners{algorithm=FPJ}"] == 5
 
 
 def test_release_reports_the_last_holder():

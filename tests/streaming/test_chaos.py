@@ -303,10 +303,42 @@ class TestTopologyChaos:
         )
         shared, shared_stats = run_per_task(config, windows, isolated=False)
         isolated, isolated_stats = run_per_task(config, windows, isolated=True)
-        assert shared_stats["dead_letters"] == isolated_stats["dead_letters"] >= 2
+        # one owner quarantined per rule and process, its co-located
+        # owners accept the document: a dead letter is one (document,
+        # task), never a whole fan-out entry
+        assert shared_stats["dead_letters"] == isolated_stats["dead_letters"]
+        assert shared_stats["dead_letters"] == (2 if backend == "local" else 4)
         assert shared == isolated
         clean, _ = run_per_task(_config(), windows, isolated=False)
         assert shared != clean  # the quarantined replicas did carry joins
+
+    @pytest.mark.parametrize("backend", ["local", "parallel"])
+    def test_a_failed_fanout_call_is_redelivered_per_task(self, backend):
+        """A real error, no fault rule: a second copy of a document in
+        the all-broadcast bootstrap window travels as one entry per
+        executor naming all of its tasks.  The shared index rejects the
+        call before changing anything; each addressed task then gets its
+        own delivery, fails on its own retry budget and quarantines —
+        one dead letter per assignment, and every task reports what it
+        does without the copy."""
+        from tests.topology.per_task import run_per_task
+
+        window = _windows(n_windows=1)[0]
+        copy = Document(dict(window[7].pairs), doc_id=window[7].doc_id)
+        config = _config(
+            backend=backend,
+            workers=2 if backend == "parallel" else None,
+            max_retries=1,
+            dead_letters=True,
+        )
+        clean, clean_stats = run_per_task(config, [window], isolated=False)
+        doubled, stats = run_per_task(config, [[*window, copy]], isolated=False)
+        assert doubled == clean
+        assert clean_stats["dead_letters"] == 0
+        assert stats["dead_letters"] == 4  # m = 4, broadcast
+        assert (
+            stats[msg.JOINER]["processed"] == clean_stats[msg.JOINER]["processed"]
+        )
 
     def test_kill_and_restart_is_fully_byte_identical(self):
         """Without poison, recovery must preserve *all* outputs — metrics,

@@ -149,7 +149,12 @@ class TestSyntheticElasticity:
         cluster = _parallel(
             collector,
             elastic=ElasticPolicy(
-                max_workers=4, force=((0, "up"), (2, "down"))
+                # the cooldown outlasts the run: after the forced pair,
+                # whether the last barrier completes before the final
+                # drain is a race, and an organic scale-up there made
+                # this fail about one run in ten
+                max_workers=4, force=((0, "up"), (2, "down")),
+                cooldown_windows=10,
             ),
         )
         with cluster:
@@ -347,3 +352,65 @@ class TestViralSkewTopology:
             w.join_pairs for w in clean.per_window
         ]
         assert elastic.join_pairs == clean.join_pairs
+
+
+class TestMaskSplit:
+    """Worker-granular fan-out meets live migration: the source's journal
+    holds one entry per (document, worker) whose mask names the task
+    that moves *and* tasks that stay."""
+
+    @pytest.mark.parametrize("kill_destination", [False, True])
+    @pytest.mark.parametrize("transport", ["pipe", "socket"])
+    def test_mid_window_scale_up_cuts_entries_by_mask(
+        self, transport, kill_destination, monkeypatch
+    ):
+        """Forced 2 -> 4 growth while later windows are already
+        journaled: every worker's acks are delayed, so the barrier that
+        triggers a migration completes long after the parent has routed
+        the following windows.  The books must split by mask — checked
+        on the wire by spying on the split — and every task must still
+        report exactly what it reports on the static local run, also
+        when the fresh destination dies on its second replayed batch."""
+        from repro.streaming import parallel
+        from tests.topology.per_task import run_per_task
+
+        spanning = []
+        split = parallel.split_entries
+
+        def spy(entries, moving):
+            kept, moved = split(entries, moving)
+            spanning.extend(
+                entry[3] for entry in entries
+                if entry[3] & moving.get(entry[0], 0)
+                and entry[3] & ~moving.get(entry[0], 0)
+            )
+            return kept, moved
+
+        monkeypatch.setattr(parallel, "split_entries", spy)
+        plan = FaultPlan().delay_acks(0, 0.02).delay_acks(1, 0.02)
+        if kill_destination:
+            # worker 2 is the first scale-up's destination: batch 1 is
+            # its sticky history, batch 2 a replayed journal batch
+            plan = plan.kill_worker(2, after_batches=1)
+        windows = _zipf_windows(n_windows=5)
+        clean, _ = run_per_task(_config(), windows, isolated=False)
+        scaled, stats = run_per_task(
+            _config(
+                backend="parallel",
+                transport=transport,
+                workers=2,
+                batch_size=16,
+                restart_policy=FAST_RESTART,
+                elastic=ElasticPolicy(
+                    max_workers=4, force=((0, "up"), (1, "up"))
+                ),
+                fault_plan=plan,
+            ),
+            windows,
+            isolated=False,
+        )
+        assert scaled == clean
+        assert stats["scale_ups"] == 2 and stats["migrations"] == 2
+        assert spanning, "no journaled entry named moved and kept tasks"
+        assert all(mask & (mask - 1) for mask in spanning)
+        assert (stats["worker_restarts"] >= 1) == kill_destination

@@ -137,3 +137,48 @@ def test_session_supports_parallel_backend():
     assert _comparable_stats(results["parallel"], "pipe") == _comparable_stats(
         results["local"], None
     )
+
+
+@pytest.mark.parametrize("dataset", ["rwData", "nbData", "idealData"])
+@pytest.mark.parametrize("backend,transport", MATRIX)
+def test_every_task_matches_its_isolated_joiner(dataset, backend, transport):
+    """Worker-granular fan-out, per task: whatever executor a task's
+    documents reached it in — one entry per (document, executor), one
+    ``arrive_many`` — its window report (documents, join pairs, pair
+    set) is what a private joiner fed one delivery per task produces."""
+    from tests.topology.per_task import run_per_task
+
+    def config(backend, transport="pipe"):
+        return StreamJoinConfig(
+            m=4, n_creators=2, n_assigners=3,
+            compute_joins=True, collect_pairs=True,
+            backend=backend, transport=transport,
+            workers=2 if backend == "parallel" else None,
+        )
+
+    windows = _windows(dataset)
+    shared, stats = run_per_task(config(backend, transport), windows, isolated=False)
+    isolated, isolated_stats = run_per_task(config("local"), windows, isolated=True)
+    assert len(shared) == 3 * 4
+    assert shared == isolated
+    assert stats["joiner"] == isolated_stats["joiner"]  # per assignment
+
+
+def test_joiner_dispatches_are_per_executor_while_counters_stay_per_assignment():
+    """``executor.processed{joiner}`` counts assignments on every
+    backend; the *observations* of ``executor.execute_seconds{joiner}``
+    are the physical dispatches: one per (document, executor reached)."""
+    documents = 3 * 120
+    dispatches = {}
+    for backend in ("local", "parallel"):
+        snap = _run("rwData", "AG", backend, observability=True).observability
+        assignments = snap.counters["assigner.assignments"]
+        processed = snap.counters["executor.processed{component=joiner}"]
+        control = processed - assignments  # partitions + window-done markers
+        assert assignments > 2 * documents and control > 0
+        dispatches[backend] = (
+            snap.histograms["executor.execute_seconds{component=joiner}"]["count"]
+            - control
+        )
+    assert dispatches["local"] == documents  # one executor
+    assert documents <= dispatches["parallel"] <= 2 * documents  # two workers

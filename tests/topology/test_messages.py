@@ -6,7 +6,6 @@ from repro.topology.messages import (
     AttributeStats,
     ColumnarWireCodec,
     ControlMessage,
-    DictionaryWireCodec,
     wire_codec,
 )
 
@@ -62,7 +61,7 @@ def roundtrip(codec, doc, window_id=0, side=None):
     return codec.decode(ASSIGNED, codec.encode(ASSIGNED, (doc, window_id, side)))
 
 
-class TestDictionaryWireCodec:
+class TestColumnarWireCodec:
     def test_default_codec_ships_columnar_frames(self):
         codec = wire_codec()
         assert isinstance(codec, ColumnarWireCodec)
@@ -71,55 +70,83 @@ class TestDictionaryWireCodec:
         # decode on any incarnation
         assert codec.link_codec() is codec
 
-    def test_assigned_roundtrip(self):
-        link = DictionaryWireCodec().link_codec()
-        doc = Document({"user": "A", "severity": "warn", "code": 7}, doc_id=3)
-        decoded, window_id, side = roundtrip(link, doc, window_id=2, side="L")
-        assert decoded.pairs == doc.pairs
-        assert decoded.doc_id == 3
-        assert (window_id, side) == (2, "L")
-
-    def test_delta_ships_each_pair_once(self):
-        link = DictionaryWireCodec().link_codec()
-        doc = Document({"a": 1, "b": 2}, doc_id=0)
-        first = link.encode(ASSIGNED, (doc, 0, None))
-        assert first[1] == (("a", 1), ("b", 2))  # full pairs on first sight
-        link.decode(ASSIGNED, first)  # the link decodes in FIFO order
-        repeat = Document({"a": 1, "b": 2, "c": 3}, doc_id=1)
-        second = link.encode(ASSIGNED, (repeat, 0, None))
-        assert second[1] == (("c", 3),)  # known pairs travel as ids only
-        assert second[0][:2] == first[0]
-        decoded, _, _ = link.decode(ASSIGNED, second)
-        assert decoded.pairs == repeat.pairs
-
-    def test_wire_ids_preserve_value_types(self):
-        # The joiners may conflate 1/True/1.0 (value equality); the wire
-        # must not — documents reconstruct with their original types.
-        link = DictionaryWireCodec().link_codec()
-        for value in (1, True, 1.0, "1"):
-            decoded, _, _ = roundtrip(link, Document({"k": value}, doc_id=0))
-            assert decoded.pairs["k"] is not None
-            assert type(decoded.pairs["k"]) is type(value)
-            assert decoded.pairs["k"] == value
-
-    def test_links_are_independent(self):
-        # One dictionary per parent->worker link: ids assigned on one
-        # link must not leak into (or desync) another.
-        codec = DictionaryWireCodec()
-        left, right = codec.link_codec(), codec.link_codec()
-        assert left is not right
-        doc_a = Document({"a": 1}, doc_id=0)
-        doc_b = Document({"b": 2}, doc_id=1)
-        left.encode(ASSIGNED, (doc_a, 0, None))  # advances only left's ids
-        decoded, _, _ = roundtrip(right, doc_b)
-        assert decoded.pairs == {"b": 2}
-
-    def test_shared_instance_stays_stateless(self):
-        # The shared codec itself (worker->parent traffic) encodes the
-        # seed's plain-tuple form and is safe to reuse across links.
-        codec = DictionaryWireCodec()
+    def test_per_entry_form_is_stateless(self):
+        # worker->parent traffic, sticky and split-journal replay use
+        # the plain-tuple per-entry form; it is safe to reuse anywhere
+        codec = wire_codec()
         doc = Document({"a": 1}, doc_id=0)
         encoded = codec.encode(ASSIGNED, (doc, 1, None))
         assert encoded == ((("a", 1),), 0, 1, None)
-        decoded, _, _ = roundtrip(codec, doc)
-        assert decoded.pairs == doc.pairs
+        decoded, window_id, side = roundtrip(codec, doc, window_id=2, side="L")
+        assert decoded.pairs == doc.pairs and decoded.doc_id == 0
+        assert (window_id, side) == (2, "L")
+
+    def test_per_entry_form_preserves_value_types(self):
+        # The joiners may conflate 1/True/1.0 (value equality); the wire
+        # must not — documents reconstruct with their original types.
+        codec = wire_codec()
+        for value in (1, True, 1.0, "1"):
+            decoded, _, _ = roundtrip(codec, Document({"k": value}, doc_id=0))
+            assert type(decoded.pairs["k"]) is type(value)
+            assert decoded.pairs["k"] == value
+
+
+def _frame_roundtrip(codec, seq, entries):
+    """Encode, cross the wire as bytes, decode — as a worker link does."""
+    from repro.streaming.transport.framing import FrameDecoder
+
+    frame = codec.encode_batch(seq, entries)
+    (received,) = FrameDecoder().feed(b"".join(bytes(p) for p in frame.parts()))
+    return frame, codec.decode_batch(received)
+
+
+class TestFrameEntries:
+    def test_per_task_triples_are_one_bit_masks(self):
+        """The contract ``bench/replay.py`` drives: ``(component, task,
+        StreamTuple)`` triples in, one decoded entry per triple out,
+        ``entry[1]`` the int task index and ``entry[6][0]`` the
+        document; the mask rides behind as the trailing field."""
+        from repro.streaming.tuples import StreamTuple
+        from repro.topology.messages import ASSIGNER, JOINER
+
+        docs = [Document({"a": i % 2, "k": i}, doc_id=i) for i in range(5)]
+        chunk = [
+            (JOINER, task, StreamTuple(ASSIGNED, (doc, 3, None), ASSIGNER, 0, task))
+            for doc in docs
+            for task in (doc.doc_id % 3, 5)
+        ]
+        _frame, (seq, decoded) = _frame_roundtrip(ColumnarWireCodec(), 9, chunk)
+        assert seq == 9 and len(decoded) == len(chunk)
+        for (component, task, tup), entry in zip(chunk, decoded):
+            assert entry[0] == component
+            assert type(entry[1]) is int and entry[1] == task
+            assert entry[2] == ASSIGNED and entry[3:5] == (ASSIGNER, 0)
+            assert entry[6][0].pairs == tup.values[0].pairs
+            assert entry[6][0].doc_id == tup.values[0].doc_id
+            assert entry[6][1:] == (3, None)
+            assert entry[7] == 1 << task
+
+    def test_a_mask_entry_is_one_row_of_three_columns(self):
+        """One (document, worker) pair per entry: ``doc_row, ctx, mask``
+        after the three document columns, whatever the fan-out."""
+        from repro.streaming.tuples import StreamTuple
+        from repro.topology.messages import ASSIGNER, JOINER, WINDOW_DONE
+
+        doc = Document({"a": 1}, doc_id=4)
+        wide = Document({"a": 2}, doc_id=5)
+        tup = StreamTuple(ASSIGNED, (doc, 0, "L"), ASSIGNER, 1)
+        entries = [
+            (JOINER, 1, tup, 0b1010),
+            (JOINER, 0, StreamTuple(WINDOW_DONE, (0,), ASSIGNER, 1), 0b1),
+            # more tasks than a 'q' column holds bits: pickled envelope
+            (JOINER, 2, StreamTuple(ASSIGNED, (wide, 0, None), ASSIGNER, 1), 1 << 70 | 0b100),
+        ]
+        frame, (_seq, decoded) = _frame_roundtrip(ColumnarWireCodec(), 1, entries)
+        assert len(frame.buffers) == 6
+        assert [len(memoryview(b).cast("B")) for b in frame.buffers[3:]] == [8, 8, 8]
+        fanned, done, huge = decoded
+        assert fanned[:6] == (JOINER, 1, ASSIGNED, ASSIGNER, 1, 1)
+        assert fanned[6][0].doc_id == 4 and fanned[6][1:] == (0, "L")
+        assert fanned[7] == 0b1010
+        assert done[:3] == (JOINER, 0, WINDOW_DONE) and done[6:] == ((0,), 0b1)
+        assert huge[1] == 2 and huge[6][0].doc_id == 5 and huge[7] == 1 << 70 | 0b100
