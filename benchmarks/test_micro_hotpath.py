@@ -1,24 +1,16 @@
 """Hot-path micro-benchmark: per-document probe/insert/route/ship latencies.
 
-Measures the operations the dictionary-encoding layer (PR: interning)
-and the columnar batch data plane optimize, per joiner and dataset
-style, in nanoseconds per document:
+Measures the operations the dictionary-encoding layer and the columnar
+wire path optimize, per joiner and dataset style, in nanoseconds per
+document:
 
 * ``{dataset}.{NLJ,HBJ,FPJ}.probe_ns`` / ``insert_ns`` — the default
   (dictionary-encoded) joiners, per-document streaming discipline;
 * ``{dataset}.{NLJ,HBJ}.plain_probe_ns`` / ``plain_insert_ns`` — the
   string-keyed reference implementations (``interned=False``), so every
   report self-documents the encoding speedup.  FPJ has a single storage
-  path (flat-array tree, no twin, no batch kernel) and reports only
-  ``probe_ns`` / ``insert_ns``;
-* ``{dataset}.{NLJ,HBJ}.batch_probe_ns`` / ``batch_insert_ns`` —
-  the columnar batch kernels, ``BATCH`` documents at a time.  The
-  probe metric *includes* the one-pass batch encode (symmetric with
-  ``probe_ns``, whose per-document path pays the interner encode on
-  first sight); the insert metric then bulk-appends the already-encoded
-  batch (symmetric with ``add()``'s cache hit).  Probing is chunked —
-  each document is matched against state as of its chunk's start, the
-  stored-state-only ``probe_batch`` contract (see docs/performance.md);
+  path (flat-array tree, no twin) and reports only ``probe_ns`` /
+  ``insert_ns``;
 * ``{dataset}.ship_ns`` — the columnar wire path: encode a batch into a
   buffer frame, frame it, decode it back to documents, per document;
 * ``{dataset}.route_ns`` — :class:`DocumentRouter` routing against an
@@ -38,10 +30,9 @@ only statistic stable enough to gate on.
 
 ``seed_baseline`` ratios compare against constants frozen on the
 machine that measured the seed; absolute host speed differences show up
-uniformly in them.  The same-run ratio families (``speedup_vs_plain``,
-``batch_speedup``) are host-calibrated by construction — both sides
-measured in the same pass — and are the numbers to read for algorithmic
-claims.  ``workload.cpu_count`` records the host the absolute rows come
+uniformly in them.  The same-run ratio family ``speedup_vs_plain`` is
+host-calibrated by construction — both sides measured in the same pass —
+and is the number to read for algorithmic claims.  ``workload.cpu_count`` records the host the absolute rows come
 from.
 
 The pytest entry points run a scaled-down workload as a smoke test; the
@@ -56,7 +47,6 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-from repro.core.columnar import ColumnarBatch
 from repro.data.nobench import NoBenchGenerator
 from repro.data.serverlogs import ServerLogGenerator
 from repro.join.fptree_join import FPTreeJoiner
@@ -75,14 +65,14 @@ SIZE = 500
 REPS = 3
 RUNS = 4
 M = 8
-#: documents per kernel/wire batch (mirrors the executor's batching scale)
+#: documents per wire batch (mirrors the executor's batching scale)
 BATCH = 64
 
 BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
 DATASETS = ("rwData", "nbData")
 JOINERS = ("NLJ", "HBJ", "FPJ")
-#: joiners that keep a string-keyed twin and columnar batch kernels
+#: joiners that keep a string-keyed twin
 TWIN_JOINERS = ("NLJ", "HBJ")
 
 #: The same workload measured on the pre-interning implementation (the
@@ -142,37 +132,6 @@ def time_joiner(make, windows, reps: int = REPS):
                 probe_s += perf_counter() - t
                 t = perf_counter()
                 joiner.add(doc)
-                insert_s += perf_counter() - t
-            joiner.reset()
-        best_probe = min(best_probe, probe_s * 1e9 / n)
-        best_insert = min(best_insert, insert_s * 1e9 / n)
-    return best_probe, best_insert
-
-
-def time_joiner_batched(make, windows, reps: int = REPS):
-    """Best-of-``reps`` batch-kernel probe and insert ns/doc.
-
-    Streams every window in ``BATCH``-document chunks: each chunk is
-    encoded into one :class:`ColumnarBatch`, probed against the stored
-    state, then bulk-appended.  Encoding time is charged to the probe
-    (the per-document discipline also pays the encode on probe; the
-    subsequent add hits the cache).
-    """
-    best_probe = best_insert = float("inf")
-    n = sum(len(w) for w in windows)
-    for _ in range(reps):
-        joiner = make()
-        interner = joiner._interner
-        probe_s = insert_s = 0.0
-        for window in windows:
-            for start in range(0, len(window), BATCH):
-                chunk = window[start : start + BATCH]
-                t = perf_counter()
-                batch = ColumnarBatch.from_documents(chunk, interner)
-                joiner.probe_batch(batch)
-                probe_s += perf_counter() - t
-                t = perf_counter()
-                joiner.insert_batch(batch)
                 insert_s += perf_counter() - t
             joiner.reset()
         best_probe = min(best_probe, probe_s * 1e9 / n)
@@ -262,11 +221,6 @@ def collect_metrics(size: int = SIZE, windows: int = WINDOWS, reps: int = REPS):
             )
             metrics[f"{dataset}.{name}.plain_probe_ns"] = round(probe, 1)
             metrics[f"{dataset}.{name}.plain_insert_ns"] = round(insert, 1)
-            probe, insert = time_joiner_batched(
-                lambda: make_joiner(name, order), ws, reps=reps
-            )
-            metrics[f"{dataset}.{name}.batch_probe_ns"] = round(probe, 1)
-            metrics[f"{dataset}.{name}.batch_insert_ns"] = round(insert, 1)
         metrics[f"{dataset}.ship_ns"] = round(time_ship(ws, reps=reps), 1)
         metrics[f"{dataset}.route_ns"] = round(time_route(ws, reps=reps), 1)
     return metrics
@@ -323,14 +277,6 @@ def write_report(metrics: dict[str, float], path: Path = BENCH_FILE) -> dict:
                 for op in ("probe", "insert")
             },
         ),
-        "batch_speedup": _ratios(
-            metrics,
-            {
-                f"{key}.{op}": (f"{key}.{op}_ns", f"{key}.batch_{op}_ns")
-                for key in joiner_keys
-                for op in ("probe", "insert")
-            },
-        ),
         "notes": {
             "seed_baseline": (
                 "constants frozen on the machine that measured the seed; "
@@ -344,34 +290,10 @@ def write_report(metrics: dict[str, float], path: Path = BENCH_FILE) -> dict:
                 "probe bulk-encodes, so NLJ insert_ns tracks "
                 "plain_insert_ns by construction"
             ),
-            "batch_probe": (
-                "batch_probe_ns includes the one-pass columnar encode "
-                "and probes chunk-at-a-time against stored state "
-                "(probe_batch's documented contract); process_batch "
-                "preserves exact interleaved semantics at the same cost"
-            ),
-            "batch_gates": (
-                "the batch entry points gate adaptively: plain document "
-                "sequences take the per-document loop when the columnar "
-                "build would cost more than the kernel saves (HBJ "
-                "view-less inserts), so callers without a pre-built "
-                "batch are never slower than streaming; the HBJ batch_* "
-                "metrics measure the pre-built-batch kernels, whose "
-                "encode share is charged to the probe column per the "
-                "batch_probe note"
-            ),
             "fpj": (
                 "FPJ has one storage path (flat-array FP-tree): its "
                 "plain_* and batch_* rows and their ratio entries were "
-                "removed on purpose with the code they measured; the "
-                "batch entry points run LocalJoiner's per-document loop"
-            ),
-            "hbj_views": (
-                "HBJ batch_insert_ns maintains the posting-set views a "
-                "preceding batch probe materialized; the full batch "
-                "cycle (batch_probe_ns + batch_insert_ns) is what "
-                "amortization optimizes and it beats the per-document "
-                "cycle ~2x on both datasets"
+                "removed on purpose with the code they measured"
             ),
         },
     }
@@ -392,16 +314,11 @@ def test_metrics_cover_all_hot_paths():
         for name in JOINERS:
             ops = ["probe_ns", "insert_ns"]
             if name in TWIN_JOINERS:
-                ops += [
-                    "plain_probe_ns",
-                    "plain_insert_ns",
-                    "batch_probe_ns",
-                    "batch_insert_ns",
-                ]
+                ops += ["plain_probe_ns", "plain_insert_ns"]
             for op in ops:
                 key = f"{dataset}.{name}.{op}"
                 assert metrics[key] > 0.0, key
-    assert not [key for key in metrics if ".FPJ.plain_" in key or ".FPJ.batch_" in key]
+    assert not [key for key in metrics if ".FPJ.plain_" in key or ".batch_" in key]
 
 
 def test_interned_and_plain_joiners_agree_on_bench_workload():
@@ -419,28 +336,6 @@ def test_interned_and_plain_joiners_agree_on_bench_workload():
                     slow.add(doc)
                 fast.reset()
                 slow.reset()
-
-
-def test_batched_kernels_agree_on_bench_workload():
-    """The timed batch path matches the per-document path chunk-exactly."""
-    for dataset in DATASETS:
-        ws = windows_for(dataset, size=60, windows=2)
-        order = AttributeOrder.from_documents(ws[0])
-        for name in TWIN_JOINERS:
-            batched = make_joiner(name, order)
-            reference = make_joiner(name, order)
-            for window in ws:
-                for start in range(0, len(window), 16):
-                    chunk = window[start : start + 16]
-                    batch = ColumnarBatch.from_documents(chunk, batched._interner)
-                    expected = [sorted(reference.probe(doc)) for doc in chunk]
-                    got = [sorted(p) for p in batched.probe_batch(batch)]
-                    assert got == expected
-                    batched.insert_batch(batch)
-                    for doc in chunk:
-                        reference.add(doc)
-                batched.reset()
-                reference.reset()
 
 
 def test_ship_path_roundtrips_identically():

@@ -41,6 +41,7 @@ benchmarks/test_throughput.py``.  See ``docs/soak.md``.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -276,6 +277,7 @@ def write_report(
             "workloads": list(WORKLOADS),
             "max_seconds": MAX_SECONDS,
             "initial_rate": INITIAL_RATE,
+            "cpu_count": os.cpu_count(),
             "unit": (
                 "docs_per_sec: sustained docs/sec, max over runs (higher "
                 "is better); p50_ms/p99_ms: end-to-end latency quantiles, "

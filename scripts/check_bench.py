@@ -21,6 +21,11 @@ Improvements never fail — refresh the committed file with ``make
 bench-hotpath`` / ``make bench-throughput`` when they should become the
 new bar.  Metric-set drift fails in both directions for both suites.
 
+Absolute numbers only compare on the host that measured them: like
+``bench/compare.py``, the gate refuses (exit 2) when the committed
+file's ``workload.cpu_count`` is missing or differs from this host's
+``os.cpu_count()``.
+
 Usage::
 
     PYTHONPATH=src python scripts/check_bench.py            # run + compare
@@ -37,8 +42,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
@@ -46,11 +53,27 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 
 def load_metrics(path: Path) -> dict[str, float]:
-    report = json.loads(path.read_text())
+    return report_metrics(json.loads(path.read_text()), path)
+
+
+def report_metrics(report: dict, path: Path) -> dict[str, float]:
     metrics = report.get("metrics", report)
     if not isinstance(metrics, dict) or not metrics:
         raise SystemExit(f"{path}: no metrics found")
     return metrics
+
+
+def host_mismatch(report: dict, cpu_count: Optional[int]) -> Optional[str]:
+    """Why ``report`` cannot be compared on a host with ``cpu_count``
+    CPUs, or None when its recorded ``workload.cpu_count`` matches."""
+    recorded = report.get("workload", {}).get("cpu_count")
+    if recorded is not None and recorded == cpu_count:
+        return None
+    return (
+        f"refusing to compare across hosts: the committed baseline records "
+        f"workload.cpu_count={recorded}, this host has os.cpu_count()="
+        f"{cpu_count}"
+    )
 
 
 def higher_is_better(key: str) -> bool:
@@ -161,7 +184,12 @@ def main(argv: list[str] | None = None) -> int:
     if not baseline.exists():
         print(f"no committed baseline at {baseline}; run `{suite['regenerate']}`")
         return 2
-    committed = load_metrics(baseline)
+    report = json.loads(baseline.read_text())
+    mismatch = host_mismatch(report, os.cpu_count())
+    if mismatch is not None:
+        print(f"{mismatch}; regenerate it on this host with `{suite['regenerate']}`")
+        return 2
+    committed = report_metrics(report, baseline)
 
     if args.current is not None:
         current = load_metrics(args.current)

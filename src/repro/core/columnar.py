@@ -1,29 +1,21 @@
-"""Columnar batch representation: flat pair-id columns over documents.
+"""Columnar wire batches: flat pair-id columns over documents.
 
 A :class:`ColumnarBatch` encodes a batch of documents as three flat
 ``array('q')`` columns — ``pair_ids`` (every document's pair ids,
 concatenated), ``offsets`` (row boundaries into ``pair_ids``,
 ``len(batch) + 1`` entries) and ``doc_ids`` (one id per row, ``-1`` for
-documents without one).  The batch is built in **one pass** over the
-documents; after that, batch consumers (the joiners' batch kernels, the
-wire codec) iterate machine integers instead of per-document Python
-objects.
+documents without one) — built in **one pass** over the documents
+(:meth:`encode`), so the wire codec ships machine integers instead of
+per-document pickles.
 
-Two id spaces share the layout:
-
-* **Kernel batches** (:meth:`from_documents`) take their pair ids from a
-  :class:`~repro.core.interning.PairInterner` — the same component-
-  lifetime dictionary the joiners key their indexes by — so a batch
-  column can be intersected directly against a joiner's postings.
-* **Wire batches** (:meth:`encode`) carry a *frame-local* ``pair_table``
-  instead: ids are dense in first-seen order within the batch and the
-  table maps them back to ``(attribute, value)`` pairs.  Unlike the
-  interner (which mirrors the joiners' value-equality semantics), the
-  table keys by ``(type(value), attribute, value)`` so ``True`` and
-  ``1`` ship separately and decode back to their original types.  A wire
-  batch is therefore fully self-contained: any journaled frame decodes
-  without per-link dictionary state, which is what lets the parallel
-  backend replay stored frames verbatim.
+The ids are *frame-local*: dense in first-seen order within the batch,
+with a ``pair_table`` mapping them back to ``(attribute, value)`` pairs.
+Unlike a :class:`~repro.core.interning.PairInterner` (which mirrors the
+joiners' value-equality semantics), the table keys by ``(type(value),
+attribute, value)`` so ``True`` and ``1`` ship separately and decode
+back to their original types.  A batch is therefore fully
+self-contained: any frame decodes without per-link dictionary state,
+and encoding the same documents again yields the same columns.
 
 The columns expose the buffer protocol (:meth:`buffers`), and
 :meth:`from_buffers` reattaches a batch zero-copy to received
@@ -38,7 +30,6 @@ from array import array
 from typing import Optional, Sequence, Union
 
 from repro.core.document import Document
-from repro.core.interning import EncodedDocument, PairInterner
 
 #: wire value of a missing ``doc_id``
 NO_DOC_ID = -1
@@ -50,7 +41,7 @@ Column = Union[array, memoryview]
 class ColumnarBatch:
     """A batch of documents as flat integer columns (see module docs)."""
 
-    __slots__ = ("doc_ids", "offsets", "pair_ids", "interner", "pair_table", "documents")
+    __slots__ = ("doc_ids", "offsets", "pair_ids", "pair_table", "documents")
 
     def __init__(
         self,
@@ -58,14 +49,12 @@ class ColumnarBatch:
         offsets: Column,
         pair_ids: Column,
         *,
-        interner: Optional[PairInterner] = None,
-        pair_table: Optional[list] = None,
+        pair_table: list,
         documents: Optional[list] = None,
     ) -> None:
         self.doc_ids = doc_ids
         self.offsets = offsets
         self.pair_ids = pair_ids
-        self.interner = interner
         self.pair_table = pair_table
         self.documents = documents
 
@@ -73,62 +62,8 @@ class ColumnarBatch:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_documents(
-        cls, documents: Sequence[Document], interner: PairInterner
-    ) -> "ColumnarBatch":
-        """Kernel batch: one interning pass, ids shared with ``interner``.
-
-        A document already carrying a cached encoding for this interner
-        contributes its ids without re-walking its pairs; a miss interns
-        the pairs *and caches the resulting* :class:`EncodedDocument` on
-        the document, so the joiner probes that follow the batch build
-        (which all go through ``interner.encode``) never re-walk either.
-        The documents themselves are retained (joiners that store rich
-        per-document state — FP-tree paths, verification maps — reach
-        them through :attr:`documents`).
-        """
-        offsets = array("q", (0,))
-        pair_ids = array("q")
-        doc_ids = array("q")
-        known = interner._pair_ids
-        intern = interner._intern_pair
-        pair_attrs = interner._pair_attrs
-        extend = pair_ids.extend
-        total = 0
-        for document in documents:
-            did = document.doc_id
-            doc_ids.append(NO_DOC_ID if did is None else did)
-            cached = document._encoded
-            if cached is not None and cached.interner is interner:
-                ids = cached.pair_ids
-            else:
-                row = []
-                row_append = row.append
-                attr_to_pair = {}
-                for item in document.pairs.items():
-                    pid = known.get(item)
-                    if pid is None:
-                        pid = intern(item)
-                    row_append(pid)
-                    attr_to_pair[pair_attrs[pid]] = pid
-                ids = tuple(row)
-                document._encoded = EncodedDocument(
-                    did, ids, attr_to_pair, interner
-                )
-            extend(ids)
-            total += len(ids)
-            offsets.append(total)
-        return cls(
-            doc_ids,
-            offsets,
-            pair_ids,
-            interner=interner,
-            documents=list(documents),
-        )
-
-    @classmethod
     def encode(cls, documents: Sequence[Document]) -> "ColumnarBatch":
-        """Wire batch: frame-local ids plus a faithful pair table."""
+        """Frame-local ids plus a faithful pair table, in one pass."""
         table_ids: dict = {}
         pair_table: list = []
         offsets = array("q", (0,))
@@ -189,7 +124,7 @@ class ColumnarBatch:
         return cls(doc_ids, offsets, pair_ids, pair_table=pair_table)
 
     def to_documents(self) -> list[Document]:
-        """Materialize the batch's documents (wire batches only).
+        """Materialize the batch's documents.
 
         Idempotent: an encode-side batch returns the original documents;
         a received batch builds them from the table and caches the
@@ -198,8 +133,6 @@ class ColumnarBatch:
         if self.documents is not None:
             return self.documents
         table = self.pair_table
-        if table is None:
-            raise ValueError("kernel batches keep no pair table; use .documents")
         offsets = self.offsets
         pair_ids = self.pair_ids
         out = []
@@ -239,5 +172,4 @@ class ColumnarBatch:
         return self.pair_ids[self.offsets[index] : self.offsets[index + 1]]
 
     def __repr__(self) -> str:  # pragma: no cover - display helper
-        mode = "wire" if self.pair_table is not None else "kernel"
-        return f"<ColumnarBatch {mode} rows={len(self)} pairs={len(self.pair_ids)}>"
+        return f"<ColumnarBatch rows={len(self)} pairs={len(self.pair_ids)}>"

@@ -1,15 +1,14 @@
 """Dictionary encoding of AV-pairs: dense integer ids for the hot paths.
 
 Every hot operation of the reproduction — posting-list lookups in HBJ,
-FP-tree child lookups, partition matching, and routing — is keyed by
+FP-tree child lookups, partition matching — is keyed by
 ``AVPair(str, Value)`` tuples, so the per-tuple cost is dominated by
 hashing and comparing Python strings rather than by the algorithms the
 paper measures.  This module provides the standard remedy from the
 window-indexing literature: a per-component dictionary that maps
 attributes and AV-pairs to dense integer ids, plus an
 :class:`EncodedDocument` view computed **once per document** and reused
-across every partition match, route decision, and joiner probe inside
-that component.
+across every partition match and joiner probe inside that component.
 
 Semantics
 ---------
@@ -25,9 +24,8 @@ Lifetime
 Ids are append-only: an id, once assigned, never changes meaning, so an
 :class:`EncodedDocument` stays valid for the lifetime of the interner
 that produced it.  A dictionary therefore outlives the *indexes built on
-its ids* (posting lists, FP-trees, owner maps), which are what window
-resets and repartitionings evict: an Assigner keeps one interner across
-repartitionings, an HBJ/NLJ joiner keeps one across resets, and all
+its ids* (posting lists, FP-trees), which are what window resets
+evict: an HBJ/NLJ joiner keeps one across resets, and all
 FP-tree Joiner tasks of a process share :func:`process_interner`, whose
 size is bounded by starting a fresh *generation* (a new interner) once
 it holds :data:`PROCESS_INTERNER_PAIRS` pairs.

@@ -12,16 +12,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from time import perf_counter
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from repro.core.columnar import ColumnarBatch
 from repro.core.document import Document
 from repro.join.ordering import AttributeOrder
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-
-#: what the batch entry points accept: a document sequence, or a
-#: pre-built kernel batch (whose interner must be the joiner's own)
-Batch = Union[Sequence[Document], ColumnarBatch]
 
 
 class JoinPair(NamedTuple):
@@ -93,97 +88,6 @@ class LocalJoiner(ABC):
         self._probe_count.inc()
         self._partner_count.inc(len(partners))
         return partners
-
-    # ------------------------------------------------------------------
-    # Batch entry points (columnar data plane)
-    # ------------------------------------------------------------------
-    def probe_batch(self, documents: Batch) -> list[list[int]]:
-        """Probe every document of a batch against the *stored* state.
-
-        Unlike the streaming discipline, batch probing does not see the
-        batch's own documents — probes never mutate state.  Use
-        :meth:`process_batch` for the interleaved probe-then-insert
-        semantics.  Joiners override :meth:`_probe_batch` with columnar
-        kernels; the default is the per-document loop.
-        """
-        if not self._observed:
-            return self._probe_batch(documents)
-        start = perf_counter()
-        results = self._probe_batch(documents)
-        self._probe_seconds.observe(perf_counter() - start)
-        self._probe_count.inc(len(results))
-        self._partner_count.inc(sum(len(partners) for partners in results))
-        return results
-
-    def insert_batch(self, documents: Batch) -> None:
-        """Store a whole batch (bulk-append counterpart of :meth:`add`)."""
-        if not self._observed:
-            self._insert_batch(documents)
-            return
-        start = perf_counter()
-        self._insert_batch(documents)
-        self._insert_seconds.observe(perf_counter() - start)
-        self._insert_count.inc(len(documents))
-
-    def process_batch(self, documents: Batch) -> list[list[int]]:
-        """Probe-then-insert a whole batch, exactly like the streaming loop.
-
-        Equivalent to ``[probe(d) for each d, interleaved with add(d)]``:
-        each document is matched against the stored state *plus the
-        earlier documents of its own batch*, then stored.  This is the
-        hot loop of a windowed run, batch-at-a-time.
-        """
-        if not self._observed:
-            return self._process_batch(documents)
-        start = perf_counter()
-        results = self._process_batch(documents)
-        self._probe_seconds.observe(perf_counter() - start)
-        self._probe_count.inc(len(results))
-        self._partner_count.inc(sum(len(partners) for partners in results))
-        self._insert_count.inc(len(documents))
-        return results
-
-    def _batch_documents(self, documents: Batch) -> Sequence[Document]:
-        """A batch's documents, whichever form the caller passed."""
-        if isinstance(documents, ColumnarBatch):
-            docs = documents.documents
-            if docs is None:
-                raise ValueError("batch carries no documents (decoded wire "
-                                 "batches must be materialized first)")
-            return docs
-        return documents
-
-    def _coerce_batch(self, documents: Batch, interner) -> ColumnarBatch:
-        """``documents`` as a kernel batch over ``interner``.
-
-        A pre-built batch passes through (its ids must come from the
-        joiner's own dictionary — ids from different interners are not
-        comparable); a plain sequence is encoded in one pass.
-        """
-        if isinstance(documents, ColumnarBatch):
-            if documents.interner is not interner:
-                raise ValueError("kernel batch was encoded with a different interner")
-            return documents
-        return ColumnarBatch.from_documents(documents, interner)
-
-    def _probe_batch(self, documents: Batch) -> list[list[int]]:
-        probe = self._probe
-        return [probe(document) for document in self._batch_documents(documents)]
-
-    def _insert_batch(self, documents: Batch) -> None:
-        insert = self._insert
-        for document in self._batch_documents(documents):
-            insert(document)
-
-    def _process_batch(self, documents: Batch) -> list[list[int]]:
-        probe = self._probe
-        insert = self._insert
-        results = []
-        append = results.append
-        for document in self._batch_documents(documents):
-            append(probe(document))
-            insert(document)
-        return results
 
     @abstractmethod
     def _insert(self, document: Document) -> None:

@@ -25,12 +25,11 @@ posting length touched, which is what sinks HBJ on interconnected data.
 from __future__ import annotations
 
 from array import array
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
-from repro.core.columnar import ColumnarBatch
 from repro.core.document import AVPair, Document
 from repro.core.interning import EncodedDocument, PairInterner
-from repro.join.base import Batch, LocalJoiner
+from repro.join.base import LocalJoiner
 from repro.join.ordering import AttributeOrder
 from repro.obs.registry import MetricsRegistry
 
@@ -59,17 +58,12 @@ class HashJoiner(LocalJoiner):
         self._interner: Optional[PairInterner] = PairInterner() if interned else None
         self._index: dict[Union[AVPair, int], Union[list[int], array]] = {}
         self._docs: dict[int, Union[Document, EncodedDocument]] = {}
-        #: batch-kernel view of the index: (pair id -> doc-id set,
-        #: attr id -> doc-id set), materialized lazily by the batch
-        #: kernels and invalidated by per-document inserts
-        self._views: Optional[tuple[dict, dict]] = None
 
     def _insert(self, document: Document) -> None:
         if document.doc_id is None:
             raise ValueError("stored documents need a doc_id")
         doc_id = document.doc_id
         index = self._index
-        self._views = None
         if self._interner is not None:
             # the items tuple is frozen lazily by the first verifying
             # probe; inserts stay append-only
@@ -143,247 +137,11 @@ class HashJoiner(LocalJoiner):
                     accepted.add(doc_id)
         return list(accepted)
 
-    # ------------------------------------------------------------------
-    # Columnar batch kernels
-    # ------------------------------------------------------------------
-    #
-    # The batch kernels replace HBJ's dominant cost — the per-candidate
-    # Python verification loop (~185 candidates per probe on rwData) —
-    # with C-level set algebra over doc-id sets:
-    #
-    #   accepted  = union of the probe pairs' posting sets   (>= 1 shared pair)
-    #   for every probe pair (a, p):
-    #       conflict = (accepted & attr_set[a]) - pair_set[p]
-    #       accepted -= conflict        (shared attribute, different value)
-    #
-    # which is exactly the natural-join condition: a candidate survives
-    # iff none of its shared attributes carries a different pair id.  The
-    # set views of the array postings are materialized once and reused
-    # across the whole batch (and across batches, until a per-document
-    # insert invalidates them) — that amortization is what the flat
-    # batch columns buy over per-document probing.
-
-    def _ensure_views(self) -> tuple[dict, dict]:
-        views = self._views
-        if views is None:
-            pair_sets = {pid: set(posting) for pid, posting in self._index.items()}
-            attr_sets: dict[int, set] = {}
-            for doc_id, encoded in self._docs.items():
-                for aid in encoded.attr_to_pair:
-                    members = attr_sets.get(aid)
-                    if members is None:
-                        attr_sets[aid] = members = set()
-                    members.add(doc_id)
-            self._views = views = (pair_sets, attr_sets)
-        return views
-
-    def _probe_batch(self, documents: Batch) -> list[list[int]]:
-        if self._interner is None:
-            return super()._probe_batch(documents)
-        batch = self._coerce_batch(documents, self._interner)
-        pair_sets, attr_sets = self._ensure_views()
-        pair_get = pair_sets.get
-        attr_get = attr_sets.get
-        pair_attrs = self._interner._pair_attrs
-        offsets = batch.offsets
-        pair_ids = batch.pair_ids
-        results: list[list[int]] = []
-        append = results.append
-        start = offsets[0]
-        for row in range(len(batch)):
-            end = offsets[row + 1]
-            row_ids = pair_ids[start:end]
-            start = end
-            accepted: set = set()
-            update = accepted.update
-            for pid in row_ids:
-                members = pair_get(pid)
-                if members:
-                    update(members)
-            if accepted:
-                for pid in row_ids:
-                    bad = attr_get(pair_attrs[pid])
-                    if bad:
-                        shared = accepted & bad
-                        if shared:
-                            ok = pair_get(pid)
-                            accepted -= shared if ok is None else (shared - ok)
-                            if not accepted:
-                                break
-            append(list(accepted))
-        return results
-
-    def _row_encoded(
-        self, batch: ColumnarBatch, row: int, document: Document
-    ) -> EncodedDocument:
-        """The stored encoding of one batch row, built from the columns.
-
-        Reuses the document's cached encoding when valid; otherwise the
-        row's column slice already carries the interned ids, so the
-        encoding is assembled without re-hashing any pair.
-        """
-        encoded = document._encoded
-        interner = self._interner
-        if encoded is not None and encoded.interner is interner:
-            return encoded
-        row_ids = tuple(batch.pair_ids[batch.offsets[row] : batch.offsets[row + 1]])
-        pair_attrs = interner._pair_attrs
-        encoded = EncodedDocument(
-            document.doc_id,
-            row_ids,
-            {pair_attrs[pid]: pid for pid in row_ids},
-            interner,
-        )
-        document._encoded = encoded
-        return encoded
-
-    def _store_row(
-        self,
-        batch: ColumnarBatch,
-        row: int,
-        document: Document,
-        pair_sets: dict,
-        attr_sets: dict,
-    ) -> None:
-        if document.doc_id is None:
-            raise ValueError("stored documents need a doc_id")
-        doc_id = document.doc_id
-        encoded = self._row_encoded(batch, row, document)
-        self._docs[doc_id] = encoded
-        index = self._index
-        for aid, pid in encoded.attr_to_pair.items():
-            posting = index.get(pid)
-            if posting is None:
-                index[pid] = posting = array("q")
-            posting.append(doc_id)
-            members = pair_sets.get(pid)
-            if members is None:
-                pair_sets[pid] = members = set()
-            members.add(doc_id)
-            members = attr_sets.get(aid)
-            if members is None:
-                attr_sets[aid] = members = set()
-            members.add(doc_id)
-
-    def _insert_batch(self, documents: Batch) -> None:
-        if self._interner is None:
-            super()._insert_batch(documents)
-            return
-        views = self._views
-        if views is None and not isinstance(documents, ColumnarBatch):
-            # Adaptive gate (the NLJ insert-gate pattern): a plain
-            # sequence with no live set views gains nothing from the
-            # columnar form — building the flat columns and the views
-            # just to insert is what made batch inserts slower than the
-            # streaming loop.  Insert per-document; the next batch probe
-            # materializes views over the full index.
-            insert = self._insert
-            for document in documents:
-                insert(document)
-            return
-        batch = self._coerce_batch(documents, self._interner)
-        if views is None:
-            # pre-built batch, no live views: bulk-append the postings
-            # only (the per-document insert's exact cost), views stay
-            # lazy until a probe wants them
-            index = self._index
-            docs = self._docs
-            for row, document in enumerate(batch.documents):
-                if document.doc_id is None:
-                    raise ValueError("stored documents need a doc_id")
-                doc_id = document.doc_id
-                encoded = self._row_encoded(batch, row, document)
-                docs[doc_id] = encoded
-                for pid in encoded.pair_ids:
-                    posting = index.get(pid)
-                    if posting is None:
-                        index[pid] = posting = array("q")
-                    posting.append(doc_id)
-            return
-        pair_sets, attr_sets = views
-        for row, document in enumerate(batch.documents):
-            self._store_row(batch, row, document, pair_sets, attr_sets)
-
-    def _process_batch(self, documents: Batch) -> list[list[int]]:
-        """Probe-then-insert, batch-at-a-time, interleaving-exact.
-
-        Runs the set-algebra probe of :meth:`_probe_batch` against the
-        stored state *and* a batch-local delta of the rows already
-        processed, so results match the per-document streaming loop
-        exactly; the delta then merges into the shared views and the
-        rows bulk-append into the index.
-        """
-        if self._interner is None:
-            return super()._process_batch(documents)
-        batch = self._coerce_batch(documents, self._interner)
-        pair_sets, attr_sets = self._ensure_views()
-        pair_get = pair_sets.get
-        attr_get = attr_sets.get
-        local_pairs: dict[int, set] = {}
-        local_attrs: dict[int, set] = {}
-        local_pair_get = local_pairs.get
-        local_attr_get = local_attrs.get
-        pair_attrs = self._interner._pair_attrs
-        offsets = batch.offsets
-        pair_ids = batch.pair_ids
-        doc_ids = batch.doc_ids
-        results: list[list[int]] = []
-        append = results.append
-        start = offsets[0]
-        for row in range(len(batch)):
-            end = offsets[row + 1]
-            row_ids = pair_ids[start:end]
-            start = end
-            accepted: set = set()
-            update = accepted.update
-            for pid in row_ids:
-                members = pair_get(pid)
-                if members:
-                    update(members)
-                members = local_pair_get(pid)
-                if members:
-                    update(members)
-            if accepted:
-                for pid in row_ids:
-                    aid = pair_attrs[pid]
-                    bad = attr_get(aid)
-                    if bad:
-                        shared = accepted & bad
-                        if shared:
-                            ok = pair_get(pid)
-                            accepted -= shared if ok is None else (shared - ok)
-                            if not accepted:
-                                break
-                    bad = local_attr_get(aid)
-                    if bad:
-                        shared = accepted & bad
-                        if shared:
-                            ok = local_pair_get(pid)
-                            accepted -= shared if ok is None else (shared - ok)
-                            if not accepted:
-                                break
-            append(list(accepted))
-            doc_id = doc_ids[row]
-            for pid in row_ids:
-                members = local_pair_get(pid)
-                if members is None:
-                    local_pairs[pid] = members = set()
-                members.add(doc_id)
-                aid = pair_attrs[pid]
-                members = local_attr_get(aid)
-                if members is None:
-                    local_attrs[aid] = members = set()
-                members.add(doc_id)
-        for row, document in enumerate(batch.documents):
-            self._store_row(batch, row, document, pair_sets, attr_sets)
-        return results
-
     def reset(self) -> None:
         # The window's index and store are evicted; the dictionary is
         # component-lifetime state and survives (ids never change).
         self._index.clear()
         self._docs.clear()
-        self._views = None
 
     def __len__(self) -> int:
         return len(self._docs)

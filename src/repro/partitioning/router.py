@@ -6,32 +6,21 @@ AV-pair with; documents matching no partition (unseen AV-pairs, or
 broadcast-flagged by an expansion plan) are emitted to *all* machines so
 the join result stays exact (Section VI-A).
 
-Two owner maps back the routing decision.  The *pair-keyed* map
-(``(attribute, value) -> machines``) serves the per-document path:
-every document is routed exactly once, so paying an interner encode
-per document never amortizes — :meth:`route` walks ``pairs.items()``
-directly and touches no dictionary-encoding machinery unless the
-document already carries a cached encoding.  The *id-keyed* map
-(``pair id -> machines``) serves encoded inputs: documents whose
-:class:`~repro.core.interning.EncodedDocument` view is already cached,
-and whole :class:`~repro.core.columnar.ColumnarBatch` columns via
-:meth:`route_batch`, which fuses route + encode into one pass over the
-flat pair-id arrays.  The interner is typically owned by the enclosing
-component (the Assigner) and shared across successive routers, so
-encodings survive repartitioning.
+One owner map backs the routing decision, keyed by the pair itself
+(``(attribute, value) -> machines``): every document is routed exactly
+once, so a dictionary encode per document would never amortize —
+:meth:`route` walks ``pairs.items()`` directly.  Dict keys carry the
+same value equality as :class:`~repro.core.interning.PairInterner` ids:
+``("a", 1)``, ``("a", True)`` and ``("a", 1.0)`` are one key.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from repro.core.document import AVPair, Document
-from repro.core.interning import PairInterner
 from repro.partitioning.base import Partition
 from repro.partitioning.expansion import ExpansionPlan
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.columnar import ColumnarBatch
 
 
 class RoutingDecision(NamedTuple):
@@ -61,22 +50,13 @@ class DocumentRouter:
     expansion:
         Optional expansion plan; incoming documents are transformed
         before matching, exactly as the partition sample was.
-    interner:
-        Pair dictionary used to encode partitions and documents.  Pass
-        the owning component's interner so encodings survive router
-        replacement at repartitioning; a private one is created if
-        omitted.
     """
 
     def __init__(
         self,
         partitions: Sequence[Partition],
         expansion: Optional[ExpansionPlan] = None,
-        interner: Optional[PairInterner] = None,
     ):
-        if not partitions:
-            raise ValueError("router needs at least one partition")
-        self.interner = interner if interner is not None else PairInterner()
         self.swap(partitions, expansion)
 
     def swap(
@@ -90,42 +70,31 @@ class DocumentRouter:
         then installed, so a concurrent reader (an elastic migration
         draining mid-repartition, a metrics sampler) always observes
         either the old routing tables or the new ones — never a
-        half-built map.  Identity and the shared interner are preserved,
-        which is what lets components hold a router reference across
-        repartitionings instead of re-resolving it per window.
+        half-built map.  Identity is preserved, which is what lets
+        components hold a router reference across repartitionings
+        instead of re-resolving it per window.
         """
         if not partitions:
             raise ValueError("router needs at least one partition")
         m = len(partitions)
-        #: pair id -> owning machine indices; sets are the mutable truth
+        #: pair -> owning machine indices; sets are the mutable truth
         #: (``add_pair``), tuples the read-optimized routing view
-        owner_sets: dict[int, set[int]] = {}
-        pair_id = self.interner.pair_id
+        owner_sets: dict[AVPair, set[int]] = {}
         for partition in partitions:
             for pair in partition.pairs:
-                owner_sets.setdefault(pair_id(*pair), set()).add(
-                    partition.index
-                )
-        owners: dict[int, tuple[int, ...]] = {
-            pid: tuple(machines) for pid, machines in owner_sets.items()
+                owner_sets.setdefault(pair, set()).add(partition.index)
+        owners: dict[AVPair, tuple[int, ...]] = {
+            pair: tuple(machines) for pair, machines in owner_sets.items()
         }
-        #: the same ownership keyed by the raw pair, for the un-encoded
-        #: per-document path (each document routes exactly once, so an
-        #: encode per document is pure overhead)
-        pair = self.interner.pair
-        owners_by_pair: dict[AVPair, tuple[int, ...]] = {
-            pair(pid): machines for pid, machines in owners.items()
-        }
-        # installation point: every map is complete; plain attribute
-        # stores are atomic, and route()/route_batch() read each map
-        # through a single local binding
+        # installation point: both maps are complete; plain attribute
+        # stores are atomic, and route() reads the map through a single
+        # local binding
         self.partitions = list(partitions)
         self.expansion = expansion
         self.m = m
         self._all = tuple(range(m))
         self._owner_sets = owner_sets
         self._owners = owners
-        self._owners_by_pair = owners_by_pair
 
     def route(self, document: Document) -> RoutingDecision:
         """Decide the target machines for ``document``.
@@ -141,29 +110,9 @@ class DocumentRouter:
             document, broadcast = self.expansion.transform(document)
             if broadcast:
                 return RoutingDecision(self._all, broadcast=True)
-        encoded = document._encoded
-        if encoded is not None and encoded.interner is self.interner:
-            # already dictionary-encoded for this router: id-keyed lookups
-            targets: set[int] = set()
-            unseen_ids: list[int] = []
-            owner_map = self._owners
-            for pid in encoded.pair_ids:
-                owners = owner_map.get(pid)
-                if owners:
-                    targets.update(owners)
-                else:
-                    unseen_ids.append(pid)
-            if unseen_ids or not targets:
-                pair = self.interner.pair
-                return RoutingDecision(
-                    self._all,
-                    broadcast=True,
-                    unseen_pairs=tuple(pair(pid) for pid in unseen_ids),
-                )
-            return RoutingDecision(tuple(sorted(targets)), broadcast=False)
-        targets = set()
+        targets: set[int] = set()
         unseen: list[AVPair] = []
-        pair_map = self._owners_by_pair
+        pair_map = self._owners
         for item in document.pairs.items():
             owners = pair_map.get(item)
             if owners:
@@ -178,60 +127,12 @@ class DocumentRouter:
             )
         return RoutingDecision(tuple(sorted(targets)), broadcast=False)
 
-    def route_batch(self, batch: "ColumnarBatch") -> list[RoutingDecision]:
-        """Route a whole kernel batch in one pass over its flat columns.
-
-        ``batch`` must be a kernel batch encoded with this router's
-        interner (:meth:`ColumnarBatch.from_documents`): its ``pair_ids``
-        column is walked once, row boundaries coming from ``offsets``,
-        with no per-document object construction — the vectorized
-        counterpart of calling :meth:`route` per document, returning the
-        identical decisions in row order.
-        """
-        if batch.interner is not self.interner:
-            raise ValueError("batch was encoded with a different interner")
-        owner_map = self._owners
-        owner_get = owner_map.get
-        pair = self.interner.pair
-        all_machines = self._all
-        offsets = batch.offsets
-        pair_ids = batch.pair_ids
-        decisions: list[RoutingDecision] = []
-        append = decisions.append
-        start = offsets[0]
-        for row in range(len(batch)):
-            end = offsets[row + 1]
-            targets: set[int] = set()
-            unseen: list[int] = []
-            for i in range(start, end):
-                pid = pair_ids[i]
-                owners = owner_get(pid)
-                if owners:
-                    targets.update(owners)
-                else:
-                    unseen.append(pid)
-            start = end
-            if unseen or not targets:
-                append(
-                    RoutingDecision(
-                        all_machines,
-                        broadcast=True,
-                        unseen_pairs=tuple(pair(pid) for pid in unseen),
-                    )
-                )
-            else:
-                append(RoutingDecision(tuple(sorted(targets)), broadcast=False))
-        return decisions
-
     def add_pair(self, pair: AVPair, partition_index: int) -> None:
         """Apply a partition *update*: graft one pair onto a partition."""
         self.partitions[partition_index].pairs.add(pair)
-        pid = self.interner.pair_id(*pair)
-        owners = self._owner_sets.setdefault(pid, set())
+        owners = self._owner_sets.setdefault(pair, set())
         owners.add(partition_index)
-        self._owners[pid] = tuple(owners)
-        self._owners_by_pair[pair] = self._owners[pid]
+        self._owners[pair] = tuple(owners)
 
     def owns(self, pair: AVPair) -> bool:
-        pid = self.interner.peek_pair_id(*pair)
-        return pid is not None and pid in self._owners
+        return pair in self._owners

@@ -52,8 +52,10 @@ the emissions back.  Three properties keep runs exact and replayable:
 
 Crash recovery (the upstream-backup story, ``docs/fault_tolerance.md``):
 the parent journals every batch shipped to a worker since the last
-barrier — with tumbling windows, a worker's state is exactly replayable
-from that journal, so no checkpointing is needed.  Under a
+barrier, as the raw entries it encoded — with tumbling windows, a
+worker's state is exactly replayable from that journal, so no
+checkpointing is needed, and since encoding is deterministic a replayed
+batch re-encodes to the bytes of its first send.  Under a
 :class:`~repro.streaming.recovery.RestartPolicy`, a dead worker is
 replaced by a fresh spawn over a fresh link (the parent's task copies
 are pristine — it never executes remote tasks itself) and its journal
@@ -101,7 +103,7 @@ import os
 import random
 from collections import deque
 from time import monotonic, sleep
-from typing import Any, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.exceptions import TopologyError, TupleProcessingError, WorkerCrashError
 from repro.faults import FaultPlan
@@ -127,15 +129,15 @@ from repro.streaming.recovery import (
 )
 from repro.streaming.topology import Topology
 from repro.streaming.transport import (
-    IDENTITY_CODEC,
     LinkDown,
     Transport,
+    WireCodec,
     WorkerCollector,
     WorkerInit,
     WorkerLink,
     make_transport,
 )
-from repro.streaming.transport.framing import BufferFrame, parse_address
+from repro.streaming.transport.framing import parse_address
 from repro.streaming.tuples import (
     StreamTuple,
     lowest_owner,
@@ -211,7 +213,8 @@ class _WorkerHandle:
         self.awaiting_snapshot = False
         #: upstream backup: batch seq -> raw entries, everything shipped
         #: since the last *completed* barrier (entries at or below a
-        #: completed barrier's seq are dropped at completion time)
+        #: completed barrier's seq are dropped at completion time); a
+        #: replay re-encodes them into the bytes of the first send
         self.journal: dict[int, list] = {}
         #: cross-window control entries (sticky streams) as ``(batch
         #: seq, entry)`` — never cleared
@@ -279,9 +282,6 @@ class ParallelCluster(ClusterBase):
         ``host:port`` addresses, one worker per entry (``tcp://host:port``
         attaches to an already-running worker instead of spawning one).
         Defaults to ``min(#remote tasks, os.cpu_count())``.
-    n_workers:
-        Pre-transport-era spelling of a ``workers`` count; still
-        honored, but new code should pass ``workers``.
     batch_size / linger_s:
         Size and age bounds of shipped batches.
     max_inflight:
@@ -295,19 +295,12 @@ class ParallelCluster(ClusterBase):
         acks drain.  Emission release order is seq-deterministic at
         every depth, so results are byte-identical across settings.
     codec:
-        Optional per-stream wire codec with ``encode(stream, values)`` /
-        ``decode(stream, values)`` (e.g.
-        :func:`repro.topology.messages.wire_codec`); defaults to
-        pass-through pickling.  If the codec exposes ``link_codec()``,
-        one instance per worker link is created *before* spawning:
-        parent-side encoding and worker-side decoding of that link then
-        share (initially identical) state, which lets stateful codecs
-        dictionary-compress repeated payloads over the link's FIFO
-        channel.  A replacement worker gets a fresh link codec (again
-        created before its spawn), and its journal is re-encoded from
-        the raw tuples — so replay never depends on the dead link's
-        state.  Worker->parent emissions always use the shared base
-        codec.
+        The :class:`~repro.streaming.transport.WireCodec` that frames
+        every parent->worker batch and encodes emissions back (e.g.
+        :func:`repro.topology.messages.wire_codec`); defaults to the
+        base codec, which pickles every entry into the frame's
+        envelope.  One stateless instance serves every link and every
+        incarnation.
     dead_letters / fault_plan:
         As on :class:`~repro.streaming.executor.ClusterBase`; both are
         honored inside worker processes (quarantined tuples travel back
@@ -335,7 +328,6 @@ class ParallelCluster(ClusterBase):
         restart_policy: Optional[RestartPolicy] = None,
         transport: Union[str, Transport] = "pipe",
         workers: Optional[Union[int, Sequence[str]]] = None,
-        n_workers: Optional[int] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         linger_s: float = DEFAULT_LINGER_S,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
@@ -362,10 +354,6 @@ class ParallelCluster(ClusterBase):
             raise TopologyError(
                 f"pipeline_depth must be >= 0, got {pipeline_depth}"
             )
-        if workers is not None and n_workers is not None:
-            raise TopologyError("pass either workers or n_workers, not both")
-        if workers is None:
-            workers = n_workers
         addresses: Optional[tuple[str, ...]] = None
         if workers is not None and not isinstance(workers, int):
             addresses = tuple(workers)
@@ -396,7 +384,7 @@ class ParallelCluster(ClusterBase):
         self._max_inflight = max_inflight
         self._pipeline_depth = pipeline_depth
         self._barrier_timeout_s = barrier_timeout_s
-        self._codec = codec if codec is not None else IDENTITY_CODEC
+        self._codec = codec if codec is not None else WireCodec()
         if elastic is not None and elastic.shed and dead_letters is None:
             raise TopologyError(
                 "ElasticPolicy.shed quarantines tuples on the dead-letter "
@@ -431,19 +419,11 @@ class ParallelCluster(ClusterBase):
         if workers is None:
             workers = min(len(remote_tasks), os.cpu_count() or 1)
         n = max(1, min(workers, len(remote_tasks))) if remote_tasks else 0
-        self.n_workers = n
         self._assignments: list[list[tuple[str, int]]] = [[] for _ in range(n)]
         for i, key in enumerate(remote_tasks):
             self._assignments[i % n].append(key)
         self._workers: list[_WorkerHandle] = [
             _WorkerHandle(i, assigned) for i, assigned in enumerate(self._assignments)
-        ]
-        # One codec per parent->worker link, created pre-spawn so both
-        # sides of a stateful codec start from the same (empty) state.
-        link_factory = getattr(self._codec, "link_codec", None)
-        self._link_codecs = [
-            link_factory() if link_factory is not None else self._codec
-            for _ in range(n)
         ]
         self._placement: dict[tuple[str, int], _WorkerHandle] = {}
         for handle in self._workers:
@@ -471,6 +451,11 @@ class ParallelCluster(ClusterBase):
     def transport_name(self) -> str:
         return self._transport.name
 
+    @property
+    def worker_count(self) -> int:
+        """Worker slots in the pool (scale-downs retire theirs)."""
+        return sum(not handle.retired for handle in self._workers)
+
     # ------------------------------------------------------------------
     # Worker lifecycle
     # ------------------------------------------------------------------
@@ -480,8 +465,7 @@ class ParallelCluster(ClusterBase):
             worker_index=handle.index,
             incarnation=handle.incarnation,
             tasks={key: self._tasks[key[0]][key[1]] for key in handle.assigned},
-            link_codec=self._link_codecs[handle.index],
-            emit_codec=self._codec,
+            codec=self._codec,
             registry=self.registry,
             max_retries=self.max_retries,
             quarantine=self.dead_letters is not None,
@@ -577,8 +561,7 @@ class ParallelCluster(ClusterBase):
             handle.delivered_docs[key] = handle.delivered_docs.get(key, 0) + 1
         if not handle.buffer:
             handle.buffer_since = monotonic()
-        # buffered raw: encoding happens at flush time, so a journal
-        # replay can re-encode with a replacement link's fresh codec
+        # buffered raw: the journal keeps raw entries, every send encodes
         handle.buffer.append((component, lowest_owner(mask), tup, mask))
         if tup.stream in self._barrier_streams:
             self._barrier_pending = True
@@ -613,22 +596,6 @@ class ParallelCluster(ClusterBase):
                 )
             )
 
-    def _encode_batch(self, handle: _WorkerHandle, raw: list) -> list:
-        encode = self._link_codecs[handle.index].encode
-        return [
-            (
-                component,
-                task_index,
-                tup.stream,
-                tup.source,
-                tup.source_task,
-                tup.direct_task,
-                encode(tup.stream, tup.values),
-                mask,
-            )
-            for component, task_index, tup, mask in raw
-        ]
-
     def _flush(self, handle: _WorkerHandle) -> None:
         if not handle.buffer or handle.degraded:
             return
@@ -640,16 +607,8 @@ class ParallelCluster(ClusterBase):
         seq = self._batch_seq
         raw = handle.buffer
         handle.buffer = []
-        codec = self._link_codecs[handle.index]
-        if getattr(codec, "supports_frames", False):
-            # columnar wire path: encode once into a self-contained
-            # frame and journal *the frame* — a crash replay re-ships
-            # the journaled bytes verbatim, never re-encoding
-            message: Any = codec.encode_batch(seq, raw)
-            handle.journal[seq] = message
-        else:
-            message = ("batch", seq, self._encode_batch(handle, raw))
-            handle.journal[seq] = raw
+        message = self._codec.encode_batch(seq, raw)
+        handle.journal[seq] = raw
         if self._sticky_streams:
             handle.sticky.extend(
                 (seq, entry)
@@ -1007,11 +966,8 @@ class ParallelCluster(ClusterBase):
             handle.link = None
 
     def _respawn(self, handle: _WorkerHandle) -> None:
-        """Spawn a replacement worker with a fresh link codec."""
+        """Spawn a replacement worker over a fresh link."""
         self._reap(handle)
-        link_factory = getattr(self._codec, "link_codec", None)
-        if link_factory is not None:
-            self._link_codecs[handle.index] = link_factory()
         handle.incarnation += 1
         if self.registry.enabled:
             # a mid-run replacement inherits everything the parent
@@ -1020,45 +976,13 @@ class ParallelCluster(ClusterBase):
             handle.fork_baseline = self.registry.snapshot()
         self._spawn(handle)
 
-    def _replay_send(self, handle: _WorkerHandle, seq: int, stored) -> None:
+    def _replay_send(self, handle: _WorkerHandle, seq: int, entries: list) -> None:
+        """Re-ship raw entries under ``seq``: encoding is deterministic,
+        so a journaled batch goes out bit-identical to its first send."""
         try:
-            if isinstance(stored, BufferFrame):
-                # zero re-encode: the journaled frame ships bit-identical
-                # to its first send
-                handle.link.send(stored)
-            else:
-                handle.link.send(("batch", seq, self._encode_batch(handle, stored)))
+            handle.link.send(self._codec.encode_batch(seq, entries))
         except LinkDown:
             raise _WorkerLost from None
-
-    def _journal_entries(self, handle: _WorkerHandle, stored) -> list:
-        """Journaled batch → raw ``(component, task_index, tup, mask)`` entries.
-
-        Frame-codec journals store encoded frames; inline degradation
-        needs the tuples back, so frames are decoded through the same
-        codec path a worker would use (the decoded documents are
-        value-identical to the originals by the wire round-trip
-        guarantee).
-        """
-        if not isinstance(stored, BufferFrame):
-            return stored
-        _seq, entries = self._link_codecs[handle.index].decode_batch(stored)
-        return [
-            (
-                component,
-                task_index,
-                StreamTuple(
-                    stream=stream,
-                    values=values,
-                    source=source,
-                    source_task=source_task,
-                    direct_task=direct,
-                ),
-                mask,
-            )
-            for component, task_index, stream, source, source_task, direct, values, mask
-            in entries
-        ]
 
     def _replay(self, handle: _WorkerHandle) -> None:
         """Re-ship sticky history plus the window journal to a fresh link.
@@ -1135,7 +1059,7 @@ class ParallelCluster(ClusterBase):
             acked = seq not in handle.pending
             emissions: Optional[list] = None if acked else []
             for entry_index, (component, _lowest, tup, mask) in enumerate(
-                self._journal_entries(handle, handle.journal[seq])
+                handle.journal[seq]
             ):
                 for task_index in owners_of(mask):
                     self._replay_inline(
@@ -1311,16 +1235,11 @@ class ParallelCluster(ClusterBase):
         self._assignments.append(assigned)
         handle = _WorkerHandle(index, assigned)
         self._workers.append(handle)
-        link_factory = getattr(self._codec, "link_codec", None)
-        self._link_codecs.append(
-            link_factory() if link_factory is not None else self._codec
-        )
         if self.registry.enabled:
             # like a respawn: the new worker inherits the registry state
             # shipped in its init — remember it for snapshot subtraction
             handle.fork_baseline = self.registry.snapshot()
         self._spawn(handle)
-        self.n_workers += 1
         return handle
 
     def _drain_worker(self, handle: _WorkerHandle) -> bool:
@@ -1388,7 +1307,7 @@ class ParallelCluster(ClusterBase):
         # death mid-ship leaves a consistent merged state behind)
         moved_journal: dict[int, list] = {}
         for seq in sorted(src.journal):
-            entries = self._journal_entries(src, src.journal[seq])
+            entries = src.journal[seq]
             kept, moved = split_entries(entries, moving)
             if not moved:
                 continue
@@ -1403,12 +1322,8 @@ class ParallelCluster(ClusterBase):
                 src.journal_nbytes[seq] = nbytes - moved_share
             else:
                 del src.journal[seq]
-            if seq in dst.journal:  # an earlier migration shared this seq
-                dst.journal[seq] = (
-                    self._journal_entries(dst, dst.journal[seq]) + moved
-                )
-            else:
-                dst.journal[seq] = moved
+            # an earlier migration may have shared this seq
+            dst.journal[seq] = dst.journal.get(seq, []) + moved
             dst.journal_nbytes[seq] = (
                 dst.journal_nbytes.get(seq, 0) + moved_share
             )
@@ -1514,7 +1429,6 @@ class ParallelCluster(ClusterBase):
         handle.sticky_mark = 0
         handle.suppress.clear()
         handle.delivered_docs.clear()
-        self.n_workers -= 1
 
     def _release_emissions_upto(self, max_seq: int) -> bool:
         """Re-inject stashed remote emissions of batches at or below

@@ -10,10 +10,10 @@ processes).  See ``docs/distributed.md`` for the contract.
 """
 
 from repro.streaming.transport.base import (
-    IDENTITY_CODEC,
     LinkDown,
     Transport,
     TRANSPORTS,
+    WireCodec,
     WorkerInit,
     WorkerLink,
     available_transports,
@@ -27,12 +27,12 @@ from repro.streaming.transport.pipe import PipeTransport  # noqa: E402
 from repro.streaming.transport.tcp import SocketTransport  # noqa: E402
 
 __all__ = [
-    "IDENTITY_CODEC",
     "LinkDown",
     "PipeTransport",
     "SocketTransport",
     "Transport",
     "TRANSPORTS",
+    "WireCodec",
     "WorkerCollector",
     "WorkerInit",
     "WorkerLink",

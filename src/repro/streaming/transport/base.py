@@ -7,7 +7,7 @@ messages to and from them.  The contract, which the conformance suite
 in ``tests/streaming/test_transport.py`` pins for every implementation:
 
 * :meth:`Transport.spawn` takes a :class:`WorkerInit` — the complete,
-  self-contained worker bootstrap (task instances, codecs, registry,
+  self-contained worker bootstrap (task instances, codec, registry,
   fault plan) — and returns a live :class:`WorkerLink`.  Respawning a
   worker slot is just another ``spawn`` with a bumped incarnation.
 * :meth:`WorkerLink.send` preserves order per link and raises
@@ -27,6 +27,10 @@ Implementations: :class:`~repro.streaming.transport.pipe.PipeTransport`
 (fork + duplex pipe, single host) and
 :class:`~repro.streaming.transport.tcp.SocketTransport` (length-prefixed
 frames over TCP to ``python -m repro.worker`` processes).
+
+Every parent→worker batch crosses the seam as one
+:class:`~repro.streaming.transport.framing.BufferFrame` built by the
+cluster's :class:`WireCodec`.
 """
 
 from __future__ import annotations
@@ -38,23 +42,114 @@ from typing import Any, Optional, Sequence
 from repro.exceptions import TopologyError
 from repro.faults import FaultPlan
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
+from repro.streaming.transport.framing import BufferFrame
 
 
 class LinkDown(Exception):
     """Raised by :meth:`WorkerLink.send` once the worker is unreachable."""
 
 
-class _IdentityCodec:
-    """Pass-through wire codec (payloads pickle as-is)."""
+class WireCodec:
+    """How payloads and parent→worker batches cross a process boundary.
+
+    Per-stream encodings (:meth:`register`) strip rich payloads to plain
+    tuples for pickling; unregistered streams pass through unchanged.
+    :meth:`encode_batch` turns one batch into a :class:`BufferFrame`
+    whose envelope is ``("frame", seq, slots, columns)``: an entry
+    travels as a pickled *slot* ``(component, task_index, stream,
+    source, source_task, direct, encoded values, mask)`` unless a
+    subclass lays it out as columns (:meth:`_columnar`) — then its slot
+    is its row number, the rows travel in the frame's raw buffers and
+    ``columns`` is whatever the subclass needs to read them back.  A
+    batch whose every entry is a row ships the row count instead of the
+    slot list.  The base codec lays out nothing.
+
+    A codec is stateless and its encoding deterministic: every link and
+    every incarnation of a worker shares one instance, and encoding the
+    same entries again yields the same bytes — which is why the cluster
+    journals raw entries and re-encodes them on replay.
+    """
+
+    def __init__(self) -> None:
+        self._encoders: dict = {}
+        self._decoders: dict = {}
+
+    def register(self, stream: str, encode, decode) -> None:
+        self._encoders[stream] = encode
+        self._decoders[stream] = decode
 
     def encode(self, stream: str, values: tuple) -> tuple:
-        return values
+        encoder = self._encoders.get(stream)
+        return encoder(values) if encoder is not None else values
 
     def decode(self, stream: str, values: tuple) -> tuple:
-        return values
+        decoder = self._decoders.get(stream)
+        return decoder(values) if decoder is not None else values
 
+    def encode_batch(self, seq: int, entries: list) -> BufferFrame:
+        """``(component, task_index, StreamTuple, mask)`` entries → frame
+        (a three-field entry is the one-bit mask of its task)."""
+        slots: list = []
+        rows: list = []
+        encode = self.encode
+        columnar = self._columnar
+        for entry in entries:
+            if len(entry) == 4:
+                component, task_index, tup, mask = entry
+            else:
+                component, task_index, tup = entry
+                mask = 1 << task_index
+            if columnar(tup, mask):
+                slots.append(len(rows))
+                rows.append((component, tup, mask))
+            else:
+                slots.append(
+                    (
+                        component,
+                        task_index,
+                        tup.stream,
+                        tup.source,
+                        tup.source_task,
+                        tup.direct_task,
+                        encode(tup.stream, tup.values),
+                        mask,
+                    )
+                )
+        columns, buffers = self._encode_columns(rows)
+        wire_slots = len(rows) if len(rows) == len(slots) else tuple(slots)
+        return BufferFrame(("frame", seq, wire_slots, columns), buffers)
 
-IDENTITY_CODEC = _IdentityCodec()
+    def decode_batch(self, frame: BufferFrame) -> tuple[int, list]:
+        """A received frame → ``(seq, entries)`` with **decoded** values.
+
+        Entries come back in batch order as ``(component, task_index,
+        stream, source, source_task, direct, values, mask)``; the session
+        feeds them straight to tasks.
+        """
+        _kind, seq, slots, columns = frame.envelope
+        rows = self._decode_columns(columns, frame.buffers)
+        if type(slots) is int:
+            return seq, rows
+        decode = self.decode
+        return seq, [
+            rows[slot]
+            if type(slot) is int
+            else slot[:6] + (decode(slot[2], slot[6]), slot[7])
+            for slot in slots
+        ]
+
+    # Column layout hooks; the base codec ships every entry as a slot.
+    def _columnar(self, tup, mask: int) -> bool:
+        """True for an entry this codec ships as a column row."""
+        return False
+
+    def _encode_columns(self, rows: list) -> tuple[Any, list]:
+        """``(component, tup, mask)`` rows → ``(columns, buffers)``."""
+        return None, []
+
+    def _decode_columns(self, columns: Any, buffers: list) -> list:
+        """The rows of :meth:`_encode_columns` back as decoded entries."""
+        return []
 
 
 @dataclass
@@ -68,18 +163,15 @@ class WorkerInit:
     shipped registry — so a fresh-interpreter worker sees the same
     object graph a forked one inherits.
 
-    ``link_codec`` decodes parent→worker traffic and must start from
-    state identical to the parent-side encoder of this link (the cluster
-    creates the pair before spawning); ``emit_codec`` encodes
-    worker→parent emissions and must be stateless.
+    ``codec`` decodes parent→worker batches and encodes worker→parent
+    emissions; it is the cluster's own (stateless) :class:`WireCodec`.
     """
 
     worker_index: int
     incarnation: int
     #: (component, task_index) → prepared task instance
     tasks: dict[tuple[str, int], Any]
-    link_codec: Any = IDENTITY_CODEC
-    emit_codec: Any = IDENTITY_CODEC
+    codec: WireCodec = field(default_factory=WireCodec)
     registry: MetricsRegistry = field(default_factory=lambda: NULL_REGISTRY)
     max_retries: int = 0
     quarantine: bool = False

@@ -11,19 +11,19 @@ entrypoint is a thin receive loop around one session:
 * the socket worker (:mod:`repro.worker`) reads frames off an asyncio
   stream and writes the replies back on the same connection.
 
-The message vocabulary (plain tuples, first element is the kind):
+The message vocabulary (a batch is a frame; everything else is a plain
+tuple whose first element is the kind):
 
 parent → worker
-    ``("batch", seq, entries)`` — entries are ``(component, task_index,
-    stream, source, source_task, direct, values, mask)``: one tuple for
-    every task of this worker in ``mask``, ``task_index`` the lowest —
-    ``("adopt", tasks)`` and ``("disown", keys)`` (live partition
-    migration hands a worker task instances mid-run and tells the
-    worker they left to let them go), ``("snapshot",)``, ``("stop",)``;
-    a batch may also arrive as a
-    :class:`~repro.streaming.transport.framing.BufferFrame` whose
-    envelope and buffers the link codec's ``decode_batch`` turns back
-    into ``(seq, entries)`` (the columnar wire path)
+    every batch is one
+    :class:`~repro.streaming.transport.framing.BufferFrame`, which the
+    codec's ``decode_batch`` turns back into ``(seq, entries)`` with
+    entries ``(component, task_index, stream, source, source_task,
+    direct, values, mask)`` — one tuple for every task of this worker
+    in ``mask``, ``task_index`` the lowest; ``("adopt", tasks)`` and
+    ``("disown", keys)`` (live partition migration hands a worker task
+    instances mid-run and tells the worker they left to let them go),
+    ``("snapshot",)``, ``("stop",)``
 worker → parent
     ``("ack", seq, worker_index, counts, failures, emissions, dead,
     busy_s)`` — ``busy_s`` is the worker-side wall time spent executing
@@ -117,7 +117,7 @@ class WorkerSession:
         self.stopped = False
         self._registry = init.registry
         self._obs = init.registry.enabled
-        self._link_codec = init.link_codec
+        self._codec = init.codec
         self._max_retries = init.max_retries
         self._quarantine = init.quarantine
         plan = init.fault_plan
@@ -126,7 +126,6 @@ class WorkerSession:
             if plan is not None
             else None
         )
-        self._emit_codec = init.emit_codec
         #: component -> task index -> task / its collector
         self._tasks: dict[str, dict[int, Any]] = {}
         self._collectors: dict[str, dict[int, WorkerCollector]] = {}
@@ -137,7 +136,7 @@ class WorkerSession:
         for (component, task_index), task in tasks.items():
             self._tasks.setdefault(component, {})[task_index] = task
             self._collectors.setdefault(component, {})[task_index] = (
-                WorkerCollector(component, task_index, self._emit_codec)
+                WorkerCollector(component, task_index, self._codec)
             )
             if component not in self._hists:
                 self._hists[component] = self._registry.histogram(
@@ -147,11 +146,8 @@ class WorkerSession:
     def handle(self, message) -> list[tuple]:
         """Process one parent message; return the replies to ship back."""
         if isinstance(message, BufferFrame):
-            seq, entries = self._link_codec.decode_batch(message)
-            return [self._handle_batch(seq, entries, decoded=True)]
+            return [self._handle_batch(*self._codec.decode_batch(message))]
         kind = message[0]
-        if kind == "batch":
-            return [self._handle_batch(message[1], message[2])]
         if kind == "adopt":
             return [self._handle_adopt(message[1])]
         if kind == "disown":
@@ -192,7 +188,7 @@ class WorkerSession:
                 task.leave_executor()
                 del self._collectors[component][task_index]
 
-    def _handle_batch(self, seq: int, entries: list, decoded: bool = False) -> tuple:
+    def _handle_batch(self, seq: int, entries: list) -> tuple:
         faults = self._faults
         if faults is not None:
             exit_code = faults.kill_on_batch()
@@ -214,13 +210,7 @@ class WorkerSession:
         dead: list[tuple] = []
         for entry_index, entry in enumerate(entries):
             component, task_index, stream, source, source_task, direct, values, mask = entry
-            tup = StreamTuple(
-                stream,
-                values if decoded else self._link_codec.decode(stream, values),
-                source,
-                source_task,
-                direct,
-            )
+            tup = StreamTuple(stream, values, source, source_task, direct)
             tasks = self._tasks[component]
             collectors = self._collectors[component]
             if mask == 1 << task_index:

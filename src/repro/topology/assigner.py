@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.document import AVPair
-from repro.core.interning import PairInterner
 from repro.obs.registry import NULL_REGISTRY
 from repro.partitioning.router import DocumentRouter
 from repro.streaming.component import Bolt, Collector, ComponentContext
@@ -44,9 +43,6 @@ class AssignerBolt(Bolt):
         self._n_joiners = 0
         self._all_joiners: tuple[int, ...] = ()
         self._router: Optional[DocumentRouter] = None
-        #: component-lifetime pair dictionary, shared by every router this
-        #: Assigner creates so document encodings survive repartitionings
-        self._interner = PairInterner()
         self._current: Optional[msg.PartitionSet] = None
         self._unseen_counts: dict[AVPair, int] = {}
         self._requested: set[AVPair] = set()
@@ -197,16 +193,13 @@ class AssignerBolt(Bolt):
         self._current = partition_set
         if self._router is not None:
             # repartitioning: rebuild the owner maps in place so anything
-            # holding a router reference (and the cached encodings keyed
-            # by its interner) survives the swap
+            # holding a router reference survives the swap
             self._router.swap(
                 partition_set.partitions, partition_set.expansion
             )
         else:
             self._router = DocumentRouter(
-                partition_set.partitions,
-                expansion=partition_set.expansion,
-                interner=self._interner,
+                partition_set.partitions, expansion=partition_set.expansion
             )
         self._unseen_counts.clear()
         self._requested.clear()

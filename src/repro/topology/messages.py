@@ -30,13 +30,17 @@ stream                    producer -> consumer      payload
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.columnar import ColumnarBatch
 from repro.core.document import AVPair
 from repro.join.ordering import AttributeOrder
 from repro.partitioning.base import Partition
 from repro.partitioning.expansion import ExpansionPlan
+from repro.streaming.transport.base import WireCodec
+from repro.streaming.tuples import lowest_owner
 
 # Stream names -------------------------------------------------------------
 DOCS = "docs"
@@ -151,46 +155,6 @@ class JoinerWindowStats:
 # Wire encoding ------------------------------------------------------------
 
 
-class WireCodec:
-    """Per-stream compact encodings for tuples crossing a process boundary.
-
-    The parallel executor pickles whole tuple batches; for streams not
-    registered here the payload passes through pickle unchanged.  The
-    two high-volume streams crossing the Joiner boundary get explicit
-    plain-tuple forms: rich objects (documents, stats dataclasses, pair
-    sets) are stripped to their constructor arguments, which shrinks the
-    pickle stream and keeps it independent of in-memory caches.
-    """
-
-    def __init__(self) -> None:
-        self._encoders: dict = {}
-        self._decoders: dict = {}
-
-    def register(self, stream: str, encode, decode) -> None:
-        self._encoders[stream] = encode
-        self._decoders[stream] = decode
-
-    def encode(self, stream: str, values: tuple) -> tuple:
-        encoder = self._encoders.get(stream)
-        return encoder(values) if encoder is not None else values
-
-    def decode(self, stream: str, values: tuple) -> tuple:
-        decoder = self._decoders.get(stream)
-        return decoder(values) if decoder is not None else values
-
-    def link_codec(self) -> "WireCodec":
-        """Codec instance for one parent->worker link.
-
-        Stateless codecs are safely shared, so the base implementation
-        returns ``self``.  A stateful codec overrides this to hand out
-        one instance per link: the executor calls it once per worker
-        *before* forking, so encoder (parent) and decoder (child) start
-        from the same empty state and stay in sync over the link's FIFO
-        pipe.
-        """
-        return self
-
-
 def _encode_assigned(values: tuple) -> tuple:
     document, window_id, side = values
     return (tuple(document.pairs.items()), document.doc_id, window_id, side)
@@ -241,52 +205,33 @@ def _decode_join_stats(values: tuple) -> tuple:
 
 
 class ColumnarWireCodec(WireCodec):
-    """Batch-framing wire codec: ``assigned`` batches ship as columns.
+    """The stream-join topology's codec: ``assigned`` entries as columns.
 
-    :meth:`encode_batch` turns one parent->worker batch into a
-    :class:`~repro.streaming.transport.framing.BufferFrame`: the
-    documents of every ``assigned`` entry are encoded **once** into a
-    :class:`~repro.core.columnar.ColumnarBatch` (flat integer columns
-    plus a frame-local pair table, see :meth:`ColumnarBatch.encode`) and
-    the columns travel as raw buffers the transports can scatter-write —
-    no per-document pickling.  Entries of other streams ride along in
-    the pickled envelope in their plain-tuple forms, preserving batch
-    order.
+    On top of the base frame (:class:`~repro.streaming.transport.WireCodec`)
+    an ``assigned`` entry — one (document, worker) pair — becomes one row
+    of three flat ``array('q')`` entry columns: document row, context id
+    and the bitmask of the worker's tasks the document is assigned to.
+    The batch's documents are encoded **once** into a
+    :class:`~repro.core.columnar.ColumnarBatch` (flat integer columns plus
+    a frame-local pair table, see :meth:`ColumnarBatch.encode`), so a
+    document object that several entries share is encoded a single time,
+    and a tiny table holds the distinct ``(component, source,
+    source_task, window_id, side)`` contexts.  The six columns travel as
+    raw buffers the transports scatter-write — no per-document pickling.
 
-    The codec is stateless (``link_codec`` returns ``self``) and every
-    frame is self-contained, so a journaled frame replays to a respawned
-    worker **verbatim** — bit-identical bytes, zero re-encode.
-    Per-entry ``encode``/``decode`` stay available for the non-framed
-    paths (worker->parent emissions, sticky-history and split-journal
-    replay, inline degradation).
+    The plain-tuple per-stream forms registered here serve the entries
+    that do not fit the columns and the worker->parent emissions.
     """
-
-    #: the parallel executor checks this before calling encode_batch
-    supports_frames = True
 
     def __init__(self) -> None:
         super().__init__()
         self.register(ASSIGNED, _encode_assigned, _decode_assigned)
         self.register(JOIN_STATS, _encode_join_stats, _decode_join_stats)
 
-    def encode_batch(self, seq: int, entries: list) -> "BufferFrame":
-        """One batch of ``(component, task_index, StreamTuple, mask)``
-        entries → frame (a three-field entry is the one-bit mask of its
-        task).
+    def _columnar(self, tup, mask: int) -> bool:
+        return tup.stream == ASSIGNED and _columnar_assignable(tup.values, mask)
 
-        An ``assigned`` entry is one (document, worker) pair: three flat
-        ``array('q')`` entry columns — document row, context id and the
-        bitmask of the worker's tasks the document is assigned to — plus
-        a tiny table of the distinct ``(component, source, source_task,
-        window_id, side)`` contexts.  A document object that several
-        entries share is still encoded a single time.
-        """
-        from array import array
-
-        from repro.core.columnar import ColumnarBatch
-        from repro.streaming.transport.framing import BufferFrame
-
-        slots: list = []
+    def _encode_columns(self, rows: list) -> tuple:
         documents: list = []
         doc_rows: dict[int, int] = {}
         ctx_table: list = []
@@ -294,108 +239,65 @@ class ColumnarWireCodec(WireCodec):
         entry_doc = array("q")
         entry_ctx = array("q")
         entry_mask = array("q")
-        n_assigned = 0
-        mixed = False
-        for entry in entries:
-            if len(entry) == 4:
-                component, task_index, tup, mask = entry
-            else:
-                component, task_index, tup = entry
-                mask = 1 << task_index
-            values = tup.values
-            if tup.stream == ASSIGNED and _columnar_assignable(values, mask):
-                document, window_id, side = values
-                row = doc_rows.get(id(document))
-                if row is None:
-                    row = len(documents)
-                    doc_rows[id(document)] = row
-                    documents.append(document)
-                context = (component, tup.source, tup.source_task, window_id, side)
-                ctx = ctx_ids.get(context)
-                if ctx is None:
-                    ctx = len(ctx_table)
-                    ctx_ids[context] = ctx
-                    ctx_table.append(context)
-                slots.append(n_assigned)
-                entry_doc.append(row)
-                entry_ctx.append(ctx)
-                entry_mask.append(mask)
-                n_assigned += 1
-            else:
-                mixed = True
-                slots.append(
-                    (
-                        component,
-                        task_index,
-                        tup.stream,
-                        tup.source,
-                        tup.source_task,
-                        tup.direct_task,
-                        self.encode(tup.stream, values),
-                        mask,
-                    )
-                )
+        for component, tup, mask in rows:
+            document, window_id, side = tup.values
+            row = doc_rows.get(id(document))
+            if row is None:
+                row = len(documents)
+                doc_rows[id(document)] = row
+                documents.append(document)
+            context = (component, tup.source, tup.source_task, window_id, side)
+            ctx = ctx_ids.get(context)
+            if ctx is None:
+                ctx = len(ctx_table)
+                ctx_ids[context] = ctx
+                ctx_table.append(context)
+            entry_doc.append(row)
+            entry_ctx.append(ctx)
+            entry_mask.append(mask)
         batch = ColumnarBatch.encode(documents)
-        # all-assigned batches (the common case) collapse the slot list
-        # to its length; mixed batches keep the explicit interleaving
-        wire_slots = tuple(slots) if mixed else n_assigned
-        envelope = ("cbatch3", seq, wire_slots, tuple(ctx_table), batch.pair_table)
         buffers = batch.buffers()
         buffers.extend(
             memoryview(column).cast("B")
             for column in (entry_doc, entry_ctx, entry_mask)
         )
-        return BufferFrame(envelope, buffers)
+        return (tuple(ctx_table), batch.pair_table), buffers
 
-    def decode_batch(self, frame) -> tuple:
-        """A received frame → ``(seq, entries)`` with **decoded** values.
-
-        Entries come back in batch order as ``(component, task_index,
-        stream, source, source_task, direct, values, mask)`` —
-        ``task_index`` the lowest task in ``mask`` — and their values
-        need no further per-entry ``decode``: the session feeds them
-        straight to tasks.  Deduplicated documents are materialized
-        once: entries of one document share the object.
-        """
-        from repro.core.columnar import ColumnarBatch
-        from repro.streaming.tuples import lowest_owner
-
-        _kind, seq, slots, ctx_table, pair_table = frame.envelope
-        batch = ColumnarBatch.from_buffers(pair_table, frame.buffers[:3])
+    def _decode_columns(self, columns: tuple, buffers: list) -> list:
+        """Rows → entries whose ``task_index`` (and ``direct``) is the
+        lowest task in the mask; entries of one document share the
+        materialized object."""
+        ctx_table, pair_table = columns
+        batch = ColumnarBatch.from_buffers(pair_table, buffers[:3])
         documents = batch.to_documents()
-        entry_doc = memoryview(frame.buffers[3]).cast("q")
-        entry_ctx = memoryview(frame.buffers[4]).cast("q")
-        entry_mask = memoryview(frame.buffers[5]).cast("q")
+        entry_doc = memoryview(buffers[3]).cast("q")
+        entry_ctx = memoryview(buffers[4]).cast("q")
+        entry_mask = memoryview(buffers[5]).cast("q")
         entries = []
         append = entries.append
-        if type(slots) is int:
-            slots = range(slots)
-        for slot in slots:
-            if type(slot) is int:
-                component, source, source_task, window_id, side = ctx_table[
-                    entry_ctx[slot]
-                ]
-                mask = entry_mask[slot]
-                task_index = lowest_owner(mask)
-                append(
-                    (
-                        component,
-                        task_index,
-                        ASSIGNED,
-                        source,
-                        source_task,
-                        task_index,
-                        (documents[entry_doc[slot]], window_id, side),
-                        mask,
-                    )
+        for row in range(len(entry_doc)):
+            component, source, source_task, window_id, side = ctx_table[
+                entry_ctx[row]
+            ]
+            mask = entry_mask[row]
+            task_index = lowest_owner(mask)
+            append(
+                (
+                    component,
+                    task_index,
+                    ASSIGNED,
+                    source,
+                    source_task,
+                    task_index,
+                    (documents[entry_doc[row]], window_id, side),
+                    mask,
                 )
-            else:
-                append(slot[:6] + (self.decode(slot[2], slot[6]), slot[7]))
+            )
         batch.release()
         entry_doc.release()
         entry_ctx.release()
         entry_mask.release()
-        return seq, entries
+        return entries
 
 
 def _columnar_assignable(values: tuple, mask: int) -> bool:
@@ -411,5 +313,4 @@ def _columnar_assignable(values: tuple, mask: int) -> bool:
 
 def wire_codec() -> WireCodec:
     """The codec the stream-join topology ships across worker processes."""
-    codec = ColumnarWireCodec()
-    return codec
+    return ColumnarWireCodec()

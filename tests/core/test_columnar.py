@@ -1,4 +1,4 @@
-"""ColumnarBatch: kernel batches, wire batches and the frame round trip.
+"""ColumnarBatch: the wire batch and its frame round trip.
 
 The wire contract under test: ``ColumnarBatch.encode`` → buffer frame →
 ``from_buffers``/``to_documents`` reconstructs the original documents
@@ -8,11 +8,8 @@ The wire contract under test: ``ColumnarBatch.encode`` → buffer frame →
 
 import random
 
-import pytest
-
-from repro.core.columnar import NO_DOC_ID, ColumnarBatch
+from repro.core.columnar import ColumnarBatch
 from repro.core.document import Document
-from repro.core.interning import PairInterner
 from repro.streaming.transport.framing import BufferFrame, decode_buffer_payload
 
 
@@ -33,46 +30,6 @@ def assert_faithful(original, decoded):
     assert decoded.pairs == original.pairs
     for attribute, value in original.pairs.items():
         assert type(decoded.pairs[attribute]) is type(value)
-
-
-class TestKernelBatches:
-    def test_from_documents_shares_interner_ids(self):
-        interner = PairInterner()
-        docs = [
-            Document({"a": 1, "b": 2}, doc_id=0),
-            Document({"a": 1, "c": 3}, doc_id=1),
-        ]
-        batch = ColumnarBatch.from_documents(docs, interner)
-        assert len(batch) == 2
-        assert list(batch.offsets) == [0, 2, 4]
-        # the shared pair (a, 1) got one id, visible in both rows
-        assert batch.pair_ids[0] in set(batch.row(1))
-        encoded = interner.encode(docs[0])
-        assert tuple(batch.row(0)) == encoded.pair_ids
-
-    def test_cached_encodings_are_reused(self):
-        interner = PairInterner()
-        doc = Document({"x": "y"}, doc_id=5)
-        encoded = interner.encode(doc)  # caches on the document
-        batch = ColumnarBatch.from_documents([doc], interner)
-        assert tuple(batch.row(0)) == encoded.pair_ids
-        assert batch.documents[0] is doc
-
-    def test_missing_doc_id_uses_sentinel(self):
-        batch = ColumnarBatch.from_documents(
-            [Document({"a": 1})], PairInterner()
-        )
-        assert batch.doc_ids[0] == NO_DOC_ID
-
-    def test_kernel_batches_have_no_pair_table(self):
-        batch = ColumnarBatch.from_documents(
-            [Document({"a": 1}, doc_id=0)], PairInterner()
-        )
-        assert batch.pair_table is None
-        assert batch.documents is not None
-        batch.documents = None
-        with pytest.raises(ValueError):
-            batch.to_documents()
 
 
 class TestWireRoundTrip:

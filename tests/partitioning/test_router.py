@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.document import AVPair, Document
 from repro.partitioning.association import AssociationGroupPartitioner
@@ -9,7 +10,7 @@ from repro.partitioning.base import Partition
 from repro.partitioning.disjoint import DisjointSetPartitioner
 from repro.partitioning.expansion import ExpansionPlan, plan_expansion
 from repro.partitioning.hashing import HashPartitioner
-from repro.partitioning.router import DocumentRouter
+from repro.partitioning.router import DocumentRouter, RoutingDecision
 from repro.partitioning.setcover import SetCoverPartitioner
 from tests.conftest import document_lists
 
@@ -75,7 +76,7 @@ class TestAtomicSwap:
         new = _partitions({AVPair("b", 2)}, {AVPair("c", 3)}, {AVPair("a", 1)})
         router = DocumentRouter(old)
         router.swap(new)
-        fresh = DocumentRouter(new, interner=router.interner)
+        fresh = DocumentRouter(new)
         for doc in (
             Document({"a": 1}),
             Document({"b": 2}),
@@ -86,25 +87,12 @@ class TestAtomicSwap:
             assert router.route(doc) == fresh.route(doc)
         assert router.m == 3
 
-    def test_swap_preserves_identity_and_interner(self):
+    def test_swap_preserves_identity(self):
         router = DocumentRouter(_partitions({AVPair("a", 1)}))
-        interner = router.interner
         before = router
         router.swap(_partitions({AVPair("b", 2)}, {AVPair("a", 1)}))
         assert router is before
-        assert router.interner is interner
-
-    def test_swap_keeps_cached_encodings_valid(self):
-        """Documents encoded against the router's interner must still
-        take the id-keyed fast path after a swap."""
-        router = DocumentRouter(_partitions({AVPair("a", 1)}, {AVPair("b", 2)}))
-        doc = Document({"a": 1})
-        router.interner.encode(doc)
-        assert router.route(doc).targets == (0,)
-        router.swap(_partitions({AVPair("b", 2)}, {AVPair("a", 1)}))
-        decision = router.route(doc)
-        assert decision.targets == (1,)
-        assert not decision.broadcast
+        assert router.route(Document({"a": 1})).targets == (1,)
 
     def test_swap_rejects_empty_partition_list(self):
         router = DocumentRouter(_partitions({AVPair("a", 1)}))
@@ -122,6 +110,68 @@ class TestAtomicSwap:
         router = DocumentRouter(_partitions({AVPair("x", 1)}))
         router.swap(_partitions({AVPair(synthetic, value)}, set()), expansion=plan)
         assert router.route(doc).targets == (0,)
+
+
+#: values that are equal across types (1 == True == 1.0) beside one
+#: that is not ("1"): the router keys its one owner map by the pair, so
+#: it must conflate exactly what Python value equality conflates
+MIXED_VALUES = (1, True, 1.0, "1", 2)
+_pairs = st.builds(AVPair, st.sampled_from(("a", "b")), st.sampled_from(MIXED_VALUES))
+_pair_sets = st.lists(st.sets(_pairs, max_size=4), min_size=1, max_size=3)
+_documents = st.dictionaries(
+    st.sampled_from(("a", "b", "c")), st.sampled_from(MIXED_VALUES),
+    min_size=1, max_size=3,
+).map(Document)
+_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("route"), _documents),
+        st.tuples(st.just("add_pair"), _pairs, st.integers(0, 2)),
+        st.tuples(st.just("swap"), _pair_sets),
+    ),
+    max_size=25,
+)
+
+
+def _oracle(pair_sets: list[set], document: Document) -> RoutingDecision:
+    """The decision computed from the partitions alone: the union of each
+    pair's owners; broadcast iff a pair is unowned or nothing owns any."""
+    targets: set[int] = set()
+    unseen = []
+    for item in document.pairs.items():
+        owners = {i for i, pairs in enumerate(pair_sets) if item in pairs}
+        if owners:
+            targets |= owners
+        else:
+            unseen.append(item)
+    if unseen or not targets:
+        return RoutingDecision(tuple(range(len(pair_sets))), True, tuple(unseen))
+    return RoutingDecision(tuple(sorted(targets)), False)
+
+
+class TestOneOwnerMap:
+    @given(initial=_pair_sets, operations=_operations)
+    @settings(max_examples=80, deadline=None)
+    def test_property_decisions_match_partition_oracle(self, initial, operations):
+        """``route`` / ``add_pair`` / ``swap`` interleaved over mixed-type
+        values: every decision equals the oracle's, and ``owns`` agrees
+        with membership in some partition."""
+        model = [set(pairs) for pairs in initial]
+        router = DocumentRouter(_partitions(*initial))
+        probes = {AVPair(a, v) for a in ("a", "b", "c") for v in MIXED_VALUES}
+        for operation in operations:
+            if operation[0] == "route":
+                document = operation[1]
+                assert router.route(document) == _oracle(model, document)
+            elif operation[0] == "add_pair":
+                _kind, pair, index = operation
+                index %= len(model)
+                router.add_pair(pair, index)
+                model[index].add(pair)
+            else:
+                model = [set(pairs) for pairs in operation[1]]
+                router.swap(_partitions(*operation[1]))
+            for pair in probes:
+                assert router.owns(pair) == any(pair in pairs for pairs in model)
 
 
 class TestRoutingWithExpansion:

@@ -87,7 +87,7 @@ def _parallel(collector: CollectBolt, n: int = 50, **kwargs) -> ParallelCluster:
         _square_topology(collector, n),
         remote_components=("square",),
         barrier_streams=("tick",),
-        n_workers=2,
+        workers=2,
         batch_size=4,
         **kwargs,
     )

@@ -108,7 +108,7 @@ class TestSyntheticElasticity:
         assert sorted(collector.values) == clean
         assert stats["scale_ups"] == 1
         assert stats["migrations"] == 1
-        assert cluster.n_workers == 3
+        assert cluster.worker_count == 3
 
     def test_scales_two_to_four_workers(self):
         """The acceptance shape: pool grows 2 -> 4 through two live
@@ -125,7 +125,7 @@ class TestSyntheticElasticity:
         assert sorted(collector.values) == clean
         assert stats["scale_ups"] == 2
         assert stats["migrations"] == 2
-        assert cluster.n_workers == 4
+        assert cluster.worker_count == 4
 
     def test_forced_scale_down_retires_into_survivor(self):
         clean = _clean_reference()
@@ -141,7 +141,7 @@ class TestSyntheticElasticity:
         assert sorted(collector.values) == clean
         assert stats["scale_downs"] == 1
         assert stats["migrations"] == 1
-        assert cluster.n_workers == 2
+        assert cluster.worker_count == 2
 
     def test_up_then_down_round_trip(self):
         clean = _clean_reference()
@@ -163,7 +163,7 @@ class TestSyntheticElasticity:
         assert sorted(collector.values) == clean
         assert stats["scale_ups"] == 1
         assert stats["scale_downs"] == 1
-        assert cluster.n_workers == 2
+        assert cluster.worker_count == 2
 
     def test_destination_killed_mid_migration_recovers(self):
         """The freshly spawned migration target dies after its first

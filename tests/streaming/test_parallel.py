@@ -105,7 +105,7 @@ class TestParallelSmoke:
         with ParallelCluster(
             _square_topology(n, par_sink),
             remote_components=("square",),
-            n_workers=2,
+            workers=2,
             batch_size=4,
         ) as cluster:
             cluster.run()
@@ -145,7 +145,7 @@ class TestParallelBackend:
             _square_topology(10, sink),
             remote_components=("square",),
             barrier_streams=("numbers",),
-            n_workers=2,
+            workers=2,
             batch_size=10_000,
         ) as cluster:
             cluster.run()
@@ -162,7 +162,7 @@ class TestParallelBackend:
                 _square_topology(40, sink),
                 remote_components=("square",),
                 barrier_streams=("numbers",),
-                n_workers=2,
+                workers=2,
                 batch_size=4,
                 pipeline_depth=depth,
             ) as cluster:
@@ -175,7 +175,7 @@ class TestParallelBackend:
         with ParallelCluster(
             _square_topology(12, CollectBolt()),
             remote_components=("square",),
-            n_workers=2,
+            workers=2,
             registry=registry,
         ) as cluster:
             cluster.run()
@@ -214,7 +214,7 @@ class TestParallelBackend:
         cluster = ParallelCluster(
             _square_topology(8, CollectBolt(), worker_cls=DyingBolt),
             remote_components=("square",),
-            n_workers=2,
+            workers=2,
             batch_size=1,
         )
         try:
@@ -236,7 +236,7 @@ class TestParallelBackend:
             "square", "squares", GlobalGrouping()
         )
         with ParallelCluster(
-            builder.build(), remote_components=("square",), n_workers=2
+            builder.build(), remote_components=("square",), workers=2
         ) as cluster:
             cluster.run()
         # every task saw every number
@@ -252,7 +252,7 @@ class TestFailureSurfacing:
         cluster = ParallelCluster(
             _square_topology(5, CollectBolt(), worker_cls=ExplodingBolt),
             remote_components=("square",),
-            n_workers=2,
+            workers=2,
             batch_size=1,
         )
         try:
@@ -270,7 +270,7 @@ class TestFailureSurfacing:
         cluster = ParallelCluster(
             _square_topology(5, CollectBolt(), worker_cls=UnpicklableBolt),
             remote_components=("square",),
-            n_workers=2,
+            workers=2,
         )
         try:
             with pytest.raises(TupleProcessingError) as excinfo:
@@ -290,7 +290,7 @@ class TestFailureSurfacing:
         cluster = ParallelCluster(
             _square_topology(5, CollectBolt(), worker_cls=ExplodingBolt),
             remote_components=("square",),
-            n_workers=2,
+            workers=2,
         )
         with pytest.raises(TupleProcessingError):
             cluster.run()
@@ -304,7 +304,7 @@ class TestFailureSurfacing:
             _square_topology(4, CollectBolt()),
             remote_components=("square",),
             barrier_streams=("numbers",),
-            n_workers=2,
+            workers=2,
             batch_size=1,
             barrier_timeout_s=0.2,
             fault_plan=FaultPlan().delay_acks(0, seconds=1.0),
@@ -317,7 +317,7 @@ class TestFailureSurfacing:
         cluster = ParallelCluster(
             _square_topology(8, CollectBolt(), worker_cls=DyingBolt),
             remote_components=("square",),
-            n_workers=2,
+            workers=2,
             batch_size=1,
         )
         with pytest.raises(TupleProcessingError):

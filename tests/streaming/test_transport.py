@@ -9,8 +9,9 @@ Three layers of coverage:
   default test run exercises a real ``python -m repro.worker``
   subprocess end to end;
 * the transport conformance suite — the contract every implementation
-  must satisfy (ordering, barrier flush, reconnect re-encode, unified
-  stats, idempotent close) — instantiated for the pipe transport under
+  must satisfy (ordering, barrier flush, one batch form, bit-identical
+  replay, unified stats, idempotent close) — instantiated for the pipe
+  transport under
   the ``parallel`` marker and for the socket transport under the
   ``distributed`` marker.
 """
@@ -32,6 +33,7 @@ from repro.streaming.recovery import RestartPolicy
 from repro.streaming.topology import TopologyBuilder
 from repro.streaming.transport import (
     Transport,
+    WireCodec,
     available_transports,
     make_transport,
 )
@@ -45,6 +47,7 @@ from repro.streaming.transport.framing import (
     parse_address,
     parse_banner,
 )
+from repro.streaming.tuples import StreamTuple
 from repro.topology.messages import ColumnarWireCodec
 from repro.topology.pipeline import StreamJoinConfig
 
@@ -60,7 +63,7 @@ class TestFraming:
         assert decoder.pending_bytes == 0
 
     def test_multiple_messages_in_one_feed(self):
-        messages = [("batch", i, [("a", 0, "s", None, (i,))]) for i in range(5)]
+        messages = [("ack", i, 0, [("a", 0, "s", None, (i,))]) for i in range(5)]
         blob = b"".join(encode_frame(m) for m in messages)
         assert FrameDecoder().feed(blob) == messages
 
@@ -123,6 +126,51 @@ class TestBufferFrames:
         decoded = decode_buffer_payload(memoryview(payload))
         decoded.release()
         assert decoded.buffers == []
+
+
+def _generic_entries():
+    """A generic topology's batch: per-stream tuples, one fan-out mask
+    and one ``(component, task, tuple)`` triple."""
+    return [
+        ("square", 0, StreamTuple("numbers", (3,), "src", 0), 0b1),
+        ("square", 0, StreamTuple("tick", (10,), "src", 0), 0b11),
+        ("square", 1, StreamTuple("numbers", (4,), "src", 0, 1)),
+    ]
+
+
+class TestBaseWireCodec:
+    """The streaming layer's default codec frames any topology's batch."""
+
+    def test_frame_roundtrip_decodes_every_entry(self):
+        codec = WireCodec()
+        frame = codec.encode_batch(7, _generic_entries())
+        (received,) = FrameDecoder().feed(frame.to_bytes())
+        assert isinstance(received, BufferFrame)
+        assert codec.decode_batch(received) == (
+            7,
+            [
+                ("square", 0, "numbers", "src", 0, None, (3,), 0b1),
+                ("square", 0, "tick", "src", 0, None, (10,), 0b11),
+                ("square", 1, "numbers", "src", 0, 1, (4,), 0b10),
+            ],
+        )
+
+    def test_encoding_is_deterministic(self):
+        # what journal replay relies on: the same raw entries encode to
+        # the same bytes, on the same codec or a fresh one
+        entries = _generic_entries()
+        first = WireCodec().encode_batch(3, entries).to_bytes()
+        codec = WireCodec()
+        assert codec.encode_batch(3, entries).to_bytes() == first
+        assert codec.encode_batch(3, entries).to_bytes() == first
+
+    def test_registered_streams_ship_their_plain_form(self):
+        codec = WireCodec()
+        codec.register("numbers", lambda v: (str(v[0]),), lambda v: (int(v[0]),))
+        frame = codec.encode_batch(1, _generic_entries())
+        assert frame.envelope[2][0][6] == ("3",)
+        _seq, decoded = codec.decode_batch(frame)
+        assert [entry[6] for entry in decoded] == [(3,), (10,), (4,)]
 
 
 class TestAddresses:
@@ -224,12 +272,6 @@ class TestConfigSurface:
         with pytest.raises(PartitioningError):
             StreamJoinConfig(m=4, transport="socket", workers=["nocolon"])
 
-    def test_cluster_rejects_workers_and_n_workers_together(self):
-        builder = TopologyBuilder()
-        builder.set_spout("src", lambda: TickingNumberSpout(1))
-        with pytest.raises(TopologyError, match="not both"):
-            ParallelCluster(builder.build(), workers=2, n_workers=2)
-
 
 class TestCliWorkersArgument:
     def test_count(self):
@@ -300,54 +342,6 @@ def _clean_reference(n: int = 50) -> list[int]:
     with LocalCluster(_square_topology(collector, n)) as cluster:
         cluster.run()
     return sorted(collector.values)
-
-
-class _LinkDictCodec:
-    """Stateful per-link dictionary codec for the conformance suite.
-
-    The first sighting of a value ships a definition, repeats ship only
-    the id.  Decoding an id the decoder has never seen raises
-    ``KeyError`` — so a journal replayed *without* re-encoding against a
-    replacement worker's fresh codec state cannot pass silently.
-    """
-
-    def __init__(self):
-        self._ids: dict = {}
-        self._values: dict = {}
-
-    def encode(self, stream, values):
-        encoded = []
-        for value in values:
-            if value in self._ids:
-                encoded.append(("ref", self._ids[value]))
-            else:
-                idx = len(self._ids)
-                self._ids[value] = idx
-                encoded.append(("def", idx, value))
-        return tuple(encoded)
-
-    def decode(self, stream, values):
-        decoded = []
-        for entry in values:
-            if entry[0] == "def":
-                self._values[entry[1]] = entry[2]
-                decoded.append(entry[2])
-            else:
-                decoded.append(self._values[entry[1]])
-        return tuple(decoded)
-
-
-class _TestCodec:
-    """Identity on the (stateless) emit channel, dictionary per link."""
-
-    def encode(self, stream, values):
-        return values
-
-    def decode(self, stream, values):
-        return values
-
-    def link_codec(self):
-        return _LinkDictCodec()
 
 
 #: zero-backoff restart policy so recovery cases stay fast
@@ -429,28 +423,66 @@ class TransportConformance:
                 assert not getattr(link, "_pending", ())
         assert len(collector.values) == 50
 
-    def test_reconnect_reencodes_journal(self):
-        """A replacement worker's journal replay must be re-encoded with
-        the fresh link codec — stale dictionary state would KeyError."""
+    def test_one_batch_form_on_the_wire_and_in_the_journal(self):
+        """A generic topology without ``codec=`` still frames: every
+        parent->worker batch — first sends and the replay after a kill —
+        is a ``BufferFrame`` from the base codec, and every journal
+        value is the list of raw entries it was encoded from."""
         clean = _clean_reference()
         collector = CollectBolt()
         cluster = self._cluster(
             collector,
-            codec=_TestCodec(),
             restart_policy=FAST_RESTART,
             fault_plan=FaultPlan().kill_worker(0, after_batches=1),
         )
+        frames: list = []
+        others: list = []
+
+        def check_journals():
+            for handle in cluster._workers:
+                for entries in handle.journal.values():
+                    assert type(entries) is list
+                    for component, task_index, tup, mask in entries:
+                        assert component == "square"
+                        assert isinstance(tup, StreamTuple)
+                        assert mask & -mask == 1 << task_index
+
+        class SpyLink:
+            def __init__(self, link):
+                self._link = link
+
+            def _record(self, message):
+                if isinstance(message, BufferFrame):
+                    frames.append(message.envelope[1])
+                else:
+                    others.append(message[0])
+                check_journals()
+
+            def send(self, message):
+                self._record(message)
+                return self._link.send(message)
+
+            def stage(self, message):
+                self._record(message)
+                return self._link.stage(message)
+
+            def __getattr__(self, name):
+                return getattr(self._link, name)
+
+        inner_spawn = cluster._transport.spawn
+        cluster._transport.spawn = lambda init: SpyLink(inner_spawn(init))
         with cluster:
             cluster.run()
             stats = cluster.stats()
         assert sorted(collector.values) == clean
         assert stats["worker_restarts"] == 1
-        assert stats["reconnects"] == 1
+        assert len(frames) > len(set(frames)), "the kill must force a replay"
+        assert set(others) <= {"stop", "snapshot"}
 
     def test_replayed_frames_are_bit_identical(self):
-        """With the columnar frame codec the journal stores encoded
-        frames; a replacement worker's replay ships the stored frame
-        verbatim — the replayed wire bytes equal the first send's."""
+        """The journal stores raw entries and a replacement worker's
+        replay re-encodes them: encoding is deterministic, so the
+        replayed wire bytes equal the first send's."""
         clean = _clean_reference()
         collector = CollectBolt()
         cluster = self._cluster(

@@ -1,6 +1,7 @@
 """Unit tests for the topology message payloads and wire codecs."""
 
 from repro.core.document import Document
+from repro.streaming.transport import WireCodec
 from repro.topology.messages import (
     ASSIGNED,
     AttributeStats,
@@ -65,14 +66,13 @@ class TestColumnarWireCodec:
     def test_default_codec_ships_columnar_frames(self):
         codec = wire_codec()
         assert isinstance(codec, ColumnarWireCodec)
-        assert codec.supports_frames
-        # stateless: links share the instance, so journaled frames
-        # decode on any incarnation
-        assert codec.link_codec() is codec
+        # one streaming-layer codec family: the topology codec only adds
+        # the assigned columns to the base frame
+        assert isinstance(codec, WireCodec)
 
     def test_per_entry_form_is_stateless(self):
-        # worker->parent traffic, sticky and split-journal replay use
-        # the plain-tuple per-entry form; it is safe to reuse anywhere
+        # worker->parent traffic and entries that do not fit the columns
+        # use the plain-tuple per-entry form; it is safe to reuse anywhere
         codec = wire_codec()
         doc = Document({"a": 1}, doc_id=0)
         encoded = codec.encode(ASSIGNED, (doc, 1, None))

@@ -125,7 +125,7 @@ def test_a_task_migrated_mid_window_leaves_no_index_on_either_worker():
     def session(worker, tasks):
         keyed = {(msg.JOINER, task._task_index): task for task in tasks}
         return WorkerSession(
-            WorkerInit(worker, 0, keyed, link_codec=codec, emit_codec=codec)
+            WorkerInit(worker, 0, keyed, codec=codec)
         )
 
     groups = [JoinerGroup(), JoinerGroup()]
