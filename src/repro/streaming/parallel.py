@@ -66,8 +66,13 @@ Tuples on configured ``sticky_streams`` (cross-window control
 broadcasts such as partition versions) are retained past barriers and
 replayed first.  When the per-window restart budget runs out the run
 aborts with :class:`~repro.exceptions.WorkerCrashError` — or, with
-``degrade=True``, the dead worker's tasks are reassigned to the parent
-and executed inline for the rest of the run.
+``degrade=True``, the dead worker is respawned *into the parent*: an
+in-parent :class:`~repro.streaming.transport.WorkerSession` over the
+parent's pristine task copies receives the same replay a fresh worker
+would, its replies take the ordinary ack path, and the tasks then run
+inline for the rest of the run.  Respawn, degrade and migration all
+ship history through one method (``_ship_history``), and every blocking
+ack wait goes through one bounded wait (``_wait_until``).
 
 Observability: each worker records into its (shipped copy of the) run's
 registry; :meth:`ParallelCluster.snapshot` fetches every worker's
@@ -132,9 +137,9 @@ from repro.streaming.transport import (
     LinkDown,
     Transport,
     WireCodec,
-    WorkerCollector,
     WorkerInit,
     WorkerLink,
+    WorkerSession,
     make_transport,
 )
 from repro.streaming.transport.framing import parse_address
@@ -165,10 +170,6 @@ DEFAULT_BARRIER_TIMEOUT_S = 120.0
 #: default number of window barriers that may be outstanding before the
 #: parent blocks on the oldest (0 = fully synchronous barriers)
 DEFAULT_PIPELINE_DEPTH = 2
-
-
-class _WorkerLost(Exception):
-    """Internal: a replacement worker died while its journal was replaying."""
 
 
 class _WorkerHandle:
@@ -419,11 +420,8 @@ class ParallelCluster(ClusterBase):
         if workers is None:
             workers = min(len(remote_tasks), os.cpu_count() or 1)
         n = max(1, min(workers, len(remote_tasks))) if remote_tasks else 0
-        self._assignments: list[list[tuple[str, int]]] = [[] for _ in range(n)]
-        for i, key in enumerate(remote_tasks):
-            self._assignments[i % n].append(key)
         self._workers: list[_WorkerHandle] = [
-            _WorkerHandle(i, assigned) for i, assigned in enumerate(self._assignments)
+            _WorkerHandle(i, remote_tasks[i::n]) for i in range(n)
         ]
         self._placement: dict[tuple[str, int], _WorkerHandle] = {}
         for handle in self._workers:
@@ -459,9 +457,12 @@ class ParallelCluster(ClusterBase):
     # ------------------------------------------------------------------
     # Worker lifecycle
     # ------------------------------------------------------------------
-    def _spawn(self, handle: _WorkerHandle) -> None:
-        """Start one worker for ``handle`` over a fresh link."""
-        init = WorkerInit(
+    def _worker_init(
+        self, handle: _WorkerHandle, fault_plan: Optional[FaultPlan]
+    ) -> WorkerInit:
+        """The bootstrap of ``handle``'s next incarnation, over the
+        parent's pristine copies of its tasks."""
+        return WorkerInit(
             worker_index=handle.index,
             incarnation=handle.incarnation,
             tasks={key: self._tasks[key[0]][key[1]] for key in handle.assigned},
@@ -469,9 +470,19 @@ class ParallelCluster(ClusterBase):
             registry=self.registry,
             max_retries=self.max_retries,
             quarantine=self.dead_letters is not None,
-            fault_plan=self._fault_plan,
+            fault_plan=fault_plan,
         )
-        handle.link = self._transport.spawn(init)
+
+    def _spawn(self, handle: _WorkerHandle) -> None:
+        """Start one worker for ``handle`` over a fresh link."""
+        if self._started and self.registry.enabled:
+            # a mid-run spawn (replacement or scale-up) inherits everything
+            # the parent registry has recorded so far (by fork or by
+            # pickled init); remember it so snapshot() can subtract it
+            handle.fork_baseline = self.registry.snapshot()
+        handle.link = self._transport.spawn(
+            self._worker_init(handle, self._fault_plan)
+        )
         handle.said_bye = False
         handle.snapshot = None
 
@@ -628,20 +639,17 @@ class ParallelCluster(ClusterBase):
             handle.journal_nbytes[seq] = handle.link.stage(message) or 0
         except LinkDown:
             # the worker died while idle; recovery replays the journal
-            # (which already holds this batch) or degrades it to inline
+            # (which already holds this batch) — a degrade acks all of it
             self._on_worker_failure(handle)
-            if handle.degraded:
-                return
         # credit loop: every send opportunistically drains whatever acks
         # have arrived, so links stay full during compute and the hard
         # blocking limit below is the exception, not the steady state
         self._poll_results(timeout=0.0)
         if len(handle.pending) >= self._max_inflight:
             self._backpressured_this_window = True
-            deadline = monotonic() + self._barrier_timeout_s
-            while len(handle.pending) >= self._max_inflight:  # backpressure
-                self._poll_results(timeout=0.05)
-                self._check_workers(deadline)
+            self._wait_until(
+                lambda: len(handle.pending) < self._max_inflight, "backpressure"
+            )
 
     def _flush_all(self) -> None:
         for handle in self._workers:
@@ -679,13 +687,7 @@ class ParallelCluster(ClusterBase):
                 self._last_idle_poll = now
                 self._poll_results(timeout=0.0)
                 released = self._complete_ready_barriers()
-        # depth cap: block on the oldest barrier once too many overlap
-        # (bounds stash/journal growth to pipeline_depth + 1 windows)
-        while len(self._barriers) > self._pipeline_depth:
-            self._await_barrier(self._barriers[0])
-            if self._complete_ready_barriers():
-                released = True
-        return released
+        return self._cap_pipeline() or released
 
     def _finish(self) -> None:
         """End-of-pump hook: flush and record the window's barrier, but
@@ -702,11 +704,7 @@ class ParallelCluster(ClusterBase):
             self._pump_links()
             self._poll_results(timeout=0.0)
             released = self._complete_ready_barriers()
-            while len(self._barriers) > self._pipeline_depth:
-                self._await_barrier(self._barriers[0])
-                if self._complete_ready_barriers():
-                    released = True
-            if released:
+            if self._cap_pipeline() or released:
                 self._drain()
                 continue
             if not self._queue and not any(h.buffer for h in self._workers):
@@ -722,7 +720,7 @@ class ParallelCluster(ClusterBase):
         while True:
             self._flush_all()
             self._pump_links()
-            self._await_all_acks()
+            self._wait_until(lambda: not self._any_pending(), "drain")
             self._barrier_pending = False
             self._barriers.clear()
             self._window_boundary_upto(self._batch_seq)
@@ -752,11 +750,16 @@ class ParallelCluster(ClusterBase):
             self._elastic_step()
         return released
 
-    def _await_barrier(self, max_seq: int) -> None:
-        deadline = monotonic() + self._barrier_timeout_s
-        while not self._barrier_ready(max_seq):
-            self._poll_results(timeout=0.05)
-            self._check_workers(deadline)
+    def _cap_pipeline(self) -> bool:
+        """Depth cap: block on the oldest barrier while more than
+        ``pipeline_depth`` overlap (bounds stash/journal growth to
+        ``pipeline_depth + 1`` windows).  True if emissions released."""
+        released = False
+        while len(self._barriers) > self._pipeline_depth:
+            oldest = self._barriers[0]
+            self._wait_until(lambda: self._barrier_ready(oldest), "barrier")
+            released |= self._complete_ready_barriers()
+        return released
 
     def _window_boundary_upto(self, max_seq: int) -> None:
         """A barrier completed: batches at or below ``max_seq`` are acked,
@@ -788,11 +791,29 @@ class ParallelCluster(ClusterBase):
     def _any_pending(self) -> bool:
         return any(handle.pending for handle in self._workers)
 
-    def _await_all_acks(self) -> None:
+    def _wait_until(self, done, phase: str) -> None:
+        """Poll acks and supervise workers until ``done()`` holds.
+
+        The parent's one blocking ack wait — ``phase`` is ``"barrier"``,
+        ``"backpressure"``, ``"drain"`` or ``"migration"``.  Past
+        ``barrier_timeout_s`` it raises a :class:`TopologyError` naming
+        the phase and every worker still owing acks.
+        """
         deadline = monotonic() + self._barrier_timeout_s
-        while self._any_pending():
+        while not done():
+            if monotonic() > deadline:
+                stuck = ", ".join(
+                    f"worker {h.index} ({len(h.pending)} batch(es), lowest "
+                    f"seq {min(h.pending)})"
+                    for h in self._workers
+                    if h.pending
+                )
+                raise TopologyError(
+                    f"parallel {phase} wait timed out after "
+                    f"{self._barrier_timeout_s:g}s; unacked: {stuck or 'none'}"
+                )
             self._poll_results(timeout=0.05)
-            self._check_workers(deadline)
+            self._supervise()
 
     def _pump_links(self) -> None:
         """Finish buffered non-blocking sends on every live link.
@@ -887,11 +908,6 @@ class ParallelCluster(ClusterBase):
                 worker=worker_index,
                 batch_seq=seq,
             )
-        elif kind == "adopted":
-            # migration handshake: the destination confirmed it owns the
-            # moved tasks.  FIFO already ordered the adopt before the
-            # replayed batches, so nothing to do beyond acknowledging.
-            pass
         elif kind == "snapshot":
             _, worker_index, data = message
             handle = self._workers[worker_index]
@@ -900,7 +916,8 @@ class ParallelCluster(ClusterBase):
         elif kind == "bye":
             self._workers[message[1]].said_bye = True
 
-    def _check_workers(self, deadline: float) -> None:
+    def _supervise(self) -> None:
+        """Recover (or fail on) every worker that died unannounced."""
         for handle in self._workers:
             if handle.degraded or handle.link is None or handle.said_bye:
                 continue
@@ -908,11 +925,6 @@ class ParallelCluster(ClusterBase):
                 continue
             if handle.pending or self._restart_policy is not None:
                 self._on_worker_failure(handle)
-        if monotonic() > deadline:
-            raise TopologyError(
-                f"parallel barrier timed out after {self._barrier_timeout_s:.0f}s "
-                f"({sum(len(h.pending) for h in self._workers)} batches in flight)"
-            )
 
     # ------------------------------------------------------------------
     # Supervision and recovery
@@ -937,13 +949,16 @@ class ParallelCluster(ClusterBase):
                 worker=handle.index,
             )
         while True:
-            if handle.restarts_in_window >= policy.max_restarts_per_window:
-                if policy.degrade:
-                    self._degrade(handle)
-                    return
+            exhausted = handle.restarts_in_window >= policy.max_restarts_per_window
+            if exhausted and not policy.degrade:
                 raise WorkerCrashError(
                     handle.index, exit_code, handle.restarts_in_window
                 )
+            self._reap(handle)
+            handle.incarnation += 1
+            if exhausted:
+                self._degrade(handle)
+                return
             attempt = handle.restarts_in_window
             handle.restarts_in_window += 1
             self.worker_restarts += 1
@@ -952,11 +967,16 @@ class ParallelCluster(ClusterBase):
             delay = policy.delay(attempt, self._rng)
             if delay > 0:
                 sleep(delay)
-            self._respawn(handle)
+            self._spawn(handle)
             try:
-                self._replay(handle)
+                self._ship_history(
+                    handle,
+                    handle.sticky[: handle.sticky_mark],
+                    handle.journal,
+                    handle.link.send,
+                )
                 return
-            except _WorkerLost:
+            except LinkDown:  # the replacement died mid-replay
                 exit_code = handle.link.exit_code if handle.link else None
                 continue
 
@@ -965,73 +985,56 @@ class ParallelCluster(ClusterBase):
             handle.link.reap(timeout=1.0)
             handle.link = None
 
-    def _respawn(self, handle: _WorkerHandle) -> None:
-        """Spawn a replacement worker over a fresh link."""
-        self._reap(handle)
-        handle.incarnation += 1
-        if self.registry.enabled:
-            # a mid-run replacement inherits everything the parent
-            # registry has recorded so far (by fork or by pickled init);
-            # remember it so snapshot() can subtract it
-            handle.fork_baseline = self.registry.snapshot()
-        self._spawn(handle)
+    def _ship_history(
+        self, handle: _WorkerHandle, sticky: list, batches: dict, send
+    ) -> None:
+        """Re-ship history to a fresh executor of ``handle`` via ``send``.
 
-    def _replay_send(self, handle: _WorkerHandle, seq: int, entries: list) -> None:
-        """Re-ship raw entries under ``seq``: encoding is deterministic,
-        so a journaled batch goes out bit-identical to its first send."""
-        try:
-            handle.link.send(self._codec.encode_batch(seq, entries))
-        except LinkDown:
-            raise _WorkerLost from None
-
-    def _replay(self, handle: _WorkerHandle) -> None:
-        """Re-ship sticky history plus the window journal to a fresh link.
-
-        Batch seqs are preserved so the bookkeeping (pending set, stash)
-        lines up; seqs that were already acknowledged are marked for
-        suppression — their re-acks rebuild nothing parent-side.
+        The one replay path (respawn, migration, degrade).  ``sticky`` —
+        the marked sticky prefix as ``(seq, entry)`` pairs — goes first
+        as one pseudo-batch under a fresh seq, then every batch of
+        ``batches`` (seq -> raw entries) in seq order under its original
+        seq, so the bookkeeping (pending set, stash) lines up; encoding
+        is deterministic, so a journaled batch goes out bit-identical to
+        its first send.  A seq ``handle`` has no pending ack for is
+        history whose effects were already applied: it is marked
+        suppressed, and its re-ack only rebuilds executor state.  A
+        :class:`LinkDown` from ``send`` propagates once the books are
+        consistent again.
         """
-        sticky = [entry for _seq, entry in handle.sticky[: handle.sticky_mark]]
-        sticky_seq = None
+        shipments = sorted(batches.items())
         if sticky:
             self._batch_seq += 1
-            sticky_seq = self._batch_seq
-            handle.pending.add(sticky_seq)
-            handle.suppress.add(sticky_seq)
-            try:
-                self._replay_send(handle, sticky_seq, sticky)
-            except _WorkerLost:
-                handle.pending.discard(sticky_seq)
-                handle.suppress.discard(sticky_seq)
-                raise
+            shipments.insert(0, (self._batch_seq, [entry for _, entry in sticky]))
         try:
-            for seq in sorted(handle.journal):
+            for seq, entries in shipments:
                 if seq not in handle.pending:  # already acked: state-only
                     handle.pending.add(seq)
                     handle.suppress.add(seq)
-                self._replay_send(handle, seq, handle.journal[seq])
-        except _WorkerLost:
-            if sticky_seq is not None:
+                send(self._codec.encode_batch(seq, entries))
+        except LinkDown:
+            if sticky:
                 # this link is gone, so its sticky pseudo-batch can never
-                # be acknowledged — don't let the barrier wait for it.
-                # The next replay assigns the sticky history a fresh seq;
-                # keeping this one in ``suppress`` drops any ack that
-                # still arrives from the dying incarnation.
-                handle.pending.discard(sticky_seq)
+                # be acknowledged — don't let a barrier wait for it.  A
+                # later replay assigns the history a fresh seq; keeping
+                # this one in ``suppress`` drops any straggler ack.
+                handle.pending.discard(shipments[0][0])
             raise
 
     def _degrade(self, handle: _WorkerHandle) -> None:
-        """Reassign a dead worker's tasks to the parent, inline.
+        """Respawn a dead worker into the parent, then run its tasks inline.
 
         The parent's copies of the remote task instances are pristine —
-        it prepared them but never executes them — so they are rebuilt
-        to the dead worker's window state by replaying sticky history
-        and the window journal directly, with the same ack-suppression
-        rule: entries of already-acknowledged batches mutate task state
-        but their emissions, counters and dead letters are dropped.
-        From here on, placement falls through to the local FIFO.
+        it prepared them but never executes them — so an in-parent
+        :class:`WorkerSession` over them is a replacement worker: it
+        receives the replay a respawned worker would, and each reply
+        takes the ordinary ack path (:meth:`_handle_message`), which
+        suppresses acked history and stashes, counts and quarantines the
+        rest.  Only the plan's raise rules reach it: no kill, delay or
+        slow rule can fire in the parent.  From here on, placement falls
+        through to the local FIFO.  The caller has reaped the dead link
+        and counted the new incarnation.
         """
-        self._reap(handle)
         handle.degraded = True
         self.degraded_workers += 1
         if self._obs:
@@ -1039,98 +1042,24 @@ class ParallelCluster(ClusterBase):
         for key in handle.assigned:
             self._placement.pop(key, None)
         self._rebuild_worker_masks()
-        handle.incarnation += 1
         plan = self._fault_plan
-        faults = (
-            plan.runtime(handle.index, handle.incarnation) if plan is not None else None
+        session = WorkerSession(
+            self._worker_init(
+                handle, FaultPlan(raises=plan.raises) if plan is not None else None
+            )
         )
-        # one inline delivery per (entry, addressed task), under the
-        # worker's per-owner fault key
-        for entry_index, (component, _lowest, tup, mask) in enumerate(
-            entry for _seq, entry in handle.sticky[: handle.sticky_mark]
-        ):
-            for task_index in owners_of(mask):
-                self._replay_inline(
-                    handle, component, task_index, tup,
-                    emissions=None, faults=faults,
-                    key=("sticky", entry_index, task_index), batch_seq=None,
-                )
-        for seq in sorted(handle.journal):
-            acked = seq not in handle.pending
-            emissions: Optional[list] = None if acked else []
-            for entry_index, (component, _lowest, tup, mask) in enumerate(
-                handle.journal[seq]
-            ):
-                for task_index in owners_of(mask):
-                    self._replay_inline(
-                        handle, component, task_index, tup,
-                        emissions=emissions, faults=faults,
-                        key=(seq, entry_index, task_index), batch_seq=seq,
-                    )
-            if not acked:
-                self._stash[seq] = tuple(emissions or ())
-                handle.pending.discard(seq)
-        handle.journal.clear()
-        handle.journal_nbytes.clear()
-        handle.suppress.clear()
+
+        def send(frame) -> None:
+            for reply in session.handle(frame):
+                self._handle_message(reply)
+
+        self._ship_history(
+            handle, handle.sticky[: handle.sticky_mark], handle.journal, send
+        )
         # unsent buffered tuples simply fall through to the local FIFO
         raw, handle.buffer = handle.buffer, []
         for component, _task_index, tup, mask in raw:
             ClusterBase._deliver(self, component, mask, tup)
-
-    def _replay_inline(
-        self,
-        handle: _WorkerHandle,
-        component: str,
-        task_index: int,
-        tup: StreamTuple,
-        *,
-        emissions: Optional[list],
-        faults,
-        key,
-        batch_seq: Optional[int],
-    ) -> None:
-        """Process one journaled entry in the parent during degradation.
-
-        ``emissions=None`` marks a suppressed entry (sticky history or an
-        already-acknowledged batch): task state advances, everything else
-        is dropped.  Otherwise emissions are buffered in the worker ack
-        shape so :meth:`_release_emissions` treats them uniformly.
-        """
-        suppressed = emissions is None
-        task = self._tasks[component][task_index]
-        collector = WorkerCollector(component, task_index, self._codec)
-        collector.buffer = [] if suppressed else emissions
-        attempts = 0
-        while True:
-            try:
-                if faults is not None:
-                    faults.check_raise(component, tup.stream, key, attempts == 0)
-                task.process(tup, collector)
-                break
-            except Exception as exc:
-                if not suppressed:
-                    self.failures += 1
-                if attempts >= self.max_retries:
-                    if suppressed:
-                        # the original ack already accounted this outcome
-                        return
-                    if self.dead_letters is not None:
-                        self._quarantine(
-                            component, task_index, tup, attempts, exc,
-                            worker=handle.index, batch_seq=batch_seq,
-                        )
-                        return
-                    raise TupleProcessingError(
-                        component, task_index, attempts, exc,
-                        worker=handle.index, batch_seq=batch_seq,
-                    ) from exc
-                attempts += 1
-        if not suppressed:
-            self.processed += 1
-            self._component_processed[component] += 1
-            if self._obs:
-                self._proc_counters[component].inc()
 
     # ------------------------------------------------------------------
     # Elasticity: scale-up/down and live partition migration
@@ -1230,34 +1159,10 @@ class ParallelCluster(ClusterBase):
         new slot appends; it receives tasks through migration's
         ``adopt`` path rather than through its ``WorkerInit``.
         """
-        index = len(self._workers)
-        assigned: list[tuple[str, int]] = []
-        self._assignments.append(assigned)
-        handle = _WorkerHandle(index, assigned)
+        handle = _WorkerHandle(len(self._workers), [])
         self._workers.append(handle)
-        if self.registry.enabled:
-            # like a respawn: the new worker inherits the registry state
-            # shipped in its init — remember it for snapshot subtraction
-            handle.fork_baseline = self.registry.snapshot()
         self._spawn(handle)
         return handle
-
-    def _drain_worker(self, handle: _WorkerHandle) -> bool:
-        """Flush and await every outstanding ack of one worker.
-
-        Returns False when the worker degraded while draining (its
-        state moved inline; there is nothing left to migrate)."""
-        self._flush(handle)
-        if handle.degraded:
-            return False
-        self._pump_links()
-        deadline = monotonic() + self._barrier_timeout_s
-        while handle.pending:
-            self._poll_results(timeout=0.05)
-            self._check_workers(deadline)
-            if handle.degraded:
-                return False
-        return True
 
     def _migrate_tasks(
         self,
@@ -1281,10 +1186,9 @@ class ParallelCluster(ClusterBase):
            journaled bytes divide by assignments.
         3. **Ship** — the destination link receives, in one FIFO burst:
            an ``("adopt", tasks)`` message carrying the parent's
-           pristine task instances, the moved marked-sticky history as
-           one fresh-seq suppressed pseudo-batch, then each moved
-           journal batch re-encoded under its original seq, all
-           suppressed (the source already acked them) — re-acks rebuild
+           pristine task instances, then the moved history through the
+           crash-replay path (:meth:`_ship_history`), all of it
+           suppressed (the source already acked it) — re-acks rebuild
            worker state without re-applying effects, the same rule that
            keeps crash recovery byte-identical.  The source is told to
            ``("disown", keys)``: its copies of the moved tasks release
@@ -1294,14 +1198,15 @@ class ParallelCluster(ClusterBase):
         merged history, so the ordinary failure path (respawn + full
         replay, or degrade) finishes the job.
         """
-        if src is dst or not keys:
-            return False
         moving: dict[str, int] = {}
         for component, task_index in keys:
             moving[component] = moving.get(component, 0) | (1 << task_index)
-        if not self._drain_worker(src):
-            return False
-        if dst.retired or dst.degraded or dst.link is None:
+        # -- 1: drain the source (a source that degrades while draining
+        # ran its whole history inline: nothing is left to migrate)
+        self._flush(src)
+        self._pump_links()
+        self._wait_until(lambda: src.degraded or not src.pending, "migration")
+        if src.degraded or dst.retired or dst.degraded or dst.link is None:
             return False
         # -- 2: split the books (before any wire I/O, so a destination
         # death mid-ship leaves a consistent merged state behind)
@@ -1360,33 +1265,15 @@ class ParallelCluster(ClusterBase):
             src.link.send(("disown", keys))
         except LinkDown:
             pass  # a respawned source starts from what is assigned to it
-        sticky_seq = None
         try:
-            try:
-                dst.link.send(
-                    (
-                        "adopt",
-                        {key: self._tasks[key[0]][key[1]] for key in keys},
-                    )
-                )
-            except LinkDown:
-                raise _WorkerLost from None
-            sticky_raw = [entry for _seq, entry in moved_sticky[:moved_marked]]
-            if sticky_raw:
-                self._batch_seq += 1
-                sticky_seq = self._batch_seq
-                dst.pending.add(sticky_seq)
-                dst.suppress.add(sticky_seq)
-                self._replay_send(dst, sticky_seq, sticky_raw)
-            for seq in sorted(moved_journal):
-                dst.pending.add(seq)
-                dst.suppress.add(seq)
-                self._replay_send(dst, seq, moved_journal[seq])
-        except _WorkerLost:
-            if sticky_seq is not None:
-                # the dying link can never ack the pseudo-batch; keeping
-                # it in ``suppress`` drops any straggler ack
-                dst.pending.discard(sticky_seq)
+            dst.link.send(
+                ("adopt", {key: self._tasks[key[0]][key[1]] for key in keys})
+            )
+            # the source acked every moved seq, so all of it is suppressed
+            self._ship_history(
+                dst, moved_sticky[:moved_marked], moved_journal, dst.link.send
+            )
+        except LinkDown:
             self._on_worker_failure(dst)
         self.migrations += 1
         if self._obs:
@@ -1413,7 +1300,8 @@ class ParallelCluster(ClusterBase):
                     handle.awaiting_snapshot = False
                 elif monotonic() > deadline:
                     raise TopologyError(
-                        "timed out collecting a retiring worker's snapshot"
+                        f"timed out after {self._barrier_timeout_s:g}s "
+                        f"collecting retiring worker {handle.index}'s snapshot"
                     )
         if handle.link is not None:
             try:
@@ -1422,13 +1310,6 @@ class ParallelCluster(ClusterBase):
                 pass
         self._reap(handle)
         handle.retired = True
-        handle.pending.clear()
-        handle.journal.clear()
-        handle.journal_nbytes.clear()
-        handle.sticky = []
-        handle.sticky_mark = 0
-        handle.suppress.clear()
-        handle.delivered_docs.clear()
 
     def _release_emissions_upto(self, max_seq: int) -> bool:
         """Re-inject stashed remote emissions of batches at or below
@@ -1521,7 +1402,11 @@ class ParallelCluster(ClusterBase):
                 except LinkDown:
                     handle.awaiting_snapshot = False
             if monotonic() > deadline:
-                raise TopologyError("timed out collecting worker snapshots")
+                silent = [h.index for h in alive if h.awaiting_snapshot]
+                raise TopologyError(
+                    f"timed out after {self._barrier_timeout_s:g}s collecting "
+                    f"worker snapshots; no reply from worker(s) {silent}"
+                )
         worker_snaps = []
         for handle in self._workers:
             if handle.snapshot is None:

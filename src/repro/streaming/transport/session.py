@@ -23,13 +23,14 @@ parent → worker
     in ``mask``, ``task_index`` the lowest; ``("adopt", tasks)`` and
     ``("disown", keys)`` (live partition migration hands a worker task
     instances mid-run and tells the worker they left to let them go),
-    ``("snapshot",)``, ``("stop",)``
+    ``("snapshot",)``, ``("stop",)``; ``adopt`` and ``disown`` have no
+    reply — FIFO order already places an adopt before the batches that
+    need it
 worker → parent
     ``("ack", seq, worker_index, counts, failures, emissions, dead,
     busy_s)`` — ``busy_s`` is the worker-side wall time spent executing
     the batch, the ack-latency load signal of the elastic controller —
     ``("error", worker_index, seq, component, task_index, retries, exc)``,
-    ``("adopted", worker_index, n_tasks)`` (a ``disown`` has no reply),
     ``("snapshot", worker_index, dict)``, ``("bye", worker_index)``
 
 Every worker→parent message carries the worker index, which is what
@@ -149,7 +150,8 @@ class WorkerSession:
             return [self._handle_batch(*self._codec.decode_batch(message))]
         kind = message[0]
         if kind == "adopt":
-            return [self._handle_adopt(message[1])]
+            self._handle_adopt(message[1])
+            return []
         if kind == "disown":
             self._handle_disown(message[1])
             return []
@@ -162,7 +164,7 @@ class WorkerSession:
             return [("bye", self.worker_index)]
         raise ValueError(f"unknown worker message kind {kind!r}")
 
-    def _handle_adopt(self, tasks: dict) -> tuple:
+    def _handle_adopt(self, tasks: dict) -> None:
         """Take ownership of migrated tasks (live partition migration).
 
         The parent ships pristine task instances; their journaled state
@@ -178,7 +180,6 @@ class WorkerSession:
             if residents:
                 task.join_executor(next(iter(residents.values())))
         self._install(tasks)
-        return ("adopted", self.worker_index, len(tasks))
 
     def _handle_disown(self, keys) -> None:
         """Let go of tasks that migrated to another worker."""

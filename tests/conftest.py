@@ -2,10 +2,107 @@
 
 from __future__ import annotations
 
+import os
+import time
+
 import pytest
 from hypothesis import strategies as st
 
 from repro.core.document import Document
+
+# ---------------------------------------------------------------------------
+# Leak gate: tests that start worker processes must leave none behind
+# ---------------------------------------------------------------------------
+
+#: markers of the suites that spawn workers (and pipe-transport shm segments)
+SPAWNING_MARKERS = ("parallel", "chaos", "distributed", "elastic")
+
+
+def _stat_fields(pid: int) -> list[str] | None:
+    """``/proc/<pid>/stat`` after the ``(comm)`` field (0 = state,
+    1 = ppid), or None once the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            raw = handle.read().decode("ascii", "replace")
+    except OSError:
+        return None
+    return raw[raw.rindex(")") + 2:].split()
+
+
+def _cmdline(pid: int) -> bytes:
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as handle:
+            return handle.read()
+    except OSError:
+        return b""
+
+
+def _live_worker_pids() -> list[int]:
+    """PIDs of live ``repro.worker`` processes, via /proc cmdlines."""
+    return [
+        int(entry)
+        for entry in os.listdir("/proc")
+        if entry.isdigit() and b"repro.worker" in _cmdline(int(entry))
+    ]
+
+
+def _live_children() -> set[int]:
+    """Live (non-zombie) children of this process.  multiprocessing's
+    resource tracker is left out: it lives as long as this process."""
+    me = os.getpid()
+    children = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        fields = _stat_fields(int(entry))
+        if fields is None or int(fields[1]) != me or fields[0] == "Z":
+            continue
+        if b"resource_tracker" not in _cmdline(int(entry)):
+            children.add(int(entry))
+    return children
+
+
+def _shm_segments() -> set[str]:
+    try:
+        return set(os.listdir("/dev/shm"))
+    except OSError:
+        return set()
+
+
+def _await_no_workers(timeout_s: float = 5.0) -> list[int]:
+    """Give just-reaped workers a beat to vanish from /proc, then report."""
+    deadline = time.monotonic() + timeout_s
+    pids = _live_worker_pids()
+    while pids and time.monotonic() < deadline:
+        time.sleep(0.1)
+        pids = _live_worker_pids()
+    return pids
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_workers(request):
+    """Fail a spawning test that leaves a child process, a ``repro.worker``
+    or a ``/dev/shm`` segment of its own alive past a 5 s grace."""
+    if not any(request.node.get_closest_marker(m) for m in SPAWNING_MARKERS):
+        yield
+        return
+    children, workers = _live_children(), set(_live_worker_pids())
+    segments = _shm_segments()
+    yield
+    deadline = time.monotonic() + 5.0
+    while True:
+        procs = (_live_children() - children) | (set(_live_worker_pids()) - workers)
+        shm = _shm_segments() - segments
+        if not (procs or shm) or time.monotonic() > deadline:
+            break
+        time.sleep(0.1)
+    if procs or shm:
+        pytest.fail(
+            f"{request.node.nodeid} leaked processes {sorted(procs)} and "
+            f"/dev/shm segments {sorted(shm)}",
+            pytrace=False,
+        )
+
 
 # ---------------------------------------------------------------------------
 # Canonical paper examples

@@ -20,13 +20,23 @@ from repro.streaming.parallel import ParallelCluster
 from repro.streaming.recovery import DeadLetterQueue, RestartPolicy
 from repro.streaming.topology import TopologyBuilder
 from repro.topology import messages as msg
-from repro.topology.pipeline import StreamJoinConfig, run_stream_join
+from repro.topology.pipeline import (
+    StreamJoinConfig,
+    build_topology,
+    make_cluster,
+    run_stream_join,
+)
 
 pytestmark = pytest.mark.chaos
 
 #: zero-backoff policy so restart loops do not slow the suite down
 FAST_RESTART = RestartPolicy(
     max_restarts_per_window=3, backoff_base_s=0.0, jitter=0.0
+)
+
+#: no restarts: the first death degrades the worker into the parent
+DEGRADE = RestartPolicy(
+    max_restarts_per_window=0, backoff_base_s=0.0, jitter=0.0, degrade=True
 )
 
 
@@ -158,6 +168,23 @@ class TestSyntheticChaos:
         assert sorted(collector.values) == clean
         assert cluster.degraded_workers == 1
         assert stats["worker_restarts"] == 0
+
+    def test_degraded_replay_never_kills_the_parent(self):
+        """Degrade respawns the worker into the parent, so an incarnation-1
+        kill rule names the in-parent replacement — it must not fire
+        there: the replay finishes and the run completes inline."""
+        clean = _clean_reference()
+        collector = CollectBolt()
+        plan = (
+            FaultPlan()
+            .kill_worker(0, after_batches=1, incarnation=0)
+            .kill_worker(0, after_batches=1, incarnation=1)
+        )
+        cluster = _parallel(collector, restart_policy=DEGRADE, fault_plan=plan)
+        with cluster:
+            cluster.run()
+        assert sorted(collector.values) == clean
+        assert cluster.degraded_workers == 1
 
     def test_worker_side_quarantine_records_dead_letters(self):
         collector = CollectBolt()
@@ -374,12 +401,16 @@ class TestTopologyChaos:
         clean_stats.pop("journal_bytes")
         assert faulted_stats == clean_stats
 
-    def test_degrade_preserves_results_end_to_end(self):
+    @pytest.mark.parametrize(
+        "transport", ["pipe", pytest.param("socket", marks=pytest.mark.distributed)]
+    )
+    def test_degrade_preserves_results_end_to_end(self, transport):
         windows = _windows(n_windows=2)
         clean = run_stream_join(_config(), windows)
         faulted = run_stream_join(
             _config(
                 backend="parallel",
+                transport=transport,
                 workers=2,
                 restart_policy=RestartPolicy(
                     max_restarts_per_window=0,
@@ -394,3 +425,47 @@ class TestTopologyChaos:
         assert faulted.per_window == clean.per_window
         assert faulted.join_pairs == clean.join_pairs
         assert faulted.tuple_stats["worker_restarts"] == 0
+
+    def test_degrade_with_poison_matches_a_respawn(self):
+        """Degrade is a respawn into the parent: under kill + poison the
+        degraded run quarantines, retries and counts exactly what a
+        respawned worker does, and its join results are the local run's
+        (the poison document joins with nothing)."""
+        windows = _windows()
+        poisoned = [[POISON, *windows[0]], *map(list, windows[1:])]
+        plan = (
+            FaultPlan()
+            .kill_worker(0, after_batches=1)
+            .raise_in(msg.JOINER, nth=1, stream=msg.ASSIGNED)
+        )
+
+        def run(**overrides):
+            config = _config(
+                max_retries=1, dead_letters=True, fault_plan=plan, **overrides
+            )
+            cluster = make_cluster(config, build_topology(config, poisoned))
+            try:
+                cluster.run()
+                stats = cluster.stats()
+                return {
+                    "join_pairs": [
+                        w.join_pairs for w in cluster.tasks(msg.SINK)[0].windows
+                    ],
+                    "dead_letters": stats["dead_letters"],
+                    "failures": cluster.failures,
+                    "processed": stats[msg.JOINER]["processed"],
+                }, cluster
+            finally:
+                cluster.close()
+
+        parallel = dict(backend="parallel", workers=2)
+        degraded, cluster = run(restart_policy=DEGRADE, **parallel)
+        assert cluster.degraded_workers == 1
+        respawned, cluster = run(restart_policy=FAST_RESTART, **parallel)
+        assert cluster.worker_restarts >= 1
+        local, _ = run()
+        assert degraded == respawned
+        assert degraded["dead_letters"] >= 1
+        assert degraded["join_pairs"] == local["join_pairs"] == [
+            w.join_pairs for w in run_stream_join(_config(), windows).per_window
+        ]

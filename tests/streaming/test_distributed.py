@@ -4,15 +4,15 @@ Everything here runs real ``python -m repro.worker`` subprocesses over
 TCP.  The suite covers the distributed acceptance scenario — a worker
 killed mid-window, respawned, and its journal replayed over a *fresh
 socket connection* with byte-identical results — plus the unified stats
-schema, worker-process leak checks on error paths, attach-mode
-(``tcp://host:port``) workers, and a final orphan gate asserting that
-no ``repro.worker`` process survives the suite.
+schema, worker-process leak checks on error paths and attach-mode
+(``tcp://host:port``) workers.  The per-test leak gate in
+``tests/conftest.py`` asserts that no ``repro.worker`` process outlives
+the test that started it.
 """
 
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -28,6 +28,7 @@ from repro.streaming.recovery import RestartPolicy
 from repro.streaming.topology import TopologyBuilder
 from repro.streaming.transport.framing import parse_banner
 from repro.topology.pipeline import StreamJoinConfig, run_stream_join
+from tests.conftest import _await_no_workers
 
 pytestmark = pytest.mark.distributed
 
@@ -36,32 +37,6 @@ FAST_RESTART = RestartPolicy(
 )
 
 _SRC_ROOT = str(Path(__file__).resolve().parents[2] / "src")
-
-
-def _live_worker_pids() -> list[int]:
-    """PIDs of live ``repro.worker`` processes, via /proc cmdlines."""
-    pids = []
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit():
-            continue
-        try:
-            with open(f"/proc/{entry}/cmdline", "rb") as handle:
-                cmdline = handle.read()
-        except OSError:
-            continue
-        if b"repro.worker" in cmdline:
-            pids.append(int(entry))
-    return pids
-
-
-def _await_no_workers(timeout_s: float = 5.0) -> list[int]:
-    """Give just-reaped workers a beat to vanish from /proc, then report."""
-    deadline = time.monotonic() + timeout_s
-    pids = _live_worker_pids()
-    while pids and time.monotonic() < deadline:
-        time.sleep(0.1)
-        pids = _live_worker_pids()
-    return pids
 
 
 # ----------------------------------------------------------------------
@@ -267,11 +242,3 @@ class TestSocketLifecycle:
             proc.wait(timeout=10)
             proc.stdout.close()
 
-
-def test_no_orphaned_worker_processes():
-    """The suite-level gate: nothing above may leak a worker process.
-
-    Keep this test last in the file — it scans /proc after every other
-    case has cleaned up.
-    """
-    assert _await_no_workers() == []

@@ -309,7 +309,11 @@ class TestFailureSurfacing:
             barrier_timeout_s=0.2,
             fault_plan=FaultPlan().delay_acks(0, seconds=1.0),
         )
-        with pytest.raises(TopologyError, match="timed out"):
+        # the error names the stuck phase, the worker owing acks and the
+        # lowest batch it owes
+        with pytest.raises(
+            TopologyError, match=r"barrier wait timed out.*worker 0 .*seq \d+"
+        ):
             cluster.run()
         cluster.close()
 

@@ -156,7 +156,7 @@ def test_a_task_migrated_mid_window_leaves_no_index_on_either_worker():
     kept, moved = split_entries(journal, {msg.JOINER: 0b100})
     assert [e[3] for e in kept] == [0b001, 0b011] * 3
     adopted = pickle.loads(pickle.dumps({(msg.JOINER, 2): bolt(2, JoinerGroup())}))
-    assert target.handle(("adopt", adopted)) == [("adopted", 1, 1)]
+    assert target.handle(("adopt", adopted)) == []
     assert adopted[(msg.JOINER, 2)]._group is groups[1]
     ship(target, 1, moved, replay=True)  # state transfer under the original seq
     assert source.handle(("disown", ((msg.JOINER, 2),))) == []
