@@ -83,7 +83,8 @@ def _add_backend_arguments(parser: argparse.ArgumentParser, help_suffix: str) ->
     parser.add_argument(
         "--transport", choices=("pipe", "socket"), default="pipe",
         help="worker transport for --backend parallel: forked processes "
-             "over pipes, or python -m repro.worker subprocesses over TCP",
+             "over a socketpair, or python -m repro.worker subprocesses "
+             "over TCP",
     )
     parser.add_argument(
         "--workers", type=_workers_argument, default=None,

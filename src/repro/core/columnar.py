@@ -151,9 +151,9 @@ class ColumnarBatch:
     def release(self) -> None:
         """Release borrowed buffer views (no-op for array-backed batches).
 
-        After a zero-copy decode from shared memory the views must be
-        dropped before the segment can close; callers release the batch
-        once :meth:`to_documents` has materialized everything they need.
+        After a zero-copy decode the views pin the received payload;
+        callers release the batch once :meth:`to_documents` has
+        materialized everything they need.
         """
         for name in ("offsets", "pair_ids", "doc_ids"):
             column = getattr(self, name)

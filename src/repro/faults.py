@@ -50,7 +50,7 @@ class InjectedFault(RuntimeError):
     """The exception raised by :class:`RaiseInBolt` rules.
 
     A plain ``RuntimeError`` subclass (picklable with its single message
-    argument) so it crosses the worker->parent pipe unchanged.
+    argument) so it crosses the worker->parent link unchanged.
     """
 
 

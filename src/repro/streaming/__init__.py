@@ -6,8 +6,8 @@ bolts wired by a :class:`TopologyBuilder` through the same four stream
 groupings Fig. 2 uses (shuffle, fields, all, direct), executed by a
 single-threaded FIFO :class:`LocalCluster` or the multi-core
 :class:`ParallelCluster` (same per-window results, Joiners in worker
-processes behind a pluggable :class:`Transport` — forked pipes or TCP
-sockets).  Determinism (round-robin shuffle, stable hashing, FIFO tuple
+processes behind a pluggable :class:`Transport` — forked socketpairs
+or TCP sockets).  Determinism (round-robin shuffle, stable hashing, FIFO tuple
 delivery) makes every experiment replayable — the routing semantics are
 Storm's, without the cluster.
 """

@@ -232,10 +232,16 @@ class ElasticController:
         total = sum(load.docs for load in loads)
         if total == 0 and not forced:
             return None
-        # hottest worker, deterministic tie-break on the lower index
-        hot = max(loads, key=lambda load: (load.docs, -load.worker))
+        # a single task cannot split across workers, so a forced action
+        # picks among the workers that can; hottest first, deterministic
+        # tie-break on the lower index
+        splittable = [load for load in loads if len(load.tasks) >= 2]
+        candidates = splittable if forced else loads
+        if not candidates:
+            return None
+        hot = max(candidates, key=lambda load: (load.docs, -load.worker))
         if len(hot.tasks) < 2:
-            return None  # a single task cannot split across workers
+            return None
         if not forced and hot.docs / total < self.policy.hot_share:
             return None
         hottest_key = max(

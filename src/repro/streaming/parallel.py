@@ -9,11 +9,13 @@ semantics of :class:`~repro.streaming.executor.LocalCluster`.
 The cluster is a composition of :class:`~repro.streaming.executor.ClusterBase`
 (the deterministic topology executor) and a
 :class:`~repro.streaming.transport.Transport` (how workers are started
-and how messages move).  Two transports ship: ``"pipe"`` — forked
-workers over duplex pipes, the single-host default — and ``"socket"`` —
-``python -m repro.worker`` subprocesses speaking length-prefixed frames
-over TCP, including attach-mode addressing for workers on other hosts
-(``docs/distributed.md``).  Everything below the transport seam is
+and how a worker starts).  Two transports ship: ``"pipe"`` — workers
+forked over a ``socketpair``, the single-host default — and
+``"socket"`` — ``python -m repro.worker`` subprocesses over TCP,
+including attach-mode addressing for workers on other hosts
+(``docs/distributed.md``).  After spawn both speak the same
+length-prefixed frames through one link class, one reply mux and one
+worker loop, so everything below the transport seam is
 transport-agnostic.
 
 Design, in terms of the Fig. 2 topology: the Joiners are pure "leaf"
@@ -154,9 +156,11 @@ from repro.streaming.tuples import (
 #: per-frame encode/send/ack costs — the flush barrier still bounds a
 #: window's tail, and ``linger_s`` bounds trickle latency
 DEFAULT_BATCH_SIZE = 512
-#: minimum seconds between opportunistic ack polls on the idle path (a
-#: ``multiprocessing.Queue`` poll costs tens of microseconds even when
-#: empty, so polling once per delivered tuple would dominate the loop)
+#: minimum seconds between opportunistic ack polls on the idle path (an
+#: empty poll is still an ``epoll_wait`` syscall plus the selector's
+#: Python wrapper, ~1.3 us on a 2-CPU x86 host; at ~8 delivered tuples
+#: per document, polling once per tuple would add a fifth to the
+#: parent's per-document CPU)
 IDLE_POLL_INTERVAL_S = 0.0005
 #: default age (seconds) after which a partial batch is flushed anyway
 DEFAULT_LINGER_S = 0.005
@@ -505,8 +509,8 @@ class ParallelCluster(ClusterBase):
             super().run()
             self.drain()
         except Exception:
-            # a mid-run failure must not leak worker processes, sockets
-            # or pipes — only context-manager users would otherwise
+            # a mid-run failure must not leak worker processes or
+            # sockets — only context-manager users would otherwise
             # clean up
             self.close()
             raise

@@ -78,7 +78,7 @@ class DeadLetter:
     """One quarantined tuple: where it failed and why.
 
     All fields are plain strings/ints so a dead letter produced inside a
-    worker process crosses the result pipe without pickling surprises.
+    worker process crosses the reply link without pickling surprises.
     """
 
     component: str

@@ -4,9 +4,11 @@ The :class:`~repro.streaming.transport.base.Transport` /
 :class:`~repro.streaming.transport.base.WorkerLink` pair is the seam
 between :class:`~repro.streaming.parallel.ParallelCluster` (batching,
 journals, supervision) and the mechanics of running workers.  Two
-implementations ship: ``"pipe"`` (fork + duplex pipe) and ``"socket"``
-(length-prefixed frames over TCP to ``python -m repro.worker``
-processes).  See ``docs/distributed.md`` for the contract.
+implementations ship and differ only in how a worker starts: ``"pipe"``
+(fork + ``socketpair``, one host) and ``"socket"`` (TCP to
+``python -m repro.worker`` processes).  After spawn both speak the same
+length-prefixed frames through one link class, one reply mux and one
+worker loop.  See ``docs/distributed.md`` for the contract.
 """
 
 from repro.streaming.transport.base import (
@@ -20,7 +22,11 @@ from repro.streaming.transport.base import (
     make_transport,
     register_transport,
 )
-from repro.streaming.transport.session import WorkerCollector, WorkerSession
+from repro.streaming.transport.session import (
+    WorkerCollector,
+    WorkerSession,
+    serve_link,
+)
 
 # importing the implementations registers them under their names
 from repro.streaming.transport.pipe import PipeTransport  # noqa: E402
@@ -40,4 +46,5 @@ __all__ = [
     "available_transports",
     "make_transport",
     "register_transport",
+    "serve_link",
 ]

@@ -2,9 +2,14 @@
 
 :class:`~repro.streaming.parallel.ParallelCluster` owns *what* to ship
 (batching, journals, restart policy, ack bookkeeping); a
-:class:`Transport` owns *how*: starting worker processes and moving
-messages to and from them.  The contract, which the conformance suite
-in ``tests/streaming/test_transport.py`` pins for every implementation:
+:class:`Transport` owns *how a worker starts*.  Everything after spawn
+is one code path for every transport: a :class:`WorkerLink` over a
+connected stream socket speaking the length-prefixed frames of
+:mod:`~repro.streaming.transport.framing`, one selector-based reply
+mux (:meth:`Transport.recv`), and one worker loop on the other end
+(:func:`~repro.streaming.transport.session.serve_link`).  The contract,
+which the conformance suite in ``tests/streaming/test_transport.py``
+pins for every implementation:
 
 * :meth:`Transport.spawn` takes a :class:`WorkerInit` — the complete,
   self-contained worker bootstrap (task instances, codec, registry,
@@ -24,9 +29,9 @@ in ``tests/streaming/test_transport.py`` pins for every implementation:
   established beyond the first per worker slot).
 
 Implementations: :class:`~repro.streaming.transport.pipe.PipeTransport`
-(fork + duplex pipe, single host) and
-:class:`~repro.streaming.transport.tcp.SocketTransport` (length-prefixed
-frames over TCP to ``python -m repro.worker`` processes).
+(fork + ``socketpair``, single host) and
+:class:`~repro.streaming.transport.tcp.SocketTransport` (TCP to
+``python -m repro.worker`` processes, spawned or attached).
 
 Every parent→worker batch crosses the seam as one
 :class:`~repro.streaming.transport.framing.BufferFrame` built by the
@@ -35,14 +40,19 @@ cluster's :class:`WireCodec`.
 
 from __future__ import annotations
 
+import select
+import selectors
+import subprocess
 from abc import ABC, abstractmethod
+from collections import deque
 from dataclasses import dataclass, field
+from time import monotonic
 from typing import Any, Optional, Sequence
 
 from repro.exceptions import TopologyError
 from repro.faults import FaultPlan
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
-from repro.streaming.transport.framing import BufferFrame
+from repro.streaming.transport.framing import BufferFrame, FrameDecoder, encode_frame
 
 
 class LinkDown(Exception):
@@ -156,8 +166,9 @@ class WireCodec:
 class WorkerInit:
     """Everything a worker needs to serve one link, in one shippable blob.
 
-    The pipe transport hands this object to a forked child by reference;
-    the socket transport pickles it as the connection's first frame.
+    The pipe transport's forked child inherits this object by memory
+    copy; the socket transport pickles it as the connection's first
+    frame.
     Pickling everything together preserves object identity *within* the
     blob — a task's reference to ``registry`` stays a reference to the
     shipped registry — so a fresh-interpreter worker sees the same
@@ -178,71 +189,176 @@ class WorkerInit:
     fault_plan: Optional[FaultPlan] = None
 
 
-class WorkerLink(ABC):
-    """Parent-side handle of one live worker connection."""
+class WorkerLink:
+    """Parent-side handle of one live worker connection.
 
-    #: worker slot this link serves
-    index: int
+    The one link class of both transports: a connected stream socket —
+    one end of a ``socketpair`` to a forked worker, or a TCP connection
+    — plus the worker process when the parent started it.  ``process``
+    is anything with ``Popen``'s ``poll`` / ``returncode`` / ``wait`` /
+    ``terminate`` / ``kill`` (a ``subprocess.Popen``, the pipe
+    transport's adapter over a forked process), or None for an attached
+    worker, whose liveness is the connection itself.
 
-    @abstractmethod
-    def send(self, message: tuple) -> int:
+    Writes are staged and non-blocking: the socket is switched to
+    non-blocking once the link exists, outbound frames queue as
+    memoryview chunks, and :meth:`pump` pushes whatever the kernel will
+    take.  A worker that is busy computing therefore never stalls the
+    parent mid-window — the wait surfaces in the ack drain, where it
+    overlaps with routing the next window.  Replies come back through
+    :meth:`Transport.recv`, which feeds :attr:`decoder`.
+    """
+
+    __slots__ = (
+        "index",
+        "decoder",
+        "_sock",
+        "_transport",
+        "_process",
+        "_eof",
+        "_pending",
+    )
+
+    def __init__(self, index: int, sock, transport, process=None) -> None:
+        #: worker slot this link serves
+        self.index = index
+        self.decoder = FrameDecoder()
+        self._sock = sock
+        self._transport = transport
+        self._process = process
+        self._eof = False
+        #: outbound bytes the kernel has not yet accepted (FIFO chunks)
+        self._pending: deque = deque()
+        sock.setblocking(False)
+
+    def send(self, message) -> int:
         """Ship one message, FIFO per link; :class:`LinkDown` if gone.
 
-        ``send`` may buffer: a transport with a non-blocking write path
-        queues whatever the kernel would not accept and returns, so the
-        parent keeps routing while a busy worker drains its end.  The
-        cluster calls :meth:`pump` opportunistically to finish such
-        writes; FIFO order still holds because every send enters the
-        same buffer.
-
-        Returns the serialized payload size in bytes — the cluster
-        accounts journal bytes per batch with it, feeding the
-        ``journal_bytes`` load signal the elastic controller watches.
+        Whatever the kernel does not accept right away stays queued for
+        :meth:`pump`; FIFO order holds because every send and stage
+        enters the same queue.  Returns the serialized payload size in
+        bytes — the cluster accounts journal bytes per batch with it,
+        feeding the ``journal_bytes`` load signal the elastic controller
+        watches.
         """
+        nbytes = self.stage(message)
+        self.pump()
+        return nbytes
 
-    def stage(self, message: tuple) -> int:
-        """Queue a message for shipping without touching the wire.
+    def stage(self, message) -> int:
+        """Queue a message's bytes without touching the wire.
 
         The cluster stages a window's batches while it routes and
         releases the bytes at the window barrier (:meth:`pump`), so
         workers receive a window's work in one burst and spend their
         CPU while the parent is busy elsewhere — on a loaded host this
-        keeps worker wakeups out of the parent's routing path.  Order
-        is shared with :meth:`send`: staged and sent messages drain
-        through one FIFO.  Default: ship eagerly via ``send``.
-        Returns the staged payload size in bytes, like :meth:`send`.
+        keeps worker wakeups out of the parent's routing path.  Returns
+        the staged size in bytes, like :meth:`send`.
         """
-        return self.send(message)
+        if self._sock is None:
+            raise LinkDown("link already reaped")
+        if isinstance(message, BufferFrame):
+            # scatter list: header, envelope, raw column buffers — no
+            # concatenation; the views keep their owners alive and the
+            # journaled frame outlives the write
+            parts = [
+                part if isinstance(part, memoryview) else memoryview(part)
+                for part in message.parts()
+                if len(part)
+            ]
+            self._pending.extend(parts)
+            return sum(len(part) for part in parts)
+        encoded = memoryview(encode_frame(message))
+        self._pending.append(encoded)
+        return len(encoded)
 
     def pump(self) -> None:
-        """Make progress on buffered outbound bytes (non-blocking).
+        """Make progress on queued outbound bytes (non-blocking): one
+        ``send`` per chunk until the kernel pushes back."""
+        sock = self._sock
+        if sock is None:
+            return
+        pending = self._pending
+        while pending:
+            chunk = pending[0]
+            try:
+                sent = sock.send(chunk)
+            except BlockingIOError:
+                return
+            except OSError as exc:
+                raise LinkDown(str(exc)) from exc
+            if sent == len(chunk):
+                pending.popleft()
+            else:
+                pending[0] = chunk[sent:]
+                return
 
-        Default is a no-op for transports whose ``send`` completes
-        eagerly.  Implementations raise :class:`LinkDown` when the
-        worker is gone, exactly as ``send`` does.
-        """
+    def _flush_pending(self, timeout: float) -> None:
+        """Best-effort blocking drain, for shutdown paths (reap)."""
+        deadline = monotonic() + timeout
+        while self._pending and self._sock is not None:
+            remaining = deadline - monotonic()
+            if remaining <= 0:
+                return
+            try:
+                select.select([], [self._sock], [], min(remaining, 0.05))
+                self.pump()
+            except (LinkDown, OSError, ValueError):
+                return
 
-    @abstractmethod
     def alive(self) -> bool:
         """Best-effort liveness of the worker behind the link."""
+        if self._process is not None:
+            return self._process.poll() is None
+        # attached worker: all we can observe is the connection itself
+        return self._sock is not None and not self._eof
 
     @property
-    @abstractmethod
     def exit_code(self) -> Optional[int]:
         """Worker exit code once dead, else None (and None when unknowable)."""
+        return self._process.poll() if self._process is not None else None
 
-    @abstractmethod
     def reap(self, timeout: float = 1.0) -> None:
         """Release the link and the worker process (idempotent).
 
         Waits up to ``timeout`` for a voluntary exit, then escalates to
-        termination; closing must unregister the link from the
-        transport's receive path so no stale messages surface later.
+        termination; the link leaves the transport's receive path first,
+        so no stale messages surface later.
         """
+        # a queued ("stop",) must reach the worker or wait() times out
+        self._flush_pending(timeout=timeout)
+        self._transport._drop(self)
+        sock, self._sock = self._sock, None
+        process = self._process
+        if process is not None:
+            # let a stopping worker finish its bye/exit before the socket
+            # goes away under it, then escalate
+            try:
+                process.wait(timeout=timeout)
+            except subprocess.TimeoutExpired:
+                process.terminate()
+                try:
+                    process.wait(timeout=1.0)
+                except subprocess.TimeoutExpired:  # pragma: no cover - stuck
+                    process.kill()
+                    process.wait()
+            if process.stdout is not None:
+                process.stdout.close()
+        if sock is not None:
+            try:
+                sock.close()
+            except OSError:  # pragma: no cover
+                pass
+        self._eof = True
 
 
 class Transport(ABC):
-    """Factory and message mux for one cluster's worker links."""
+    """Worker factory plus the one reply mux for its links.
+
+    Subclasses differ only in :meth:`spawn` — how a worker process
+    starts and how its socket is connected; every link is a
+    :class:`WorkerLink` and every reply arrives through :meth:`recv`.
+    """
 
     #: implementation name reported under ``stats()["transport"]``
     name = "abstract"
@@ -250,33 +366,79 @@ class Transport(ABC):
     def __init__(self) -> None:
         self.reconnects = 0
         self._spawned_slots: set[int] = set()
+        self._selector: Optional[selectors.BaseSelector] = None
+        self._inbox: deque = deque()
+        #: links not yet reaped, readable or not
+        self._links: set[WorkerLink] = set()
 
     def start(self) -> None:
-        """Allocate shared receive-side resources (called once, pre-spawn)."""
+        """Allocate the receive side (called once, pre-spawn)."""
+        if self._selector is None:
+            self._selector = selectors.DefaultSelector()
 
     @abstractmethod
     def spawn(self, init: WorkerInit) -> WorkerLink:
         """Start (or connect to) one worker and hand it ``init``."""
 
-    @abstractmethod
+    def _attach(self, worker_index: int, sock, process=None) -> WorkerLink:
+        """Wrap a connected worker socket in a link on the receive path."""
+        self.start()
+        link = WorkerLink(worker_index, sock, self, process)
+        self._selector.register(sock, selectors.EVENT_READ, link)
+        self._links.add(link)
+        if worker_index in self._spawned_slots:
+            self.reconnects += 1
+        else:
+            self._spawned_slots.add(worker_index)
+        return link
+
+    def _drop(self, link: WorkerLink) -> None:
+        """A link being reaped leaves the receive path."""
+        self._links.discard(link)
+        if self._selector is None or link._sock is None:
+            return
+        try:
+            self._selector.unregister(link._sock)
+        except (KeyError, ValueError):  # already unwatched at EOF
+            pass
+
     def recv(self, timeout: float) -> Optional[tuple]:
         """Next worker→parent message from any link, or None on timeout.
 
-        ``timeout <= 0`` must not block.
+        One selector over every link's socket, one incremental
+        :class:`FrameDecoder` per link.  ``timeout <= 0`` does not
+        block.
         """
+        if self._inbox:
+            return self._inbox.popleft()
+        if self._selector is None:
+            return None
+        for key, _ in self._selector.select(timeout if timeout > 0 else 0):
+            link: WorkerLink = key.data
+            try:
+                data = key.fileobj.recv(1 << 16)
+            except (BlockingIOError, InterruptedError):  # pragma: no cover
+                continue
+            except OSError:
+                data = b""
+            if not data:
+                # connection gone: stop watching; the cluster notices via
+                # alive() and replays the journal into a fresh link
+                self._selector.unregister(key.fileobj)
+                link._eof = True
+                continue
+            self._inbox.extend(link.decoder.feed(data))
+        return self._inbox.popleft() if self._inbox else None
 
     def stats(self) -> dict:
         return {"transport": self.name, "reconnects": self.reconnects}
 
     def close(self) -> None:
-        """Release shared resources; links are reaped by the cluster first."""
-
-    def _note_spawn(self, worker_index: int) -> None:
-        """Bookkeeping hook every ``spawn`` implementation must call."""
-        if worker_index in self._spawned_slots:
-            self.reconnects += 1
-        else:
-            self._spawned_slots.add(worker_index)
+        """Release the receive side; links are reaped by the cluster first."""
+        if self._selector is not None:
+            self._selector.close()
+            self._selector = None
+        self._inbox.clear()
 
 
 #: registered implementations, name → factory(addresses=None) -> Transport

@@ -1,7 +1,9 @@
-"""Wire framing for the socket transport.
+"""Wire framing: the one protocol every worker link speaks.
 
-Both sides of a socket link speak the same trivial protocol: a stream
-of **length-prefixed frames**.  Each frame is a 4-byte unsigned
+Both transports move the same bytes — a forked pipe worker over one end
+of a ``socket.socketpair()``, a socket worker over TCP — and both sides
+of a link speak the same trivial protocol: a stream of
+**length-prefixed frames**.  Each frame is a 4-byte unsigned
 big-endian header followed by the payload (``docs/distributed.md``
 documents the format).  Two frame kinds share the stream:
 
@@ -18,10 +20,12 @@ Framing is deliberately independent of the message vocabulary — the
 parent/worker messages themselves are defined by
 :class:`~repro.streaming.transport.session.WorkerSession`.
 
-The helpers here are synchronous and allocation-light so the parent's
-selector loop can use them directly; the asyncio worker entrypoint
-(:mod:`repro.worker`) reimplements only the read path on top of
-``StreamReader.readexactly``.
+The helpers here are synchronous and allocation-light.  There is one
+reader, :class:`FrameDecoder`: the parent's selector loop feeds one per
+link, and the worker loop
+(:func:`~repro.streaming.transport.session.serve_link`) feeds one per
+connection.  A buffer frame whose meta block does not describe its
+payload raises :class:`FrameError`.
 """
 
 from __future__ import annotations
@@ -49,6 +53,10 @@ DEFAULT_HOST = "127.0.0.1"
 ATTACH_SCHEME = "tcp://"
 
 
+class FrameError(ValueError):
+    """A buffer frame's meta block does not describe its payload."""
+
+
 def encode_frame(message: Any) -> bytes:
     """One message → header + pickled payload, ready for ``sendall``."""
     payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
@@ -74,9 +82,9 @@ class BufferFrame:
     and replaying it later reproduces the first send bit for bit.
 
     :meth:`parts` returns the scatter list (header + metadata block,
-    envelope, raw buffers) that ``socket.sendmsg`` can write without
-    concatenating; :meth:`to_bytes` joins it for transports that need
-    one contiguous blob (shared-memory segments, tests).
+    envelope, raw buffers) a link writes chunk by chunk without
+    concatenating; :meth:`to_bytes` joins it into one contiguous blob
+    (tests, tools).
     """
 
     __slots__ = ("envelope_bytes", "buffers", "_envelope", "_root")
@@ -120,12 +128,8 @@ class BufferFrame:
             _BUFFER_LENGTH.pack(length) for length in lengths
         )
 
-    def payload_parts(self) -> list:
-        """Scatter list of the payload (no outer frame header)."""
-        return [self._meta_block(), self.envelope_bytes, *self.buffers]
-
     def parts(self) -> list:
-        """Scatter list of the full wire frame, ready for ``sendmsg``."""
+        """Scatter list of the full wire frame."""
         nbytes = self.payload_nbytes
         if nbytes > MAX_FRAME_BYTES:  # pragma: no cover - 2 GiB frame
             raise ValueError(f"frame of {nbytes} bytes exceeds the frame format")
@@ -137,8 +141,7 @@ class BufferFrame:
         return b"".join(bytes(part) for part in self.parts())
 
     def release(self) -> None:
-        """Release every borrowed view (required before closing a
-        shared-memory segment the buffers point into)."""
+        """Release every borrowed view of a decoded frame's payload."""
         for view in self.buffers:
             view.release()
         self.buffers = []
@@ -146,38 +149,36 @@ class BufferFrame:
             self._root.release()
             self._root = None
 
-    def __reduce__(self):
-        # Pickle support is the compatibility fallback for transports
-        # that ship whole objects (it copies the buffers); the framed
-        # paths never use it.
-        return (
-            _rebuild_buffer_frame,
-            (self.envelope_bytes, tuple(bytes(view) for view in self.buffers)),
-        )
-
 
 #: sentinel: the envelope has not been unpickled yet
 _UNPICKLED = object()
 
 
-def _rebuild_buffer_frame(envelope_bytes: bytes, buffers: tuple) -> "BufferFrame":
-    return BufferFrame(buffers=buffers, envelope_bytes=envelope_bytes)
-
-
 def decode_buffer_payload(payload) -> BufferFrame:
     """A buffer-frame payload (bytes or memoryview) → :class:`BufferFrame`.
 
-    The returned frame's buffers are zero-copy views into ``payload``;
-    call :meth:`BufferFrame.release` before invalidating the backing
-    memory (e.g. closing a shared-memory segment).
+    The returned frame's buffers are zero-copy views into ``payload``.
+    Raises :class:`FrameError` unless the meta block fits the payload,
+    names at least the envelope, and its lengths exactly tile the bytes
+    after it.
     """
     root = _byte_view(payload)
+    size = _BUFFER_LENGTH.size
+    if len(root) < size:
+        raise FrameError(f"{len(root)}-byte buffer-frame payload has no meta block")
     (count,) = _BUFFER_LENGTH.unpack_from(root, 0)
-    offset = _BUFFER_LENGTH.size * (1 + count)
-    lengths = [
-        _BUFFER_LENGTH.unpack_from(root, _BUFFER_LENGTH.size * (1 + i))[0]
-        for i in range(count)
-    ]
+    offset = size * (1 + count)
+    if count == 0 or offset > len(root):
+        raise FrameError(
+            f"meta block of {count} buffer(s) does not fit a "
+            f"{len(root)}-byte payload"
+        )
+    lengths = struct.unpack_from(f"!{count}I", root, size)
+    if offset + sum(lengths) != len(root):
+        raise FrameError(
+            f"buffer lengths sum to {sum(lengths)} bytes, the payload "
+            f"carries {len(root) - offset} after its meta block"
+        )
     views = []
     for length in lengths:
         views.append(root[offset:offset + length])

@@ -1,265 +1,58 @@
-"""Fork + duplex-pipe transport (the original single-host backend).
+"""Fork + socketpair transport (the single-host default).
 
-One forked process per worker slot, a ``Pipe(duplex=True)`` for
-parent→worker batches, and one shared multiprocessing queue for all
-worker→parent replies.  Forking keeps the spawn path free of
-serialization: the child inherits the :class:`WorkerInit` object graph
-(prepared tasks, registry, link codec) by memory copy, which is exactly
-the state the parent-side encoder assumes.
-
-Parent→worker writes are non-blocking: every message is framed the way
-``Connection.recv`` expects and written to the ``O_NONBLOCK`` pipe fd
-directly, with kernel-rejected bytes parked in a parent-side queue that
-:meth:`PipeWorkerLink.pump` drains opportunistically.  A worker that is
-busy computing therefore never stalls the parent mid-window — the wait
-surfaces in the ack drain, where it overlaps with routing the next
-window.
-
-Buffer frames (the columnar wire path) bypass the pipe's pickler.
-Small frames — the overwhelming majority under the default batch size —
-ship *inline* as ``("iframe", payload_bytes)``: one contiguous copy of
-the frame payload through the pipe, no kernel object per frame.  Frames
-above :data:`INLINE_FRAME_LIMIT` go through a ``multiprocessing``
-shared-memory segment instead, the parent sending only ``("shmframe",
-name, nbytes)`` down the pipe; the worker maps the segment and decodes
-the columns zero-copy in place.  (A fresh segment costs ~20µs of
-syscalls to create, so per-frame shm only wins once the payload dwarfs
-the pipe's copy cost.)  Segment lifecycle: the worker unlinks right after
-attaching (a mapped POSIX segment survives its unlink), so a processed
-frame cleans itself up; the parent keeps the names and sweep-unlinks at
-reap to cover workers that died before attaching.  Tracker accounting:
-``SharedMemory`` registers every create *and* attach with the
-``resource_tracker`` (bpo-39959) while ``unlink()`` unregisters, so the
-sender — who never unlinks — unregisters explicitly and the unlinking
-side simply lets ``unlink()`` balance its attach.
-
-Requires the ``fork`` start method; unavailable platforms should use
-the local backend or the socket transport.
+Each worker slot is a forked process holding one end of a
+``socket.socketpair()``; the parent's end is an ordinary
+:class:`~repro.streaming.transport.base.WorkerLink`.  Only the start
+differs from the socket transport: the child inherits the
+:class:`~repro.streaming.transport.base.WorkerInit` object graph by
+memory copy, so it runs on this host and ``workers=`` takes a count.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
-import pickle
-import select
-import struct
-from collections import deque
-from multiprocessing import resource_tracker, shared_memory
-from queue import Empty
-from time import monotonic
+import socket
+import subprocess
 from typing import Optional, Sequence
 
 from repro.exceptions import TopologyError
 from repro.streaming.transport.base import (
-    LinkDown,
     Transport,
     WorkerInit,
     WorkerLink,
     register_transport,
 )
-from repro.streaming.transport.framing import BufferFrame, decode_buffer_payload
-from repro.streaming.transport.session import WorkerKilled, WorkerSession
-
-#: payload size above which a frame ships via shared memory instead of
-#: inline through the pipe; below it the segment-creation syscalls cost
-#: more than just copying the bytes
-INLINE_FRAME_LIMIT = 256 * 1024
+from repro.streaming.transport.session import serve_link
 
 
-def _untrack(shm) -> None:
-    """Undo the resource tracker's registration without unlinking.
+class _ForkedProcess:
+    """``Popen``'s process surface over a forked ``multiprocessing`` child.
 
-    ``SharedMemory`` registers every create *and* attach with the
-    tracker (bpo-39959) and only ``unlink()`` unregisters.  A side that
-    holds a segment it will *not* unlink (the sender, or an attacher
-    whose unlink lost the race) must unregister explicitly, or the
-    tracker double-unlinks at interpreter exit.
-    """
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals moved
-        pass
-
-
-def _attach_frame(name: str, nbytes: int):
-    """Worker side: map a shipped segment → (frame, segment)."""
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        # self-cleaning: the mapping stays valid after the unlink, and
-        # the segment disappears once both sides close.  unlink() also
-        # unregisters the attach-time tracker entry, keeping the
-        # tracker balanced without an explicit _untrack here.
-        shm.unlink()
-    except FileNotFoundError:  # pragma: no cover - parent swept first
-        _untrack(shm)  # unlink bailed before its unregister
-    frame = decode_buffer_payload(memoryview(shm.buf)[:nbytes])
-    return frame, shm
-
-
-def _pipe_worker_main(init: WorkerInit, conn, results) -> None:
-    """Entry point of one forked worker: serve messages until stopped."""
-    session = WorkerSession(init)
-    try:
-        while not session.stopped:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                break
-            shm = None
-            if type(message) is tuple and message:
-                kind = message[0]
-                if kind == "iframe":
-                    message = decode_buffer_payload(message[1])
-                elif kind == "shmframe":
-                    message, shm = _attach_frame(message[1], message[2])
-            try:
-                for reply in session.handle(message):
-                    results.put(reply)
-            finally:
-                if shm is not None:
-                    message.release()
-                    shm.close()
-    except WorkerKilled as kill:
-        # Flush our feeder thread before dying: the reply queue's write
-        # lock is shared with every other worker, and exiting while the
-        # feeder holds it mid-put would deadlock their acks for good.
-        results.close()
-        results.join_thread()
-        os._exit(kill.exit_code)
-    conn.close()
-
-
-class PipeWorkerLink(WorkerLink):
-    """One forked worker process plus its parent end of the pipe.
-
-    Sends are non-blocking: messages are serialized into the same
-    length-prefixed framing ``Connection.recv`` expects (``!i`` header +
-    pickle payload), written straight to the pipe fd with ``O_NONBLOCK``
-    set, and whatever the kernel rejects is queued parent-side.  The
-    cluster's poll loop calls :meth:`pump` to finish queued writes, so a
-    full pipe (worker busy, buffer at capacity) never stalls the parent
-    mid-push — the wait moves into the ack drain where it overlaps with
-    routing the next window.
+    The ``Process`` is closed once the child has exited, which releases
+    its sentinel pipe right away instead of at garbage collection.
     """
 
-    __slots__ = ("index", "_process", "_conn", "_fd", "_pending", "_shm_names")
+    stdout = None
 
-    def __init__(self, index: int, process, conn) -> None:
-        self.index = index
+    def __init__(self, process) -> None:
         self._process = process
-        self._conn = conn
-        self._fd = conn.fileno()
-        os.set_blocking(self._fd, False)
-        #: outbound bytes the kernel has not yet accepted (FIFO chunks)
-        self._pending: deque = deque()
-        #: segments shipped over this link, swept at reap — normally all
-        #: already unlinked by the worker, the sweep covers the rest
-        self._shm_names: list[str] = []
+        self.pid = process.pid
+        self.returncode: Optional[int] = None
+        self.terminate = process.terminate
+        self.kill = process.kill
 
-    def send(self, message) -> int:
-        nbytes = self.stage(message)
-        self.pump()
-        return nbytes
+    def poll(self) -> Optional[int]:
+        if self.returncode is None and self._process.exitcode is not None:
+            self.returncode = self._process.exitcode
+            self._process.close()
+        return self.returncode
 
-    def stage(self, message) -> int:
-        """Serialize and queue without writing (see base class)."""
-        if isinstance(message, BufferFrame):
-            return self._send_frame(message)
-        return self._enqueue(pickle.dumps(message))
-
-    def _enqueue(self, payload: bytes) -> int:
-        """Frame a pickled payload exactly as ``Connection.send`` would
-        (4-byte big-endian length, header+payload joined when small)."""
-        header = struct.pack("!i", len(payload))
-        if len(payload) <= 16384:
-            self._pending.append(header + payload)
-        else:
-            self._pending.append(header)
-            self._pending.append(payload)
-        return len(payload)
-
-    def pump(self) -> None:
-        pending = self._pending
-        while pending:
-            chunk = pending[0]
-            try:
-                written = os.write(self._fd, chunk)
-            except BlockingIOError:
-                return
-            except OSError as exc:
-                raise LinkDown(str(exc)) from exc
-            if written == len(chunk):
-                pending.popleft()
-            else:
-                pending[0] = memoryview(chunk)[written:]
-                return
-
-    def _flush_pending(self, timeout: float) -> None:
-        """Best-effort blocking drain, for shutdown paths (reap)."""
-        deadline = monotonic() + timeout
-        while self._pending and self._process.is_alive():
-            remaining = deadline - monotonic()
-            if remaining <= 0:
-                return
-            try:
-                select.select([], [self._fd], [], min(remaining, 0.05))
-                self.pump()
-            except (LinkDown, OSError, ValueError):
-                return
-
-    def _send_frame(self, frame: BufferFrame) -> int:
-        """Ship a buffer frame inline, or via shared memory when large."""
-        nbytes = frame.payload_nbytes
-        if nbytes <= INLINE_FRAME_LIMIT:
-            self._enqueue(
-                pickle.dumps(("iframe", b"".join(frame.payload_parts())))
-            )
-            return nbytes
-        shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
-        _untrack(shm)
-        self._shm_names.append(shm.name)
-        try:
-            offset = 0
-            buf = shm.buf
-            for part in frame.payload_parts():
-                end = offset + len(part)
-                buf[offset:end] = part
-                offset = end
-            self._enqueue(pickle.dumps(("shmframe", shm.name, nbytes)))
-        finally:
-            shm.close()
-        return nbytes
-
-    def alive(self) -> bool:
-        return self._process.is_alive()
-
-    @property
-    def exit_code(self) -> Optional[int]:
-        return self._process.exitcode
-
-    def reap(self, timeout: float = 1.0) -> None:
-        # a queued ("stop",) must reach the worker or join() times out
-        self._flush_pending(timeout=timeout)
-        self._process.join(timeout=timeout)
-        if self._process.is_alive():  # pragma: no cover - stuck worker
-            self._process.terminate()
-            self._process.join(timeout=1.0)
-        try:
-            self._conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        names, self._shm_names = self._shm_names, []
-        for name in names:
-            try:
-                segment = shared_memory.SharedMemory(name=name)
-            except FileNotFoundError:
-                continue  # the worker processed and unlinked it
-            try:
-                segment.unlink()  # also unregisters the attach
-            except FileNotFoundError:  # pragma: no cover - lost the race
-                _untrack(segment)
-            segment.close()
+    def wait(self, timeout: Optional[float] = None) -> int:
+        if self.poll() is None:
+            self._process.join(timeout)
+            if self.poll() is None:
+                raise subprocess.TimeoutExpired(self._process.name, timeout)
+        return self.returncode
 
 
 @register_transport("pipe")
@@ -282,38 +75,26 @@ class PipeTransport(Transport):
                 "use the local backend or the socket transport on this "
                 "platform"
             ) from exc
-        self._results = None
 
-    def start(self) -> None:
-        if self._results is None:
-            self._results = self._ctx.Queue()
-
-    def spawn(self, init: WorkerInit) -> PipeWorkerLink:
+    def spawn(self, init: WorkerInit) -> WorkerLink:
         self.start()
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        parent_end, child_end = socket.socketpair()
         process = self._ctx.Process(
-            target=_pipe_worker_main,
-            args=(init, child_conn, self._results),
+            target=self._serve_forked,
+            args=(init, parent_end, child_end),
             daemon=True,
             name=f"repro-joiner-worker-{init.worker_index}.{init.incarnation}",
         )
-        process.start()
-        child_conn.close()
-        self._note_spawn(init.worker_index)
-        return PipeWorkerLink(init.worker_index, process, parent_conn)
+        with child_end:
+            process.start()
+        return self._attach(init.worker_index, parent_end, _ForkedProcess(process))
 
-    def recv(self, timeout: float) -> Optional[tuple]:
-        if self._results is None:
-            return None
-        try:
-            if timeout > 0:
-                return self._results.get(timeout=timeout)
-            return self._results.get_nowait()
-        except Empty:
-            return None
-
-    def close(self) -> None:
-        if self._results is not None:
-            self._results.close()
-            self._results.join_thread()
-            self._results = None
+    def _serve_forked(self, init: WorkerInit, parent_end, child_end) -> None:
+        """Forked child: drop every parent-side fd it inherited — this
+        link's parent end, the other links' and the selector — so only
+        the parent holds them, then serve the link."""
+        parent_end.close()
+        for link in self._links:
+            link._sock.close()
+        self._selector.close()
+        serve_link(child_end, init)

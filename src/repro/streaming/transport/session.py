@@ -3,13 +3,15 @@
 :class:`WorkerSession` is the single implementation of the worker side
 of the cluster/worker protocol: batch execution with the retry budget,
 fault injection, dead-letter quarantine, snapshot export and the stop
-handshake.  Transports differ only in how bytes move, so each worker
-entrypoint is a thin receive loop around one session:
+handshake.  :func:`serve_link` is the single worker loop around one
+session; the transports differ only in how a worker process starts:
 
-* the pipe transport forks and loops ``conn.recv()`` →
-  :meth:`WorkerSession.handle` → ``results.put(reply)``;
-* the socket worker (:mod:`repro.worker`) reads frames off an asyncio
-  stream and writes the replies back on the same connection.
+* the pipe transport forks a child holding one end of a
+  ``socketpair`` and calls ``serve_link(sock, init)`` with the
+  :class:`WorkerInit` the child inherited;
+* the socket worker (:mod:`repro.worker`) accepts one TCP connection at
+  a time and calls ``serve_link(conn)``, whose first frame is the
+  pickled :class:`WorkerInit`.
 
 The message vocabulary (a batch is a frame; everything else is a plain
 tuple whose first element is the kind):
@@ -40,6 +42,7 @@ tagging.
 
 from __future__ import annotations
 
+import os
 import pickle
 import traceback
 from time import perf_counter, sleep
@@ -48,19 +51,23 @@ from typing import Any, Optional
 from repro.streaming.component import offer_fanout
 from repro.streaming.recovery import format_dead_letter_cause, truncated_repr
 from repro.streaming.transport.base import WorkerInit
-from repro.streaming.transport.framing import BufferFrame
+from repro.streaming.transport.framing import (
+    BufferFrame,
+    FrameDecoder,
+    FrameError,
+    encode_frame,
+)
 from repro.streaming.tuples import StreamTuple, owners_of
 
 
 class WorkerKilled(BaseException):
-    """A fault-plan kill fired; the transport loop must exit the process.
+    """A fault-plan kill fired; the worker loop must exit the process.
 
-    The session cannot call ``os._exit`` itself: the pipe transport's
-    reply queue runs a background feeder thread holding a lock shared
-    with every other worker, and exiting mid-``put`` would deadlock
-    their acks.  Raising lets each worker loop release its transport
-    resources first.  ``BaseException`` so task-level exception handling
-    can never swallow an injected kill.
+    The session never ends the process itself — it also runs inside the
+    parent for a degraded worker — so it raises and :func:`serve_link`,
+    which owns the worker process, calls ``os._exit``.
+    ``BaseException`` so task-level exception handling can never swallow
+    an injected kill.
     """
 
     def __init__(self, exit_code: int) -> None:
@@ -310,3 +317,38 @@ class WorkerSession:
             tuple(dead),
             perf_counter() - batch_start,
         )
+
+
+def serve_link(sock, init: Optional[WorkerInit] = None) -> None:
+    """The worker loop: serve one connected link until stop or EOF.
+
+    Each pass is ``recv`` → :meth:`FrameDecoder.feed` →
+    :meth:`WorkerSession.handle` → ``sendall`` of every reply, so the
+    link is FIFO both ways.  With ``init=None`` the first frame is the
+    pickled :class:`WorkerInit`.  The link ends (and ``sock`` is closed)
+    after the ``bye`` of a ``stop``, when the parent goes away, or on a
+    malformed frame (:class:`FrameError`); a fault-plan kill ends the
+    process.
+    """
+    decoder = FrameDecoder()
+    session = None if init is None else WorkerSession(init)
+    try:
+        while session is None or not session.stopped:
+            data = sock.recv(1 << 16)
+            if not data:
+                break
+            for message in decoder.feed(data):
+                if session is None:
+                    session = WorkerSession(message)
+                    continue
+                for reply in session.handle(message):
+                    sock.sendall(encode_frame(reply))
+                if session.stopped:
+                    break
+    except WorkerKilled as kill:
+        # the parent sees the EOF / process exit and replays the journal
+        os._exit(kill.exit_code)
+    except (FrameError, OSError):
+        pass
+    finally:
+        sock.close()

@@ -12,10 +12,11 @@ as subprocesses or *attaches* to pre-started ones:
 
 Because a socket worker is a fresh interpreter rather than a fork, the
 :class:`~repro.streaming.transport.base.WorkerInit` is pickled and sent
-as the connection's first frame.  Everything after that is the ordinary
-session protocol; the parent multiplexes replies from all links with a
-``selectors`` loop, feeding one incremental
-:class:`~repro.streaming.transport.framing.FrameDecoder` per link.
+as the connection's first frame.  Everything after that is shared with
+the pipe transport: the connected socket becomes an ordinary
+:class:`~repro.streaming.transport.base.WorkerLink` and its replies
+arrive through the one selector mux in
+:meth:`~repro.streaming.transport.base.Transport.recv`.
 
 Failure model: TCP happily buffers sends to a worker that just died, so
 ``send`` raising :class:`LinkDown` is *not* the primary death signal —
@@ -28,18 +29,15 @@ from __future__ import annotations
 
 import os
 import select
-import selectors
 import socket
 import subprocess
 import sys
-from collections import deque
 from pathlib import Path
 from time import monotonic, sleep
 from typing import Optional, Sequence
 
 from repro.exceptions import TopologyError
 from repro.streaming.transport.base import (
-    LinkDown,
     Transport,
     WorkerInit,
     WorkerLink,
@@ -47,8 +45,6 @@ from repro.streaming.transport.base import (
 )
 from repro.streaming.transport.framing import (
     DEFAULT_HOST,
-    BufferFrame,
-    FrameDecoder,
     encode_frame,
     is_attach_address,
     parse_address,
@@ -61,133 +57,6 @@ DEFAULT_SPAWN_TIMEOUT_S = 30.0
 SEND_TIMEOUT_S = 120.0
 #: ``src`` directory shipped to spawned workers via PYTHONPATH
 _SRC_ROOT = str(Path(__file__).resolve().parents[3])
-
-
-class SocketWorkerLink(WorkerLink):
-    """One TCP connection, plus the subprocess when we spawned it.
-
-    Writes are staged and non-blocking, mirroring the pipe link: the
-    socket is switched to non-blocking after the init handshake,
-    outbound frames queue as memoryview chunks, and :meth:`pump`
-    pushes whatever the kernel will take.
-    """
-
-    __slots__ = (
-        "index",
-        "decoder",
-        "_sock",
-        "_transport",
-        "_process",
-        "_eof",
-        "_pending",
-    )
-
-    def __init__(self, index: int, sock, transport, process=None) -> None:
-        self.index = index
-        self.decoder = FrameDecoder()
-        self._sock = sock
-        self._transport = transport
-        self._process = process
-        self._eof = False
-        #: outbound bytes the kernel has not yet accepted (FIFO chunks)
-        self._pending: deque = deque()
-        sock.setblocking(False)
-
-    def send(self, message) -> int:
-        nbytes = self.stage(message)
-        self.pump()
-        return nbytes
-
-    def stage(self, message) -> int:
-        """Queue a message's bytes without writing (see base class)."""
-        if self._sock is None:
-            raise LinkDown("link already reaped")
-        if isinstance(message, BufferFrame):
-            # scatter list: header, envelope, raw column buffers — no
-            # concatenation; the views keep their owners alive and the
-            # journaled frame outlives the write
-            parts = [
-                part if isinstance(part, memoryview) else memoryview(part)
-                for part in message.parts()
-                if len(part)
-            ]
-            self._pending.extend(parts)
-            return sum(len(part) for part in parts)
-        encoded = memoryview(encode_frame(message))
-        self._pending.append(encoded)
-        return len(encoded)
-
-    def pump(self) -> None:
-        sock = self._sock
-        if sock is None:
-            return
-        pending = self._pending
-        while pending:
-            chunk = pending[0]
-            try:
-                sent = sock.send(chunk)
-            except BlockingIOError:
-                return
-            except OSError as exc:
-                raise LinkDown(str(exc)) from exc
-            if sent == len(chunk):
-                pending.popleft()
-            else:
-                pending[0] = chunk[sent:]
-                return
-
-    def _flush_pending(self, timeout: float) -> None:
-        """Best-effort blocking drain, for shutdown paths (reap)."""
-        deadline = monotonic() + timeout
-        while self._pending and self._sock is not None:
-            remaining = deadline - monotonic()
-            if remaining <= 0:
-                return
-            try:
-                select.select([], [self._sock], [], min(remaining, 0.05))
-                self.pump()
-            except (LinkDown, OSError, ValueError):
-                return
-
-    def alive(self) -> bool:
-        if self._process is not None:
-            return self._process.poll() is None
-        # attached worker: all we can observe is the connection itself
-        return self._sock is not None and not self._eof
-
-    @property
-    def exit_code(self) -> Optional[int]:
-        return self._process.returncode if self._process is not None else None
-
-    def mark_eof(self) -> None:
-        self._eof = True
-
-    def reap(self, timeout: float = 1.0) -> None:
-        # a queued ("stop",) must reach the worker or wait() times out
-        self._flush_pending(timeout=timeout)
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            self._transport._forget(sock)
-        if self._process is not None:
-            # let a stopping worker finish its bye/exit before the socket
-            # goes away under it, then escalate
-            try:
-                self._process.wait(timeout=timeout)
-            except subprocess.TimeoutExpired:
-                self._process.terminate()
-                try:
-                    self._process.wait(timeout=1.0)
-                except subprocess.TimeoutExpired:  # pragma: no cover - stuck
-                    self._process.kill()
-                    self._process.wait()
-            if self._process.stdout is not None:
-                self._process.stdout.close()
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover
-                pass
-        self._eof = True
 
 
 @register_transport("socket")
@@ -203,23 +72,13 @@ class SocketTransport(Transport):
         super().__init__()
         self._addresses = list(addresses) if addresses is not None else None
         self._spawn_timeout_s = spawn_timeout_s
-        self._selector: Optional[selectors.BaseSelector] = None
-        self._inbox: deque = deque()
 
-    # ------------------------------------------------------------------
-    # Spawning
-    # ------------------------------------------------------------------
     def address_for(self, worker_index: int) -> str:
         if self._addresses is None or worker_index >= len(self._addresses):
             return f"{DEFAULT_HOST}:0"
         return self._addresses[worker_index]
 
-    def start(self) -> None:
-        if self._selector is None:
-            self._selector = selectors.DefaultSelector()
-
-    def spawn(self, init: WorkerInit) -> SocketWorkerLink:
-        self.start()
+    def spawn(self, init: WorkerInit) -> WorkerLink:
         address = self.address_for(init.worker_index)
         deadline = monotonic() + self._spawn_timeout_s
         if is_attach_address(address):
@@ -235,16 +94,12 @@ class SocketTransport(Transport):
             sock.settimeout(SEND_TIMEOUT_S)
             sock.sendall(encode_frame(init))
         except OSError as exc:
-            link = SocketWorkerLink(init.worker_index, sock, self, process)
-            link.reap(timeout=0.5)
+            WorkerLink(init.worker_index, sock, self, process).reap(timeout=0.5)
             raise TopologyError(
                 f"worker {init.worker_index} at {address} rejected the init "
                 f"frame: {exc}"
             ) from exc
-        link = SocketWorkerLink(init.worker_index, sock, self, process)
-        self._selector.register(sock, selectors.EVENT_READ, link)
-        self._note_spawn(init.worker_index)
-        return link
+        return self._attach(init.worker_index, sock, process)
 
     def _launch(self, address: str, deadline: float, worker_index: int):
         host, port = parse_address(address)
@@ -325,42 +180,3 @@ class SocketTransport(Transport):
             f"could not connect to worker {worker_index} at "
             f"{target[0]}:{target[1]}: {last_error}"
         )
-
-    # ------------------------------------------------------------------
-    # Receiving
-    # ------------------------------------------------------------------
-    def recv(self, timeout: float) -> Optional[tuple]:
-        if self._inbox:
-            return self._inbox.popleft()
-        if self._selector is None:
-            return None
-        for key, _ in self._selector.select(timeout if timeout > 0 else 0):
-            link: SocketWorkerLink = key.data
-            try:
-                data = key.fileobj.recv(1 << 16)
-            except (BlockingIOError, InterruptedError):  # pragma: no cover
-                continue
-            except OSError:
-                data = b""
-            if not data:
-                # connection gone: stop watching; the cluster notices via
-                # alive() and replays the journal into a fresh link
-                self._forget(key.fileobj)
-                link.mark_eof()
-                continue
-            self._inbox.extend(link.decoder.feed(data))
-        return self._inbox.popleft() if self._inbox else None
-
-    def _forget(self, sock) -> None:
-        if self._selector is None:
-            return
-        try:
-            self._selector.unregister(sock)
-        except (KeyError, ValueError):
-            pass
-
-    def close(self) -> None:
-        if self._selector is not None:
-            self._selector.close()
-            self._selector = None
-        self._inbox.clear()

@@ -96,7 +96,7 @@ class StreamJoinConfig:
     #: see :mod:`repro.streaming.parallel`)
     backend: str = "local"
     #: worker transport for the parallel backend: ``"pipe"`` forks
-    #: workers over duplex pipes (single host), ``"socket"`` runs
+    #: workers over a ``socketpair`` (single host), ``"socket"`` runs
     #: ``python -m repro.worker`` subprocesses over TCP and supports
     #: per-worker addressing (``docs/distributed.md``)
     transport: str = "pipe"

@@ -13,6 +13,9 @@ a spawning parent can discover the bound port, and serves connections:
    the parent goes away; the *process* ends once the connection budget
    is spent.
 
+Connections are served one at a time by the transports' one worker
+loop, :func:`~repro.streaming.transport.session.serve_link`.
+
 Each connection gets a *fresh* session — worker state is rebuilt by the
 parent's journal replay, never carried across connections.  By default
 the process exits after one connection (the spawned-subprocess
@@ -26,84 +29,31 @@ a respawning (or entirely new) parent can connect again; see
 from __future__ import annotations
 
 import argparse
-import asyncio
-import os
-import pickle
+import socket
 import sys
 
-from repro.streaming.transport.framing import (
-    FRAME_BUFFERS_FLAG,
-    FRAME_HEADER,
-    MAX_FRAME_BYTES,
-    decode_buffer_payload,
-    encode_frame,
-    format_banner,
-    parse_address,
-)
-from repro.streaming.transport.session import WorkerKilled, WorkerSession
+from repro.streaming.transport.framing import format_banner, parse_address
+from repro.streaming.transport.session import serve_link
 
 
-async def _read_frame(reader: asyncio.StreamReader):
-    header = await reader.readexactly(FRAME_HEADER.size)
-    (word,) = FRAME_HEADER.unpack(header)
-    payload = await reader.readexactly(word & MAX_FRAME_BYTES)
-    if word & FRAME_BUFFERS_FLAG:
-        # buffer frame: the session decodes envelope + raw column views
-        return decode_buffer_payload(payload)
-    return pickle.loads(payload)
-
-
-async def _serve_connection(reader, writer) -> bool:
-    """Serve one parent connection; True once a clean stop was handled."""
-    try:
-        init = await _read_frame(reader)
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return False
-    session = WorkerSession(init)
-    try:
-        while not session.stopped:
-            try:
-                message = await _read_frame(reader)
-            except (asyncio.IncompleteReadError, ConnectionError):
-                break
-            for reply in session.handle(message):
-                writer.write(encode_frame(reply))
-            await writer.drain()
-    except WorkerKilled as kill:
-        # No shared resources to release on this side of a socket — the
-        # parent sees the EOF / process exit and replays the journal.
-        os._exit(kill.exit_code)
-    except (ConnectionError, BrokenPipeError):
-        pass
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, BrokenPipeError):  # pragma: no cover
-            pass
-    return session.stopped
-
-
-async def serve(host: str, port: int, max_connections: int) -> None:
-    done = asyncio.Event()
-    served = 0
-
-    async def handler(reader, writer):
-        nonlocal served
-        served += 1
-        await _serve_connection(reader, writer)
+def serve(host: str, port: int, max_connections: int) -> None:
+    """Accept and serve connections one at a time (blocking)."""
+    family = socket.AF_INET6 if ":" in host else socket.AF_INET
+    with socket.create_server((host, port), family=family) as listener:
+        bound_host, bound_port = listener.getsockname()[:2]
+        print(format_banner(bound_host, bound_port), flush=True)
+        served = 0
         # Only the connection budget ends the process: a clean ``stop``
         # ends its *connection*, so an attach-mode worker (budget 0)
         # keeps listening for the next cluster — while a spawned worker
         # (budget 1) exits whether its parent said stop or just died.
-        if max_connections and served >= max_connections:
-            done.set()
-
-    server = await asyncio.start_server(handler, host, port)
-    bound_host, bound_port = server.sockets[0].getsockname()[:2]
-    print(format_banner(bound_host, bound_port), flush=True)
-    async with server:
-        await done.wait()
+        while True:
+            conn, _peer = listener.accept()
+            served += 1
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            serve_link(conn)
+            if max_connections and served >= max_connections:
+                return
 
 
 def main(argv=None) -> int:
@@ -133,7 +83,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     try:
-        asyncio.run(serve(host, port, args.max_connections))
+        serve(host, port, args.max_connections)
     except KeyboardInterrupt:  # pragma: no cover - operator stop
         return 130
     return 0

@@ -14,7 +14,7 @@ from repro.core.document import Document
 # Leak gate: tests that start worker processes must leave none behind
 # ---------------------------------------------------------------------------
 
-#: markers of the suites that spawn workers (and pipe-transport shm segments)
+#: markers of the suites that spawn workers
 SPAWNING_MARKERS = ("parallel", "chaos", "distributed", "elastic")
 
 
@@ -69,6 +69,19 @@ def _shm_segments() -> set[str]:
         return set()
 
 
+def _open_fds() -> dict[int, str]:
+    """This process's open descriptors → ``readlink`` targets.  The
+    directory descriptor the listing itself opens is closed by the time
+    it is resolved, so it drops out."""
+    fds = {}
+    for entry in os.listdir("/proc/self/fd"):
+        try:
+            fds[int(entry)] = os.readlink(f"/proc/self/fd/{entry}")
+        except OSError:
+            continue
+    return fds
+
+
 def _await_no_workers(timeout_s: float = 5.0) -> list[int]:
     """Give just-reaped workers a beat to vanish from /proc, then report."""
     deadline = time.monotonic() + timeout_s
@@ -81,25 +94,29 @@ def _await_no_workers(timeout_s: float = 5.0) -> list[int]:
 
 @pytest.fixture(autouse=True)
 def _no_leaked_workers(request):
-    """Fail a spawning test that leaves a child process, a ``repro.worker``
-    or a ``/dev/shm`` segment of its own alive past a 5 s grace."""
+    """Fail a spawning test that leaves a child process, a ``repro.worker``,
+    a ``/dev/shm`` segment or an open descriptor of its own alive past a
+    5 s grace."""
     if not any(request.node.get_closest_marker(m) for m in SPAWNING_MARKERS):
         yield
         return
     children, workers = _live_children(), set(_live_worker_pids())
     segments = _shm_segments()
+    fds = set(_open_fds().items())
     yield
     deadline = time.monotonic() + 5.0
     while True:
         procs = (_live_children() - children) | (set(_live_worker_pids()) - workers)
         shm = _shm_segments() - segments
-        if not (procs or shm) or time.monotonic() > deadline:
+        leaked_fds = sorted(set(_open_fds().items()) - fds)
+        if not (procs or shm or leaked_fds) or time.monotonic() > deadline:
             break
         time.sleep(0.1)
-    if procs or shm:
+    if procs or shm or leaked_fds:
         pytest.fail(
-            f"{request.node.nodeid} leaked processes {sorted(procs)} and "
-            f"/dev/shm segments {sorted(shm)}",
+            f"{request.node.nodeid} leaked processes {sorted(procs)}, "
+            f"/dev/shm segments {sorted(shm)} and descriptors "
+            + (", ".join(f"{fd} -> {target}" for fd, target in leaked_fds) or "[]"),
             pytrace=False,
         )
 

@@ -133,7 +133,12 @@ class TestSyntheticElasticity:
         cluster = _parallel(
             collector,
             workers=3,
-            elastic=ElasticPolicy(max_workers=4, force=((0, "down"),)),
+            elastic=ElasticPolicy(
+                # the cooldown outlasts the run: whether the last barrier
+                # completes before the final drain is a race, and its
+                # 5:9 document split is an organic scale-up
+                max_workers=4, force=((0, "down"),), cooldown_windows=10,
+            ),
         )
         with cluster:
             cluster.run()

@@ -183,6 +183,30 @@ class TestCooldownAndForce:
         # the schedule entry is consumed; nothing organic on even load
         assert controller.decide(3, even) is None
 
+    def test_forced_up_skips_single_task_workers(self):
+        # after one migration the hottest worker may hold a single task;
+        # the forced action still fires, on the hottest worker that can
+        # split (an empty window ties every load at zero)
+        loads = [
+            _load(0, [("J", 0)], [(("J", 0), 0)]),
+            _load(1, [("J", 1), ("J", 3)], [(("J", 1), 0), (("J", 3), 0)]),
+            _load(2, [("J", 2)], [(("J", 2), 0)]),
+        ]
+        controller = ElasticController(
+            ElasticPolicy(max_workers=4, force=((1, "up"),))
+        )
+        decision = controller.decide(1, loads)
+        assert decision is not None and decision.kind == "up"
+        assert decision.source == 1
+        # organic scale-ups keep refusing a hot single-task worker
+        hot_single = [
+            _load(0, [("J", 0)], [(("J", 0), 900)]),
+            _load(1, [("J", 1), ("J", 3)], [(("J", 1), 10), (("J", 3), 10)]),
+        ]
+        assert ElasticController(ElasticPolicy(max_workers=4)).decide(
+            0, hot_single
+        ) is None
+
     def test_forced_down_names_source_and_target(self):
         loads = [
             _load(0, [("J", 0)], [(("J", 0), 100)]),

@@ -225,6 +225,30 @@ class TestParallelBackend:
         finally:
             cluster.close()
 
+    def test_forked_worker_holds_no_parent_end_of_another_link(self):
+        """A forked worker closes the parent's ends it inherited: worker
+        1 must not hold the parent's socket to worker 0, or worker 0
+        would not see EOF once the parent closes that end."""
+        with ParallelCluster(
+            _square_topology(20, CollectBolt()),
+            remote_components=("square",),
+            workers=2,
+            batch_size=4,
+        ) as cluster:
+            cluster.run()  # worker 1 served batches: its closes are done
+            first, second = (handle.link for handle in cluster._workers)
+            parent_end = os.readlink(f"/proc/self/fd/{first._sock.fileno()}")
+            fd_dir = f"/proc/{second._process.pid}/fd"
+            held = set()
+            for entry in os.listdir(fd_dir):
+                try:
+                    held.add(os.readlink(f"{fd_dir}/{entry}"))
+                except OSError:
+                    continue
+        assert parent_end.startswith("socket:[")
+        assert any(target.startswith("socket:[") for target in held)
+        assert parent_end not in held
+
     def test_broadcast_grouping_reaches_remote_tasks(self):
         builder = TopologyBuilder()
         builder.set_spout("src", lambda: NumberSpout(4))

@@ -17,9 +17,14 @@ Three layers of coverage:
 """
 
 import argparse
+import os
+import socket
+import struct
 import warnings
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cli import _workers_argument
 from repro.exceptions import PartitioningError, TopologyError
@@ -38,8 +43,10 @@ from repro.streaming.transport import (
     make_transport,
 )
 from repro.streaming.transport.framing import (
+    FRAME_HEADER,
     BufferFrame,
     FrameDecoder,
+    FrameError,
     decode_buffer_payload,
     encode_frame,
     format_banner,
@@ -111,13 +118,11 @@ class TestBufferFrames:
 
     def test_frames_are_stable_across_re_serialization(self):
         # journal replay guarantee: the same frame always produces the
-        # same bytes, and a pickled copy (pipe fallback) still matches
-        import pickle
-
+        # same bytes, and a received copy re-serializes to them too
         frame = BufferFrame(("cbatch", 9), [b"\x00" * 16])
         first = frame.to_bytes()
         assert frame.to_bytes() == first
-        clone = pickle.loads(pickle.dumps(frame))
+        (clone,) = FrameDecoder().feed(first)
         assert clone.to_bytes() == first
 
     def test_release_drops_borrowed_views(self):
@@ -126,6 +131,65 @@ class TestBufferFrames:
         decoded = decode_buffer_payload(memoryview(payload))
         decoded.release()
         assert decoded.buffers == []
+
+
+#: byte size of the meta block's count word and of each length word
+_WORD = 4
+
+
+@st.composite
+def _buffer_payloads(draw):
+    """A valid buffer-frame payload (no outer header)."""
+    envelope = draw(st.tuples(st.text(max_size=8), st.integers()))
+    buffers = draw(st.lists(st.binary(max_size=24), max_size=4))
+    return BufferFrame(envelope, buffers).to_bytes()[FRAME_HEADER.size:]
+
+
+class TestHostileMetaBlock:
+    """``decode_buffer_payload`` trusts nothing it reads off the wire:
+    a payload either decodes to buffers that exactly tile it or raises
+    :class:`FrameError` — never ``struct.error`` or ``IndexError``."""
+
+    @staticmethod
+    def _decodes_or_rejects(payload: bytes) -> None:
+        try:
+            frame = decode_buffer_payload(payload)
+        except FrameError:
+            return
+        meta = _WORD * (2 + len(frame.buffers))
+        tiled = meta + len(frame.envelope_bytes) + sum(
+            len(view) for view in frame.buffers
+        )
+        assert tiled == len(payload)
+
+    @given(_buffer_payloads(), st.data())
+    def test_truncations(self, payload, data):
+        # a strict prefix can never tile: its meta block is unchanged
+        cut = data.draw(st.integers(0, len(payload) - 1))
+        with pytest.raises(FrameError):
+            decode_buffer_payload(payload[:cut])
+
+    @given(_buffer_payloads(), st.data())
+    def test_single_bit_flips_in_the_meta_block(self, payload, data):
+        (count,) = struct.unpack_from("!I", payload)
+        bit = data.draw(st.integers(0, 8 * _WORD * (1 + count) - 1))
+        flipped = bytearray(payload)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        self._decodes_or_rejects(bytes(flipped))
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b"", b"\x00\x00", struct.pack("!I", 0), struct.pack("!II", 5, 1)],
+    )
+    def test_degenerate_payloads_raise_frame_error(self, payload):
+        with pytest.raises(FrameError):
+            decode_buffer_payload(payload)
+
+    def test_the_stream_decoder_raises_it_too(self):
+        wire = bytearray(BufferFrame(("frame", 1), [b"abc"]).to_bytes())
+        wire[FRAME_HEADER.size + _WORD + 3] ^= 0x01  # envelope length
+        with pytest.raises(FrameError):
+            FrameDecoder().feed(bytes(wire))
 
 
 def _generic_entries():
@@ -296,15 +360,22 @@ class TestCliWorkersArgument:
 # Conformance suite: the contract every transport must satisfy
 # ----------------------------------------------------------------------
 class TickingNumberSpout(Spout):
-    """Emits 0..n-1 with a barrier tick every ``period`` numbers."""
+    """Emits 0..n-1 with a barrier tick every ``period`` numbers; with
+    ``pad`` > 0 every number carries that many bytes of its own (distinct
+    objects, so a frame's pickle cannot share them)."""
 
-    def __init__(self, n: int, period: int = 10):
+    def __init__(self, n: int, period: int = 10, pad: int = 0):
         self.n, self.period, self._i = n, period, 0
+        self.pad = pad
 
     def next_tuple(self, collector) -> bool:
         if self._i >= self.n:
             return False
-        collector.emit("numbers", (self._i,))
+        if self.pad:
+            filler = self._i.to_bytes(4, "big") * (self.pad // 4)
+            collector.emit("numbers", (self._i, filler))
+        else:
+            collector.emit("numbers", (self._i,))
         self._i += 1
         if self._i % self.period == 0:
             collector.emit("tick", (self._i,))
@@ -325,9 +396,11 @@ class CollectBolt(Bolt):
         self.values.append(tup.values[0])
 
 
-def _square_topology(collector: CollectBolt, n: int = 50):
+def _square_topology(
+    collector: CollectBolt, n: int = 50, period: int = 10, pad: int = 0
+):
     builder = TopologyBuilder()
-    builder.set_spout("src", lambda: TickingNumberSpout(n))
+    builder.set_spout("src", lambda: TickingNumberSpout(n, period, pad))
     square = builder.set_bolt("square", SquareBolt, parallelism=2)
     square.subscribe("src", "numbers", FieldsGrouping(key=0))
     square.subscribe("src", "tick", AllGrouping())
@@ -337,11 +410,23 @@ def _square_topology(collector: CollectBolt, n: int = 50):
     return builder.build()
 
 
-def _clean_reference(n: int = 50) -> list[int]:
+def _clean_reference(n: int = 50, **shape) -> list[int]:
     collector = CollectBolt()
-    with LocalCluster(_square_topology(collector, n)) as cluster:
+    with LocalCluster(_square_topology(collector, n, **shape)) as cluster:
         cluster.run()
     return sorted(collector.values)
+
+
+def _largest_send_buffer() -> int:
+    """``SO_SNDBUF`` of a fresh socketpair end or loopback TCP socket,
+    whichever is larger."""
+    pair = socket.socketpair()
+    with socket.create_server(("127.0.0.1", 0)) as server, pair[0], pair[1]:
+        with socket.create_connection(server.getsockname()) as tcp:
+            return max(
+                end.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+                for end in (pair[0], tcp)
+            )
 
 
 #: zero-backoff restart policy so recovery cases stay fast
@@ -353,14 +438,16 @@ class TransportConformance:
 
     TRANSPORT = "unset"
 
-    def _cluster(self, collector: CollectBolt, n: int = 50, **kwargs) -> ParallelCluster:
+    def _cluster(
+        self, collector: CollectBolt, n: int = 50, shape=None, **kwargs
+    ) -> ParallelCluster:
+        kwargs.setdefault("batch_size", 4)
         return ParallelCluster(
-            _square_topology(collector, n),
+            _square_topology(collector, n, **(shape or {})),
             remote_components=("square",),
             barrier_streams=("tick",),
             transport=self.TRANSPORT,
             workers=2,
-            batch_size=4,
             **kwargs,
         )
 
@@ -528,6 +615,42 @@ class TransportConformance:
         assert replayed, "the kill must have forced a frame replay"
         for seq, wire in replayed:
             assert wire == first_send[seq]
+
+    def test_frames_larger_than_the_socket_buffer(self):
+        """Batches of 128 padded numbers: every full frame is larger than
+        256 KiB and than the link's send buffer, so ``stage``/``pump``
+        finish it over several partial writes."""
+        shape = {"period": 300, "pad": max(4096, _largest_send_buffer() // 100)}
+        clean = _clean_reference(n=300, **shape)
+        collector = CollectBolt()
+        cluster = self._cluster(
+            collector, n=300, shape=shape, batch_size=128, linger_s=60.0
+        )
+        staged: list[int] = []
+        send_buffers: list[int] = []
+
+        class SizingLink:
+            def __init__(self, link):
+                self._link = link
+                send_buffers.append(
+                    link._sock.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+                )
+
+            def stage(self, message):
+                staged.append(self._link.stage(message))
+                return staged[-1]
+
+            def __getattr__(self, name):
+                return getattr(self._link, name)
+
+        inner_spawn = cluster._transport.spawn
+        cluster._transport.spawn = lambda init: SizingLink(inner_spawn(init))
+        segments = set(os.listdir("/dev/shm"))
+        with cluster:
+            cluster.run()
+        assert sorted(collector.values) == clean
+        assert max(staged) > max(256 * 1024, *send_buffers)
+        assert set(os.listdir("/dev/shm")) <= segments
 
     def test_stats_schema_is_unified(self):
         collector = CollectBolt()
