@@ -52,9 +52,8 @@ bench-hotpath:
 	PYTHONPATH=src $(PYTHON) benchmarks/test_micro_hotpath.py
 
 # Fast correctness smoke over the benchmark harness itself: every metric
-# is produced, the interned and plain joiners agree and the ship path
-# round-trips on the bench workload, without the multi-minute
-# measurement run
+# is produced and the ship path round-trips on the bench workload,
+# without the multi-minute measurement run
 bench-hotpath-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_micro_hotpath.py
 

@@ -4,13 +4,9 @@ Measures the operations the dictionary-encoding layer and the columnar
 wire path optimize, per joiner and dataset style, in nanoseconds per
 document:
 
-* ``{dataset}.{NLJ,HBJ,FPJ}.probe_ns`` / ``insert_ns`` — the default
-  (dictionary-encoded) joiners, per-document streaming discipline;
-* ``{dataset}.{NLJ,HBJ}.plain_probe_ns`` / ``plain_insert_ns`` — the
-  string-keyed reference implementations (``interned=False``), so every
-  report self-documents the encoding speedup.  FPJ has a single storage
-  path (flat-array tree, no twin) and reports only ``probe_ns`` /
-  ``insert_ns``;
+* ``{dataset}.{NLJ,HBJ,FPJ}.probe_ns`` / ``insert_ns`` — the
+  dictionary-encoded joiners (one storage path each), per-document
+  streaming discipline;
 * ``{dataset}.ship_ns`` — the columnar wire path: encode a batch into a
   buffer frame, frame it, decode it back to documents, per document;
 * ``{dataset}.route_ns`` — :class:`DocumentRouter` routing against an
@@ -30,10 +26,8 @@ only statistic stable enough to gate on.
 
 ``seed_baseline`` ratios compare against constants frozen on the
 machine that measured the seed; absolute host speed differences show up
-uniformly in them.  The same-run ratio family ``speedup_vs_plain`` is
-host-calibrated by construction — both sides measured in the same pass —
-and is the number to read for algorithmic claims.  ``workload.cpu_count`` records the host the absolute rows come
-from.
+uniformly in them.  ``workload.cpu_count`` records the host the absolute
+rows come from.
 
 The pytest entry points run a scaled-down workload as a smoke test; the
 full measurement runs via ``python benchmarks/test_micro_hotpath.py``.
@@ -72,14 +66,11 @@ BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
 DATASETS = ("rwData", "nbData")
 JOINERS = ("NLJ", "HBJ", "FPJ")
-#: joiners that keep a string-keyed twin
-TWIN_JOINERS = ("NLJ", "HBJ")
 
 #: The same workload measured on the pre-interning implementation (the
 #: tree at "Add process-parallel execution backend ..."), i.e. the
 #: "before" side of the encoding layer's before/after claim.  Embedded
-#: in every report so BENCH_hotpath.json stays self-documenting; the
-#: plain_* metrics track the reference implementations going forward.
+#: in every report so BENCH_hotpath.json stays self-documenting.
 SEED_BASELINE = {
     "rwData.NLJ.probe_ns": 56522.0,
     "rwData.NLJ.insert_ns": 242.6,
@@ -108,14 +99,14 @@ def windows_for(dataset: str, size: int = SIZE, windows: int = WINDOWS):
     return [gen.next_window(size) for _ in range(windows)]
 
 
-def make_joiner(name: str, order: AttributeOrder, interned: bool = True):
+def make_joiner(name: str, order: AttributeOrder):
     if name == "NLJ":
-        return NestedLoopJoiner(interned=interned)
+        return NestedLoopJoiner()
     if name == "HBJ":
-        return HashJoiner(interned=interned)
-    if name == "FPJ" and interned:
+        return HashJoiner()
+    if name == "FPJ":
         return FPTreeJoiner(order)
-    raise ValueError((name, interned))
+    raise ValueError(name)
 
 
 def time_joiner(make, windows, reps: int = REPS):
@@ -214,13 +205,6 @@ def collect_metrics(size: int = SIZE, windows: int = WINDOWS, reps: int = REPS):
             )
             metrics[f"{dataset}.{name}.probe_ns"] = round(probe, 1)
             metrics[f"{dataset}.{name}.insert_ns"] = round(insert, 1)
-            if name not in TWIN_JOINERS:
-                continue
-            probe, insert = time_joiner(
-                lambda: make_joiner(name, order, interned=False), ws, reps=reps
-            )
-            metrics[f"{dataset}.{name}.plain_probe_ns"] = round(probe, 1)
-            metrics[f"{dataset}.{name}.plain_insert_ns"] = round(insert, 1)
         metrics[f"{dataset}.ship_ns"] = round(time_ship(ws, reps=reps), 1)
         metrics[f"{dataset}.route_ns"] = round(time_route(ws, reps=reps), 1)
     return metrics
@@ -237,17 +221,7 @@ def merge_min(*runs: dict[str, float]) -> dict[str, float]:
     return merged
 
 
-def _ratios(metrics: dict[str, float], pairs: dict[str, tuple[str, str]]) -> dict:
-    """``label -> numerator/denominator`` for metric pairs present."""
-    out = {}
-    for label, (numerator, denominator) in pairs.items():
-        if metrics.get(numerator) and metrics.get(denominator):
-            out[label] = round(metrics[numerator] / metrics[denominator], 2)
-    return out
-
-
 def write_report(metrics: dict[str, float], path: Path = BENCH_FILE) -> dict:
-    joiner_keys = [f"{d}.{j}" for d in DATASETS for j in TWIN_JOINERS]
     report = {
         "workload": {
             "seed": SEED,
@@ -267,32 +241,19 @@ def write_report(metrics: dict[str, float], path: Path = BENCH_FILE) -> dict:
             for key in SEED_BASELINE
             if metrics.get(key)
         },
-        # same-run ratios: numerator and denominator measured in this
-        # pass, so host speed cancels out (see module docstring)
-        "speedup_vs_plain": _ratios(
-            metrics,
-            {
-                f"{key}.{op}": (f"{key}.plain_{op}_ns", f"{key}.{op}_ns")
-                for key in joiner_keys
-                for op in ("probe", "insert")
-            },
-        ),
         "notes": {
             "seed_baseline": (
                 "constants frozen on the machine that measured the seed; "
                 "a uniformly slower/faster host shifts every "
-                "speedup_vs_seed entry by the same factor — read the "
-                "same-run ratio families for algorithmic claims"
+                "speedup_vs_seed entry by the same factor"
             ),
             "insert_gate": (
-                "NLJ gates insert-side interning per joiner: add() "
-                "appends raw (the seed's exact insert cost) and the next "
-                "probe bulk-encodes, so NLJ insert_ns tracks "
-                "plain_insert_ns by construction"
+                "NLJ add() appends raw (the seed's exact insert cost) and "
+                "the next probe bulk-encodes"
             ),
-            "fpj": (
-                "FPJ has one storage path (flat-array FP-tree): its "
-                "plain_* and batch_* rows and their ratio entries were "
+            "one_path": (
+                "every joiner has one storage path: the plain_* and "
+                "batch_* rows and the speedup_vs_plain ratios were "
                 "removed on purpose with the code they measured"
             ),
         },
@@ -312,30 +273,10 @@ def test_metrics_cover_all_hot_paths():
         for key in ("route_ns", "ship_ns"):
             assert metrics[f"{dataset}.{key}"] > 0.0, key
         for name in JOINERS:
-            ops = ["probe_ns", "insert_ns"]
-            if name in TWIN_JOINERS:
-                ops += ["plain_probe_ns", "plain_insert_ns"]
-            for op in ops:
+            for op in ("probe_ns", "insert_ns"):
                 key = f"{dataset}.{name}.{op}"
                 assert metrics[key] > 0.0, key
-    assert not [key for key in metrics if ".FPJ.plain_" in key or ".batch_" in key]
-
-
-def test_interned_and_plain_joiners_agree_on_bench_workload():
-    """The timed code paths produce identical join partners per probe."""
-    for dataset in DATASETS:
-        ws = windows_for(dataset, size=60, windows=2)
-        order = AttributeOrder.from_documents(ws[0])
-        for name in TWIN_JOINERS:
-            fast = make_joiner(name, order, interned=True)
-            slow = make_joiner(name, order, interned=False)
-            for window in ws:
-                for doc in window:
-                    assert sorted(fast.probe(doc)) == sorted(slow.probe(doc))
-                    fast.add(doc)
-                    slow.add(doc)
-                fast.reset()
-                slow.reset()
+    assert not [key for key in metrics if ".plain_" in key or ".batch_" in key]
 
 
 def test_ship_path_roundtrips_identically():

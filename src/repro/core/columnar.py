@@ -18,10 +18,11 @@ self-contained: any frame decodes without per-link dictionary state,
 and encoding the same documents again yields the same columns.
 
 The columns expose the buffer protocol (:meth:`buffers`), and
-:meth:`from_buffers` reattaches a batch zero-copy to received
-memoryviews — decoding then reads the views directly without
-rematerializing ``array`` objects.  Columns are native-endian (``'q'``),
-which is fine for the single-host process boundary they cross.
+:meth:`from_buffers` reads received buffers back into integer lists in
+one C-level copy each, which every later pass (validation, decoding)
+iterates without unpacking words again.  Columns are native-endian
+(``'q'``), which is fine for the single-host process boundary they
+cross.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from repro.core.document import Document
 #: wire value of a missing ``doc_id``
 NO_DOC_ID = -1
 
-#: either a real array column or a zero-copy view of a received buffer
-Column = Union[array, memoryview]
+#: an encoded array column or a received column read into a list
+Column = Union[array, list]
 
 
 class ColumnarBatch:
@@ -111,16 +112,17 @@ class ColumnarBatch:
 
     @classmethod
     def from_buffers(cls, pair_table: list, buffers: Sequence) -> "ColumnarBatch":
-        """Reattach a wire batch to received buffers, zero-copy.
+        """A wire batch from the three byte buffers of :meth:`buffers`
+        (in order), each a whole number of 8-byte words.
 
-        ``buffers`` must be the three byte views of :meth:`buffers` (in
-        order); they are *borrowed*, so the caller controls their
-        lifetime — :meth:`to_documents` materializes plain Python
-        objects, after which the views may be released.
+        ``offsets`` and ``pair_ids`` are indexes and read back unsigned
+        (``'Q'``): a corrupt negative index reads as ``>= 2**63``, so a
+        single upper bound rejects it.
         """
-        offsets = memoryview(buffers[0]).cast("q")
-        pair_ids = memoryview(buffers[1]).cast("q")
-        doc_ids = memoryview(buffers[2]).cast("q")
+        offsets, pair_ids, doc_ids = (
+            memoryview(buffer).cast(code).tolist()
+            for buffer, code in zip(buffers, "QQq")
+        )
         return cls(doc_ids, offsets, pair_ids, pair_table=pair_table)
 
     def to_documents(self) -> list[Document]:
@@ -147,19 +149,6 @@ class ColumnarBatch:
             out.append(Document(pairs, doc_id=None if did == NO_DOC_ID else did))
         self.documents = out
         return out
-
-    def release(self) -> None:
-        """Release borrowed buffer views (no-op for array-backed batches).
-
-        After a zero-copy decode the views pin the received payload;
-        callers release the batch once :meth:`to_documents` has
-        materialized everything they need.
-        """
-        for name in ("offsets", "pair_ids", "doc_ids"):
-            column = getattr(self, name)
-            if isinstance(column, memoryview):
-                column.release()
-                setattr(self, name, array("q"))
 
     # ------------------------------------------------------------------
     # Introspection

@@ -12,12 +12,12 @@ across every partition match and joiner probe inside that component.
 
 Semantics
 ---------
-Interning preserves the *value equality* the seed joiners use: two pairs
-receive the same id exactly when they compare equal as Python values.
-In particular ``1`` and ``"1"`` get distinct ids (different types never
-compare equal), while ``1``, ``1.0`` and ``True`` share one id — exactly
-the pairs ``dict``/``AVPair`` equality already conflates, so encoded
-joiners remain result-identical to the string-keyed implementations.
+Interning preserves the *value equality* of :meth:`Document.joinable`:
+two pairs receive the same id exactly when they compare equal as Python
+values.  In particular ``1`` and ``"1"`` get distinct ids (different
+types never compare equal), while ``1``, ``1.0`` and ``True`` share one
+id — exactly the pairs ``dict``/``AVPair`` equality already conflates,
+so encoded joiners remain result-identical to the brute-force oracle.
 
 Lifetime
 --------

@@ -3,7 +3,7 @@
 The paper observes empirically that NLJ beats HBJ on interconnected data
 and loses on diverse data (Fig. 11c/11d) and explains it via posting
 lengths.  This module turns that explanation into a predictive model
-over a :class:`~repro.core.profile.DatasetProfile`:
+stated in countable units:
 
 * an **NLJ probe** verifies every stored document once → cost ≈ W;
 * an **HBJ probe** walks the posting list of each of its pairs, i.e.
@@ -12,86 +12,54 @@ over a :class:`~repro.core.profile.DatasetProfile`:
   document pair of the dataset.
 
 ``E[shared incidences] = Σ_p share(p)²`` (the probability that both
-documents contain pair p, summed over pairs).  When it exceeds ~1, a
+documents contain pair p, summed over pairs).  When it exceeds 1, a
 random probe touches more posting entries than NLJ has documents to
-scan, and NLJ wins — the crossover the model predicts and the tests
-check against measurements.
+scan, and NLJ wins — the crossover the model predicts.
+:func:`count_nlj_hbj_work` counts both units on the production joiners,
+so the prediction is checked against work done, not against a clock.
 """
 
 from __future__ import annotations
 
-import time
+from collections import Counter
 from typing import Sequence
 
 from repro.core.document import Document
-from repro.core.profile import DatasetProfile, profile_documents
-
-
-def expected_shared_incidences(profile: DatasetProfile) -> float:
-    """``Σ_p share(p)²`` — expected pairs shared by two random documents.
-
-    Computed from the profile's aggregates:
-    ``Σ_p (c_p / n)² = (mean_posting · distinct · mean_posting) / n²``
-    only holds for uniform postings, so the exact per-pair sum must come
-    from richer data; the profile keeps enough for the *second moment*
-    via ``top_pair_share`` only.  We therefore recompute exactly when
-    given documents (see :func:`shared_incidences_of`) and use the
-    profile-level lower bound ``top_pair_share²`` plus the uniform
-    remainder otherwise.
-    """
-    n_pairs = profile.distinct_pairs
-    total_incidences = profile.mean_posting_length * n_pairs
-    top = profile.top_pair_share
-    # split: the top pair exactly, the rest approximated as uniform
-    rest_incidences = total_incidences - top * profile.documents
-    rest_pairs = max(1, n_pairs - 1)
-    rest_share = rest_incidences / profile.documents / rest_pairs
-    return top**2 + rest_pairs * rest_share**2
+from repro.core.profile import profile_documents
+from repro.join.base import join_window
+from repro.join.hash_join import HashJoiner
+from repro.join.nested_loop import NestedLoopJoiner
 
 
 def shared_incidences_of(documents: Sequence[Document]) -> float:
     """Exact ``Σ_p share(p)²`` over a concrete document collection."""
-    from collections import Counter
-
     counts = Counter(p for d in documents for p in d.avpairs())
     n = len(documents)
     return sum((c / n) ** 2 for c in counts.values())
 
 
-def predict_nlj_hbj_winner(
-    documents: Sequence[Document], threshold: float = 1.0
-) -> str:
-    """Predict which baseline is faster on this data ("NLJ" or "HBJ").
+def predict_nlj_hbj_winner(documents: Sequence[Document]) -> str:
+    """Predict which baseline does less work on this data ("NLJ" or "HBJ")."""
+    return "NLJ" if shared_incidences_of(documents) > 1.0 else "HBJ"
 
-    ``threshold`` is the per-posting-entry vs per-verification cost
-    ratio; 1.0 assumes comparable per-item costs, which matches this
-    implementation (both verify with ``Document.joinable``).
+
+def count_nlj_hbj_work(documents: Sequence[Document]) -> tuple[int, int]:
+    """Join one window with each baseline; ``(verified, touched)``.
+
+    ``verified`` is the stored documents NLJ's probes verified,
+    ``touched`` the posting entries HBJ's probes walked.
     """
-    incidences = shared_incidences_of(documents)
-    return "NLJ" if incidences > threshold else "HBJ"
+    nlj = NestedLoopJoiner()
+    hbj = HashJoiner()
+    join_window(nlj, documents)
+    join_window(hbj, documents)
+    return nlj.verified, hbj.touched
 
 
-def measure_nlj_hbj_winner(documents: Sequence[Document]) -> str:
-    """Measure which baseline actually wins on this data (ground truth).
-
-    The reference (non-interned) joiners are measured: the model's
-    threshold assumes the per-posting-entry and per-verification costs of
-    the string-comparing implementations, which is the cost structure the
-    paper's Fig. 11 crossover describes.  Dictionary encoding shifts both
-    constants (see ``docs/performance.md``) and with it the empirical
-    crossover point, but not the model's asymptotics.
-    """
-    from repro.join.base import join_window
-    from repro.join.hash_join import HashJoiner
-    from repro.join.nested_loop import NestedLoopJoiner
-
-    start = time.perf_counter()
-    join_window(NestedLoopJoiner(interned=False), documents)
-    nlj = time.perf_counter() - start
-    start = time.perf_counter()
-    join_window(HashJoiner(interned=False), documents)
-    hbj = time.perf_counter() - start
-    return "NLJ" if nlj < hbj else "HBJ"
+def counted_nlj_hbj_winner(documents: Sequence[Document]) -> str:
+    """The baseline that did less counted work on this data."""
+    verified, touched = count_nlj_hbj_work(documents)
+    return "NLJ" if touched > verified else "HBJ"
 
 
 def profile_and_predict(documents: Sequence[Document]) -> dict[str, object]:

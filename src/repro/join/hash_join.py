@@ -10,24 +10,19 @@ popular pairs grow long, each probe touches a large candidate set, and
 HBJ degrades below even NLJ; on diverse data (nbData) the lists stay
 short and HBJ wins.  Both effects are visible in Fig. 11c/11d.
 
-The default implementation is dictionary-encoded (``interned=True``):
-posting lists are ``array('q')`` of doc-ids keyed by dense pair id,
-candidates are gathered by a bulk set union over the postings, and each
-distinct candidate is verified once on integer ids — a non-joinable
-candidate sharing k pairs with the probe costs one verification, not
-the k the seed implementation paid.  ``interned=False`` keeps the
-string-keyed seed implementation verbatim as the reference that the
-equivalence tests and the :mod:`repro.join.cost` measurements compare
-against.  In both modes the probe's cost is proportional to the total
-posting length touched, which is what sinks HBJ on interconnected data.
+The index is dictionary-encoded: posting lists are ``array('q')`` of
+doc-ids keyed by dense pair id, candidates are gathered by a bulk set
+union over the postings, and each distinct candidate is verified once
+on integer ids.  The probe's cost is proportional to the total posting
+length touched, which is what sinks HBJ on interconnected data.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Optional, Union
+from typing import Optional
 
-from repro.core.document import AVPair, Document
+from repro.core.document import Document
 from repro.core.interning import EncodedDocument, PairInterner
 from repro.join.base import LocalJoiner
 from repro.join.ordering import AttributeOrder
@@ -38,9 +33,7 @@ class HashJoiner(LocalJoiner):
     """Inverted-index joiner over AV-pairs.
 
     ``order`` is accepted for signature uniformity with the other
-    joiners and ignored — HBJ needs no attribute order.  ``interned``
-    selects the dictionary-encoded hot path (default) or the string-keyed
-    reference implementation; results are identical.
+    joiners and ignored — HBJ needs no attribute order.
     """
 
     name = "HBJ"
@@ -49,93 +42,79 @@ class HashJoiner(LocalJoiner):
         self,
         order: Optional[AttributeOrder] = None,
         registry: Optional[MetricsRegistry] = None,
-        interned: bool = True,
     ):
         super().__init__(order=order, registry=registry)
-        self.interned = interned
         #: component-lifetime dictionary: survives window resets so ids
         #: stay dense and stable across the stream
-        self._interner: Optional[PairInterner] = PairInterner() if interned else None
-        self._index: dict[Union[AVPair, int], Union[list[int], array]] = {}
-        self._docs: dict[int, Union[Document, EncodedDocument]] = {}
+        self._interner = PairInterner()
+        self._index: dict[int, array] = {}
+        self._docs: dict[int, EncodedDocument] = {}
+        #: posting entries walked by all probes so far — the cost
+        #: model's HBJ unit (:mod:`repro.join.cost`)
+        self.touched = 0
 
     def _insert(self, document: Document) -> None:
         if document.doc_id is None:
             raise ValueError("stored documents need a doc_id")
         doc_id = document.doc_id
         index = self._index
-        if self._interner is not None:
-            # the items tuple is frozen lazily by the first verifying
-            # probe; inserts stay append-only
-            encoded = self._interner.encode(document)
-            self._docs[doc_id] = encoded
-            for pid in encoded.pair_ids:
-                posting = index.get(pid)
-                if posting is None:
-                    index[pid] = posting = array("q")
-                posting.append(doc_id)
-        else:
-            self._docs[doc_id] = document
-            for pair in document.avpairs():
-                index.setdefault(pair, []).append(doc_id)
+        # the items tuple is frozen lazily by the first verifying probe;
+        # inserts stay append-only
+        encoded = self._interner.encode(document)
+        self._docs[doc_id] = encoded
+        for pid in encoded.pair_ids:
+            posting = index.get(pid)
+            if posting is None:
+                index[pid] = posting = array("q")
+            posting.append(doc_id)
 
     def _probe(self, document: Document) -> list[int]:
-        if self._interner is not None:
-            # Candidate gathering is a bulk set union over the posting
-            # arrays (C-level iteration), which deduplicates ids across
-            # shared pairs for free; each distinct candidate is then
-            # verified exactly once.  The probe's cost stays proportional
-            # to the total posting length touched (the paper's
-            # "incidences"), which is still what sinks HBJ on
-            # interconnected data.
-            encoded = self._interner.encode(document)
-            candidates: set[int] = set()
-            update = candidates.update
-            index = self._index
-            for pid in encoded.pair_ids:
-                posting = index.get(pid)
-                if posting:
-                    update(posting)
-            # Verification is inlined and *conflict-only*: a candidate
-            # shares >= 1 pair with the probe by construction (it came off
-            # a posting list), so the natural-join test reduces to "no
-            # shared attribute carries a different pair id".
-            docs = self._docs
-            probe_map = encoded.attr_to_pair
-            probe_items = encoded.freeze_items()
-            probe_get = probe_map.get
-            probe_len = len(probe_map)
-            accepted: list[int] = []
-            append = accepted.append
-            for doc_id in candidates:
-                stored = docs[doc_id]
-                stored_map = stored.attr_to_pair
-                if len(stored_map) <= probe_len:
-                    items = stored.items
-                    if items is None:
-                        items = stored.freeze_items()
-                    get = probe_get
-                else:
-                    items = probe_items
-                    get = stored_map.get
-                for aid, pid in items:
-                    opid = get(aid)
-                    if opid is not None and opid != pid:
-                        break
-                else:
-                    append(doc_id)
-            return accepted
-        # Reference mode: the seed implementation, kept verbatim as the
-        # measurement baseline for the cost model and the equivalence
-        # suite — including its deliberate inefficiency of re-verifying a
-        # candidate once per shared pair (fixed above).
-        accepted: set[int] = set()
+        # Candidate gathering is a bulk set union over the posting arrays
+        # (C-level iteration), which deduplicates ids across shared pairs
+        # for free; each distinct candidate is then verified exactly
+        # once.  The probe's cost stays proportional to the total posting
+        # length touched (the paper's "incidences"), which is still what
+        # sinks HBJ on interconnected data.
+        encoded = self._interner.encode(document)
+        candidates: set[int] = set()
+        update = candidates.update
+        index = self._index
+        touched = 0
+        for pid in encoded.pair_ids:
+            posting = index.get(pid)
+            if posting:
+                update(posting)
+                touched += len(posting)
+        self.touched += touched
+        # Verification is inlined and *conflict-only*: a candidate shares
+        # >= 1 pair with the probe by construction (it came off a posting
+        # list), so the natural-join test reduces to "no shared attribute
+        # carries a different pair id".
         docs = self._docs
-        for pair in document.avpairs():
-            for doc_id in self._index.get(pair, ()):
-                if doc_id not in accepted and docs[doc_id].joinable(document):
-                    accepted.add(doc_id)
-        return list(accepted)
+        probe_map = encoded.attr_to_pair
+        probe_items = encoded.freeze_items()
+        probe_get = probe_map.get
+        probe_len = len(probe_map)
+        accepted: list[int] = []
+        append = accepted.append
+        for doc_id in candidates:
+            stored = docs[doc_id]
+            stored_map = stored.attr_to_pair
+            if len(stored_map) <= probe_len:
+                items = stored.items
+                if items is None:
+                    items = stored.freeze_items()
+                get = probe_get
+            else:
+                items = probe_items
+                get = stored_map.get
+            for aid, pid in items:
+                opid = get(aid)
+                if opid is not None and opid != pid:
+                    break
+            else:
+                append(doc_id)
+        return accepted
 
     def reset(self) -> None:
         # The window's index and store are evicted; the dictionary is

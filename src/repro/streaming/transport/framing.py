@@ -87,7 +87,7 @@ class BufferFrame:
     (tests, tools).
     """
 
-    __slots__ = ("envelope_bytes", "buffers", "_envelope", "_root")
+    __slots__ = ("envelope_bytes", "buffers", "_envelope")
 
     def __init__(
         self,
@@ -103,7 +103,6 @@ class BufferFrame:
             self._envelope = _UNPICKLED
         self.envelope_bytes = envelope_bytes
         self.buffers = [_byte_view(part) for part in buffers]
-        self._root: Optional[memoryview] = None
 
     @property
     def envelope(self) -> Any:
@@ -139,15 +138,6 @@ class BufferFrame:
     def to_bytes(self) -> bytes:
         """The full wire frame as one contiguous blob."""
         return b"".join(bytes(part) for part in self.parts())
-
-    def release(self) -> None:
-        """Release every borrowed view of a decoded frame's payload."""
-        for view in self.buffers:
-            view.release()
-        self.buffers = []
-        if self._root is not None:
-            self._root.release()
-            self._root = None
 
 
 #: sentinel: the envelope has not been unpickled yet
@@ -185,7 +175,6 @@ def decode_buffer_payload(payload) -> BufferFrame:
         offset += length
     frame = BufferFrame(buffers=views[1:], envelope_bytes=bytes(views[0]))
     views[0].release()
-    frame._root = root
     return frame
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from operator import lt
 from typing import Optional
 
 from repro.core.columnar import ColumnarBatch
@@ -40,6 +41,7 @@ from repro.join.ordering import AttributeOrder
 from repro.partitioning.base import Partition
 from repro.partitioning.expansion import ExpansionPlan
 from repro.streaming.transport.base import WireCodec
+from repro.streaming.transport.framing import FrameError
 from repro.streaming.tuples import lowest_owner
 
 # Stream names -------------------------------------------------------------
@@ -266,20 +268,24 @@ class ColumnarWireCodec(WireCodec):
     def _decode_columns(self, columns: tuple, buffers: list) -> list:
         """Rows → entries whose ``task_index`` (and ``direct``) is the
         lowest task in the mask; entries of one document share the
-        materialized object."""
+        materialized object.  Raises :class:`FrameError` for columns
+        that do not describe the frame's own tables (see
+        :func:`_check_columns`)."""
         ctx_table, pair_table = columns
+        if len(buffers) != 6 or any(len(buffer) % 8 for buffer in buffers):
+            raise FrameError("a columnar batch is six columns of 8-byte words")
         batch = ColumnarBatch.from_buffers(pair_table, buffers[:3])
+        # rows and contexts are indexes: unsigned, as in ``from_buffers``
+        entry_doc, entry_ctx, entry_mask = (
+            memoryview(buffer).cast(code).tolist()
+            for buffer, code in zip(buffers[3:], "QQq")
+        )
+        _check_columns(batch, entry_doc, entry_ctx, entry_mask, len(ctx_table))
         documents = batch.to_documents()
-        entry_doc = memoryview(buffers[3]).cast("q")
-        entry_ctx = memoryview(buffers[4]).cast("q")
-        entry_mask = memoryview(buffers[5]).cast("q")
         entries = []
         append = entries.append
-        for row in range(len(entry_doc)):
-            component, source, source_task, window_id, side = ctx_table[
-                entry_ctx[row]
-            ]
-            mask = entry_mask[row]
+        for row, ctx, mask in zip(entry_doc, entry_ctx, entry_mask):
+            component, source, source_task, window_id, side = ctx_table[ctx]
             task_index = lowest_owner(mask)
             append(
                 (
@@ -289,15 +295,36 @@ class ColumnarWireCodec(WireCodec):
                     source,
                     source_task,
                     task_index,
-                    (documents[entry_doc[row]], window_id, side),
+                    (documents[row], window_id, side),
                     mask,
                 )
             )
-        batch.release()
-        entry_doc.release()
-        entry_ctx.release()
-        entry_mask.release()
         return entries
+
+
+def _check_columns(batch, entry_doc, entry_ctx, entry_mask, contexts: int) -> None:
+    """Raise :class:`FrameError` unless the entry columns have one length,
+    ``offsets`` tiles ``pair_ids`` with non-empty rows and every document
+    row, context and pair id indexes its table — one ``max`` per index
+    column (read unsigned, so a negative index is ``>= 2**63``), and a
+    corrupt index can neither raise mid-decode nor alias another row."""
+    offsets, pair_ids, rows = batch.offsets, batch.pair_ids, len(batch)
+    if not len(entry_doc) == len(entry_ctx) == len(entry_mask):
+        raise FrameError("entry columns of unequal length")
+    if (
+        len(offsets) != rows + 1
+        or offsets[0] != 0
+        or offsets[-1] != len(pair_ids)
+        or not all(map(lt, offsets, offsets[1:]))
+    ):
+        raise FrameError(f"offsets do not tile {len(pair_ids)} pair ids in {rows} rows")
+    for name, column, bound in (
+        ("document row", entry_doc, rows),
+        ("context", entry_ctx, contexts),
+        ("pair id", pair_ids, len(batch.pair_table)),
+    ):
+        if column and max(column) >= bound:
+            raise FrameError(f"{name} column leaves [0, {bound})")
 
 
 def _columnar_assignable(values: tuple, mask: int) -> bool:

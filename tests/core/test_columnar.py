@@ -19,10 +19,7 @@ def wire_roundtrip(documents):
     frame = BufferFrame(batch.pair_table, batch.buffers())
     received = decode_buffer_payload(frame.to_bytes()[4:])
     decoded = ColumnarBatch.from_buffers(received.envelope, received.buffers)
-    documents_out = decoded.to_documents()
-    decoded.release()
-    received.release()
-    return documents_out
+    return decoded.to_documents()
 
 
 def assert_faithful(original, decoded):

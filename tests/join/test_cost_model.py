@@ -1,14 +1,16 @@
-"""Tests for the NLJ/HBJ cost model — predictions vs measurements."""
+"""Tests for the NLJ/HBJ cost model — predictions vs counted work."""
+
+from collections import Counter
+from math import comb
 
 import pytest
 
 from repro.core.document import Document
-from repro.core.profile import profile_documents
 from repro.data.nobench import NoBenchGenerator
 from repro.data.serverlogs import ServerLogGenerator
 from repro.join.cost import (
-    expected_shared_incidences,
-    measure_nlj_hbj_winner,
+    count_nlj_hbj_work,
+    counted_nlj_hbj_winner,
     predict_nlj_hbj_winner,
     profile_and_predict,
     shared_incidences_of,
@@ -31,15 +33,6 @@ class TestSharedIncidences:
         nb = NoBenchGenerator(seed=2).documents(1000)
         assert shared_incidences_of(rw) > shared_incidences_of(nb)
 
-    def test_profile_approximation_in_ballpark(self):
-        docs = ServerLogGenerator(seed=3).documents(800)
-        exact = shared_incidences_of(docs)
-        approx = expected_shared_incidences(profile_documents(docs))
-        # the profile keeps only the top pair exactly; the approximation
-        # must at least preserve the order of magnitude
-        assert approx == pytest.approx(exact, rel=0.9)
-        assert approx > 0.0
-
 
 class TestPrediction:
     def test_predicts_nlj_on_interconnected_data(self):
@@ -55,10 +48,21 @@ class TestPrediction:
         ids=["rwData", "nbData"],
     )
     def test_prediction_matches_measurement(self, generator_cls):
-        """The model's call agrees with actual wall-clock on both
-        datasets — the Fig. 11c/11d crossover, predicted analytically."""
+        """The model's call agrees with the work the production joiners
+        count (the measurement) on both datasets — the Fig. 11c/11d
+        crossover, predicted analytically."""
         docs = generator_cls(seed=7).documents(2500)
-        assert predict_nlj_hbj_winner(docs) == measure_nlj_hbj_winner(docs)
+        n = len(docs)
+        verified, touched = count_nlj_hbj_work(docs)
+        # NLJ's k-th probe verifies the k documents stored before it
+        assert verified == n * (n - 1) // 2
+        # HBJ's k-th carrier of pair p walks a posting of length k
+        counts = Counter(p for d in docs for p in d.avpairs())
+        assert touched == sum(comb(c, 2) for c in counts.values())
+        assert touched / verified == pytest.approx(
+            shared_incidences_of(docs), rel=0.05
+        )
+        assert predict_nlj_hbj_winner(docs) == counted_nlj_hbj_winner(docs)
 
     def test_report_shape(self):
         docs = ServerLogGenerator(seed=5).documents(300)

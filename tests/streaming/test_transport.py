@@ -112,7 +112,8 @@ class TestBufferFrames:
         assert bytes(middle.buffers[0]) == b"columns"
 
     def test_parts_concatenate_to_the_wire_bytes(self):
-        # sendmsg ships parts() as-is; they must equal the contiguous form
+        # a link writes parts() chunk by chunk; they must equal the
+        # contiguous form
         frame = BufferFrame((1, 2), [bytes(range(10)), b"x" * 100])
         assert b"".join(bytes(p) for p in frame.parts()) == frame.to_bytes()
 
@@ -124,13 +125,6 @@ class TestBufferFrames:
         assert frame.to_bytes() == first
         (clone,) = FrameDecoder().feed(first)
         assert clone.to_bytes() == first
-
-    def test_release_drops_borrowed_views(self):
-        frame = BufferFrame((), [b"data"])
-        payload = frame.to_bytes()[4:]
-        decoded = decode_buffer_payload(memoryview(payload))
-        decoded.release()
-        assert decoded.buffers == []
 
 
 #: byte size of the meta block's count word and of each length word

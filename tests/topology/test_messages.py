@@ -1,7 +1,14 @@
 """Unit tests for the topology message payloads and wire codecs."""
 
+from array import array
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.core.document import Document
 from repro.streaming.transport import WireCodec
+from repro.streaming.transport.framing import BufferFrame, FrameDecoder, FrameError
 from repro.topology.messages import (
     ASSIGNED,
     AttributeStats,
@@ -150,3 +157,93 @@ class TestFrameEntries:
         assert fanned[7] == 0b1010
         assert done[:3] == (JOINER, 0, WINDOW_DONE) and done[6:] == ((0,), 0b1)
         assert huge[1] == 2 and huge[6][0].doc_id == 5 and huge[7] == 1 << 70 | 0b100
+
+
+#: wire order of the six columns a columnar batch ships
+COLUMNS = ("offsets", "pair_ids", "doc_ids", "doc_row", "ctx", "mask")
+
+
+def _column_batch():
+    """Three documents over two contexts, one fanned out to two tasks."""
+    from repro.streaming.tuples import StreamTuple
+    from repro.topology.messages import ASSIGNER, JOINER
+
+    docs = [Document({"a": i % 2, "k": i}, doc_id=i) for i in range(3)]
+    entries = [
+        (JOINER, 0, StreamTuple(ASSIGNED, (doc, window, None), ASSIGNER, 0), mask)
+        for doc, window, mask in zip(docs, (0, 0, 1), (0b1, 0b11, 0b10))
+    ]
+    return ColumnarWireCodec().encode_batch(1, entries)
+
+
+def _decode_with(columns: list):
+    """Ship the batch's envelope with ``columns`` as its raw buffers."""
+    frame = BufferFrame(_column_batch().envelope, columns)
+    (received,) = FrameDecoder().feed(frame.to_bytes())
+    return ColumnarWireCodec().decode_batch(received)
+
+
+def _columns() -> list:
+    return [array("q", memoryview(b).cast("q")) for b in _column_batch().buffers]
+
+
+class TestHostileColumns:
+    """``decode_batch`` trusts no column it reads off the wire: a frame
+    either decodes or raises :class:`FrameError` — never ``TypeError`` or
+    ``IndexError``, and never an index that wraps to another row."""
+
+    @given(
+        st.sampled_from(range(len(COLUMNS))),
+        st.data(),
+        st.one_of(st.integers(-3, 8), st.integers(-(2**63), 2**63 - 1)),
+    )
+    def test_single_value_corruptions(self, column, data, value):
+        columns = _columns()
+        if not columns[column]:
+            return
+        columns[column][data.draw(st.integers(0, len(columns[column]) - 1))] = value
+        try:
+            _decode_with(columns)
+        except FrameError:
+            pass
+
+    @given(st.sampled_from(range(len(COLUMNS))), st.data())
+    def test_truncations(self, column, data):
+        columns = [bytes(c) for c in _columns()]
+        cut = data.draw(st.integers(0, max(0, len(columns[column]) - 1)))
+        columns[column] = columns[column][:cut]
+        with pytest.raises(FrameError):
+            _decode_with(columns)
+
+    @pytest.mark.parametrize("column", ["doc_row", "ctx", "pair_ids"])
+    def test_negative_indexes_do_not_wrap(self, column):
+        columns = _columns()
+        columns[COLUMNS.index(column)][0] = -1
+        with pytest.raises(FrameError):
+            _decode_with(columns)
+
+    def test_the_worker_loop_closes_the_link(self):
+        import socket
+        from threading import Thread
+
+        from repro.streaming.transport import WorkerInit, serve_link
+
+        columns = _columns()
+        columns[COLUMNS.index("doc_row")][0] = -1
+        init = WorkerInit(0, 0, {}, codec=ColumnarWireCodec())
+        parent, child = socket.socketpair()
+        served = []  # stays empty if serve_link raises
+        worker = Thread(target=lambda: served.append(serve_link(child, init)))
+        worker.start()
+        try:
+            parent.sendall(BufferFrame(_column_batch().envelope, columns).to_bytes())
+            parent.settimeout(5)
+            assert parent.recv(1) == b""
+        finally:
+            worker.join(5)
+            parent.close()
+        assert served == [None]
+
+    def test_the_untouched_columns_decode(self):
+        _seq, entries = _decode_with(_columns())
+        assert [entry[6][0].doc_id for entry in entries] == [0, 1, 2]
