@@ -29,9 +29,13 @@ test-distributed:
 	PYTHONPATH=src timeout 600 $(PYTHON) -m pytest -m distributed
 
 # elastic worker-pool chaos suite (forced scale/migrate schedules,
-# destination kills mid-migration, load shedding) on pipe and socket
+# destination kills mid-migration, load shedding) on pipe and socket;
+# three passes back to back, so an outcome that depends on timing fails
+# the gate instead of one run in fifteen
 test-elastic:
-	PYTHONPATH=src timeout 600 $(PYTHON) -m pytest -m elastic
+	for pass in 1 2 3; do \
+		PYTHONPATH=src timeout 600 $(PYTHON) -m pytest -m elastic || exit 1; \
+	done
 
 # the full pre-merge gate: tier-1, the forked backend suite, chaos,
 # the socket-transport suite, the elastic suite, the benchmark smokes,
@@ -99,7 +103,7 @@ soak-smoke:
 # cProfile the parent-side data plane (routing, encoding, shipping,
 # barrier bookkeeping) over a benchmark-shaped session — joins on, 2
 # pipe workers, 4 warm-up + 40 pushed rwData windows — and print entries
-# per document, frames per window and journal bytes per document beside
+# per document, frames per window and frame bytes per document beside
 # the rows; perf PRs against the parent loop start here.  Override with
 # e.g. `make profile-parent PROFILE_ARGS='--data nb --transport socket'`.
 profile-parent:

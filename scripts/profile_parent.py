@@ -7,7 +7,7 @@ windows of 250) pushed through :class:`StreamJoinSession` — 4 warm-up
 windows, then N windows under cProfile (worker processes are *not*
 profiled).  Next to the top cumulative rows it prints what the parent
 shipped per document: entries (one per (document, worker) reached),
-frames per window and journal bytes — the numbers worker-granular
+frames per window and frame bytes — the numbers worker-granular
 fan-out is about.  Perf PRs against the parent loop start here.
 
 Usage::
@@ -41,28 +41,22 @@ class CountingLink:
         self._link = link
         self._totals = totals
 
-    def _count(self, message, nbytes) -> None:
-        if isinstance(message, BufferFrame):
-            slots = message.envelope[2]
-            entries = slots if type(slots) is int else len(slots)
-        elif message[0] == "batch":
-            entries = len(message[2])
-        else:
+    def _count(self, message) -> None:
+        if not isinstance(message, BufferFrame):
             return
+        slots = message.envelope[2]
         totals = self._totals
         totals["frames"] += 1
-        totals["entries"] += entries
-        totals["bytes"] += nbytes or 0
+        totals["entries"] += slots if type(slots) is int else len(slots)
+        totals["bytes"] += sum(memoryview(part).nbytes for part in message.parts())
 
     def send(self, message):
-        nbytes = self._link.send(message)
-        self._count(message, nbytes)
-        return nbytes
+        self._count(message)
+        self._link.send(message)
 
     def stage(self, message):
-        nbytes = self._link.stage(message)
-        self._count(message, nbytes)
-        return nbytes
+        self._count(message)
+        self._link.stage(message)
 
     def __getattr__(self, name):
         return getattr(self._link, name)
@@ -120,7 +114,7 @@ def main() -> int:
         f"# replication {summary.replication:.2f} copies/doc -> "
         f"{totals['entries'] / docs:.2f} entries/doc (incl. control tuples), "
         f"{totals['frames'] / args.windows:.1f} frames/window, "
-        f"{totals['bytes'] / docs:.0f} journal bytes/doc"
+        f"{totals['bytes'] / docs:.0f} frame bytes/doc"
     )
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats("cumulative").print_stats(args.top)

@@ -28,12 +28,8 @@ Fault kinds
     transient failure that succeeds on replay.
 :class:`DelayAcks`
     The targeted worker sleeps before sending every ``every``-th
-    acknowledgement — the knob for exercising barrier timeouts.
-:class:`SlowBatch`
-    The targeted worker sleeps before executing every ``every``-th
-    batch — a deterministic hot worker.  Unlike :class:`DelayAcks` the
-    sleep lands *inside* the measured batch time, so the ``busy_s``
-    ack field and the elastic controller's ack-latency signal see it.
+    acknowledgement — the knob for exercising barrier timeouts and for
+    holding a window's barrier open while the parent routes ahead.
 
 Counting is per :class:`FaultRuntime`, i.e. per process incarnation: a
 replacement worker replays its window journal in the original delivery
@@ -85,15 +81,6 @@ class DelayAcks:
 
 
 @dataclass(frozen=True)
-class SlowBatch:
-    """Sleep ``seconds`` before every ``every``-th batch of ``worker``."""
-
-    worker: int
-    seconds: float
-    every: int = 1
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """An immutable, chainable collection of fault rules.
 
@@ -111,7 +98,6 @@ class FaultPlan:
     kills: tuple[KillWorker, ...] = ()
     raises: tuple[RaiseInBolt, ...] = ()
     delays: tuple[DelayAcks, ...] = ()
-    slows: tuple[SlowBatch, ...] = ()
 
     # -- builders ------------------------------------------------------
     def kill_worker(
@@ -175,16 +161,10 @@ class FaultPlan:
         rule = DelayAcks(worker, seconds, every)
         return replace(self, delays=self.delays + (rule,))
 
-    def slow_batch(
-        self, worker: int, seconds: float, every: int = 1
-    ) -> "FaultPlan":
-        rule = SlowBatch(worker, seconds, every)
-        return replace(self, slows=self.slows + (rule,))
-
     # -- execution -----------------------------------------------------
     @property
     def empty(self) -> bool:
-        return not (self.kills or self.raises or self.delays or self.slows)
+        return not (self.kills or self.raises or self.delays)
 
     def runtime(
         self, worker_index: Optional[int] = None, incarnation: int = 0
@@ -236,7 +216,6 @@ class FaultRuntime:
     def __init__(
         self, plan: FaultPlan, worker_index: Optional[int], incarnation: int
     ):
-        self.plan = plan
         self._kill = None
         self._delays: tuple[DelayAcks, ...] = ()
         if worker_index is not None:
@@ -247,14 +226,8 @@ class FaultRuntime:
             self._delays = tuple(
                 d for d in plan.delays if d.worker == worker_index
             )
-            self._slows = tuple(
-                s for s in plan.slows if s.worker == worker_index
-            )
-        else:
-            self._slows = ()
         self._raises = [_RaiseState(rule) for rule in plan.raises]
         self._batches = 0
-        self._slowed_batches = 0
         self._acks = 0
 
     @property
@@ -277,19 +250,6 @@ class FaultRuntime:
         self._acks += 1
         return sum(
             d.seconds for d in self._delays if self._acks % max(1, d.every) == 0
-        )
-
-    def batch_delay(self) -> float:
-        """Seconds to sleep before executing the next batch (0 = none).
-
-        Counts independently of :meth:`kill_on_batch` so combining a
-        kill rule with a slow rule keeps both schedules deterministic.
-        """
-        self._slowed_batches += 1
-        return sum(
-            s.seconds
-            for s in self._slows
-            if self._slowed_batches % max(1, s.every) == 0
         )
 
     def check_raise(

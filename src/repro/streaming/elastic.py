@@ -9,17 +9,13 @@ completed window barrier.  The *mechanism* half — live partition
 migration over the window-replay journal, worker retirement, load
 shedding — lives in :class:`~repro.streaming.parallel.ParallelCluster`.
 
-Signals (one :class:`WorkerLoad` per live worker, collected by the
-cluster from bookkeeping it already keeps):
-
-* ``docs`` / ``task_docs`` — documents routed to the worker (and to
-  each of its tasks) since the previous barrier; the skew signal.
-* ``pending`` / ``inflight_high_water`` — outstanding and peak
-  unacknowledged batches; the queue-depth signal.
-* ``journal_bytes`` — bytes of journaled (shipped, unacknowledged or
-  un-barriered) batches; the replay-cost signal.
-* ``busy_s`` — EWMA of worker-reported per-batch execution seconds
-  (the ``busy_s`` ack field); the ack-latency signal.
+Signals: one :class:`WorkerLoad` per live worker, whose ``docs`` /
+``task_docs`` count the documents the completed window delivered to the
+worker's tasks — the skew signal.  The cluster counts them per window
+(:class:`~repro.streaming.protocol.BarrierTracker`), so window k's load
+is exactly window k's documents however far the pipeline runs ahead.
+Sustained backpressure reaches the controller separately, through
+:meth:`ElasticController.observe_pressure`.
 
 Decisions are deliberately coarse — at most one action per barrier,
 with a cooldown between actions — because a migration is not free: the
@@ -29,9 +25,9 @@ its policy thresholds are unit-testable without any worker processes.
 
 Determinism: migration preserves per-task delivery order and re-acks
 of replayed state are suppressed, so *whatever* the controller decides,
-per-window results stay byte-identical to the local backend.  Decision
-*timing* may still vary with wall-clock load signals; chaos tests pin
-exact schedules through ``ElasticPolicy.force``.
+per-window results stay byte-identical to the local backend.  The
+document counts are deterministic too, so only the backpressure streak
+depends on timing; ``ElasticPolicy.force`` pins exact schedules.
 """
 
 from __future__ import annotations
@@ -49,8 +45,6 @@ DEFAULT_COLD_SHARE = 0.02
 DEFAULT_COOLDOWN_WINDOWS = 1
 #: default consecutive backpressured windows before shedding engages
 DEFAULT_SHED_AFTER_WINDOWS = 3
-#: EWMA smoothing factor for the busy_s ack-latency signal
-BUSY_EWMA_ALPHA = 0.2
 
 
 @dataclass(frozen=True)
@@ -130,14 +124,6 @@ class WorkerLoad:
     task_docs: tuple[tuple[tuple[str, int], int], ...]
     #: documents routed to this worker during the window
     docs: int
-    #: unacknowledged batches right now
-    pending: int
-    #: peak unacknowledged batches over the run
-    inflight_high_water: int
-    #: bytes of journaled batches held for this worker
-    journal_bytes: int
-    #: EWMA of worker-reported per-batch busy seconds
-    busy_s: float
 
 
 @dataclass(frozen=True)

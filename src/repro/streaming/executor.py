@@ -502,12 +502,11 @@ class ClusterBase:
         replaced by the parallel backend's supervisor), ``transport``
         (the worker transport name, None when tasks run inline) and
         ``reconnects`` (worker links established beyond the first per
-        slot).  The load-signal gauges ``inflight_high_water`` (peak
-        unacknowledged batches on any one worker) and ``journal_bytes``
-        (bytes currently journaled for replay), and the elasticity
-        counters ``scale_ups``/``scale_downs``/``migrations``/
-        ``shed_tuples``, share the schema too.  On the local backend all
-        of these are zero-valued/None.
+        slot).  The gauge ``inflight_high_water`` (peak unacknowledged
+        batches on any one worker) and the elasticity counters
+        ``scale_ups``/``scale_downs``/``migrations``/``shed_tuples``
+        share the schema too.  On the local backend all of these are
+        zero-valued/None.
         """
         stats: dict[str, object] = {
             name: {
@@ -523,7 +522,6 @@ class ClusterBase:
         stats["transport"] = None
         stats["reconnects"] = 0
         stats["inflight_high_water"] = 0
-        stats["journal_bytes"] = 0
         stats["scale_ups"] = 0
         stats["scale_downs"] = 0
         stats["migrations"] = 0

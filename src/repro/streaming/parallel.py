@@ -40,12 +40,17 @@ the emissions back.  Three properties keep runs exact and replayable:
   its seq is unacknowledged; only then are that window's journals
   cleared and its stashed remote emissions released, in global batch
   order — so the parent re-injects them deterministically and
-  per-window results stay byte-identical to the local backend.  At most
+  per-window results stay byte-identical to the local backend.  Every
+  barrier completes through one method (``_complete_barrier``), oldest
+  first: the end of a pump completes the ones whose acks have drained,
+  :meth:`ParallelCluster.drain` waits for each in turn.  At most
   ``pipeline_depth`` barriers may be outstanding before the parent
   blocks on the oldest (``pipeline_depth=0`` reproduces the fully
   synchronous pre-pipelining plane).  A credit-style ack drain runs on
   every flush and idle pass, keeping links full during compute instead
   of only applying backpressure at the blocking ``max_inflight`` limit.
+  The protocol state — per-worker journals and the barrier tracker —
+  lives in the pure classes of :mod:`repro.streaming.protocol`.
 * **Failure containment.**  Worker-side processing follows the same
   retry budget as the base; a tuple that exhausts it is quarantined on
   the configured :class:`~repro.streaming.recovery.DeadLetterQueue` or
@@ -86,13 +91,14 @@ inherited baseline is subtracted first, see
 Elasticity (``docs/elasticity.md``): with an
 :class:`~repro.streaming.elastic.ElasticPolicy`, the cluster consults a
 pure :class:`~repro.streaming.elastic.ElasticController` once per
-*completed* barrier.  A scale-up spawns a fresh worker and live-migrates
+*completed* barrier, with the documents that window delivered to each
+task.  A scale-up spawns a fresh worker and live-migrates
 the hot worker's hottest task to it; a scale-down migrates a cold
 worker's tasks into the least-loaded survivor and retires it.
 Migration reuses the replay machinery wholesale: the source drains, its
-journaled/sticky history for the moved tasks — entries addressed to
-moved and kept tasks together are cut in two by mask — merges into the
-destination's books under the original batch seqs, the destination
+journal splits off the moved tasks' history (entries addressed to moved
+and kept tasks together are cut in two by mask), which merges into the
+destination's journal under the original batch seqs, the destination
 receives an ``("adopt", tasks)`` message followed by the re-encoded
 history as suppressed batches, the source a ``("disown", keys)``, and
 routing (``_placement`` and the per-worker task masks) swaps — so
@@ -108,7 +114,6 @@ from __future__ import annotations
 
 import os
 import random
-from collections import deque
 from time import monotonic, sleep
 from typing import Optional, Sequence, Union
 
@@ -121,13 +126,13 @@ from repro.obs.registry import (
     subtract_snapshot,
 )
 from repro.streaming.elastic import (
-    BUSY_EWMA_ALPHA,
     Decision,
     ElasticController,
     ElasticPolicy,
     WorkerLoad,
 )
 from repro.streaming.executor import ClusterBase
+from repro.streaming.protocol import BarrierTracker, Journal
 from repro.streaming.recovery import (
     DeadLetter,
     DeadLetterQueue,
@@ -145,12 +150,7 @@ from repro.streaming.transport import (
     make_transport,
 )
 from repro.streaming.transport.framing import parse_address
-from repro.streaming.tuples import (
-    StreamTuple,
-    lowest_owner,
-    owners_of,
-    split_entries,
-)
+from repro.streaming.tuples import StreamTuple, lowest_owner, owners_of
 
 #: default number of tuples per shipped batch; deep batches amortize
 #: per-frame encode/send/ack costs — the flush barrier still bounds a
@@ -190,18 +190,11 @@ class _WorkerHandle:
         "snapshot",
         "awaiting_snapshot",
         "journal",
-        "sticky",
-        "sticky_mark",
-        "suppress",
         "restarts_in_window",
         "incarnation",
         "degraded",
         "retired",
         "fork_baseline",
-        "delivered_docs",
-        "journal_nbytes",
-        "inflight_high_water",
-        "busy_ewma",
     )
 
     def __init__(self, index: int, assigned: list[tuple[str, int]]):
@@ -215,36 +208,18 @@ class _WorkerHandle:
         self.buffer_since = 0.0
         self.said_bye = False
         self.snapshot: Optional[dict] = None
-        self.awaiting_snapshot = False
-        #: upstream backup: batch seq -> raw entries, everything shipped
-        #: since the last *completed* barrier (entries at or below a
-        #: completed barrier's seq are dropped at completion time); a
-        #: replay re-encodes them into the bytes of the first send
-        self.journal: dict[int, list] = {}
-        #: cross-window control entries (sticky streams) as ``(batch
-        #: seq, entry)`` — never cleared
-        self.sticky: list = []
-        #: prefix of ``sticky`` whose batches completed a barrier (the
-        #: history a replacement must replay before its window journal)
-        self.sticky_mark = 0
-        #: replayed batch seqs whose re-acks must be dropped (their
-        #: original acks were already applied)
-        self.suppress: set[int] = set()
+        #: the incarnation a snapshot request went to, None when no
+        #: reply is owed
+        self.awaiting_snapshot: Optional[int] = None
+        #: upstream backup: every batch shipped since the last completed
+        #: barrier, plus the sticky history a replacement replays first
+        self.journal = Journal()
         self.restarts_in_window = 0
         self.incarnation = 0
         self.degraded = False
         #: retired by a scale-down: tasks migrated away, worker stopped
         self.retired = False
         self.fork_baseline: Optional[ObservabilitySnapshot] = None
-        #: entries delivered since the last elastic evaluation, counted
-        #: per ``(component, mask)``; expanded per task when evaluated
-        self.delivered_docs: dict[tuple[str, int], int] = {}
-        #: batch seq -> staged payload bytes, mirrors ``journal``
-        self.journal_nbytes: dict[int, int] = {}
-        #: peak simultaneous unacknowledged batches over the run
-        self.inflight_high_water = 0
-        #: EWMA of worker-reported per-batch busy seconds (ack field 8)
-        self.busy_ewma: Optional[float] = None
 
 
 class ParallelCluster(ClusterBase):
@@ -398,10 +373,6 @@ class ParallelCluster(ClusterBase):
         self._elastic = (
             ElasticController(elastic) if elastic is not None else None
         )
-        #: completed window barriers — the elastic controller's clock
-        self._windows_completed = 0
-        self._backpressured_this_window = False
-        self._in_elastic_step = False
         #: elastic action counters, surfaced through stats()
         self.scale_ups = 0
         self.scale_downs = 0
@@ -438,12 +409,9 @@ class ParallelCluster(ClusterBase):
         self._batch_seq = 0
         self._barrier_pending = False
         self._last_idle_poll = 0.0
-        #: outstanding window barriers, oldest first: each entry is the
-        #: high-water batch seq the barrier covers — the barrier is
-        #: complete once no batch at or below it is unacknowledged
-        self._barriers: deque[int] = deque()
-        #: acknowledged-but-unreleased emissions, keyed by batch seq
-        self._stash: dict[int, tuple] = {}
+        #: outstanding window barriers, their stashed emissions and the
+        #: open window's load signals
+        self._barriers = BarrierTracker()
         self._pumping = False
         self._started = False
         self._closed = False
@@ -572,8 +540,9 @@ class ParallelCluster(ClusterBase):
             self._shed(handle, component, mask, tup)
             return
         if self._elastic is not None:
+            docs = self._barriers.docs
             key = (component, mask)
-            handle.delivered_docs[key] = handle.delivered_docs.get(key, 0) + 1
+            docs[key] = docs.get(key, 0) + 1
         if not handle.buffer:
             handle.buffer_since = monotonic()
         # buffered raw: the journal keeps raw entries, every send encodes
@@ -623,24 +592,15 @@ class ParallelCluster(ClusterBase):
         raw = handle.buffer
         handle.buffer = []
         message = self._codec.encode_batch(seq, raw)
-        handle.journal[seq] = raw
-        if self._sticky_streams:
-            handle.sticky.extend(
-                (seq, entry)
-                for entry in raw
-                if entry[2].stream in self._sticky_streams
-            )
+        handle.journal.record(seq, raw, self._sticky_streams)
         handle.pending.add(seq)
-        depth = len(handle.pending)
-        if depth > handle.inflight_high_water:
-            handle.inflight_high_water = depth
-            if depth > self.inflight_high_water:
-                self.inflight_high_water = depth
+        if len(handle.pending) > self.inflight_high_water:
+            self.inflight_high_water = len(handle.pending)
         try:
             # stage, don't write: the window's bytes hit the wire in one
             # burst at the barrier (see _pump_links), so worker wakeups
             # stay out of the parent's routing path
-            handle.journal_nbytes[seq] = handle.link.stage(message) or 0
+            handle.link.stage(message)
         except LinkDown:
             # the worker died while idle; recovery replays the journal
             # (which already holds this batch) — a degrade acks all of it
@@ -650,25 +610,28 @@ class ParallelCluster(ClusterBase):
         # blocking limit below is the exception, not the steady state
         self._poll_results(timeout=0.0)
         if len(handle.pending) >= self._max_inflight:
-            self._backpressured_this_window = True
+            self._barriers.backpressured = True
             self._wait_until(
                 lambda: len(handle.pending) < self._max_inflight, "backpressure"
             )
 
-    def _flush_all(self) -> None:
+    def _close_window(self) -> None:
+        """Phase 1: flush every buffer and, if a barrier tuple was
+        shipped, record its barrier over every batch shipped so far.
+        Routing and encoding of the next window continue while the acks
+        drain."""
         for handle in self._workers:
             self._flush(handle)
+        if self._barrier_pending:
+            self._barrier_pending = False
+            self._barriers.record(self._batch_seq)
 
     def _on_idle(self) -> bool:
         if not self._started:
             return False
+        barriers = self._barriers
         if self._barrier_pending:
-            # phase 1: flush the window's tail and *record* the barrier;
-            # routing/encoding of the next window continues while the
-            # acks drain
-            self._flush_all()
-            self._barrier_pending = False
-            self._barriers.append(self._batch_seq)
+            self._close_window()
             # uncork: release the window's staged bytes in one burst
             self._pump_links()
             # a barrier formed: drain whatever acks arrived right away so
@@ -684,110 +647,116 @@ class ParallelCluster(ClusterBase):
         # so the re-injection order stays deterministic.  Throttled:
         # _on_idle runs once per delivered tuple, and an empty-queue poll
         # is not free
-        released = False
-        if self._barriers or self._any_pending():
-            now = monotonic()
-            if now - self._last_idle_poll >= IDLE_POLL_INTERVAL_S:
-                self._last_idle_poll = now
-                self._poll_results(timeout=0.0)
-                released = self._complete_ready_barriers()
-        return self._cap_pipeline() or released
+        if (barriers.open or self._any_pending()) and (
+            monotonic() - self._last_idle_poll >= IDLE_POLL_INTERVAL_S
+        ):
+            self._last_idle_poll = monotonic()
+            self._poll_results(timeout=0.0)
+        elif len(barriers.open) <= self._pipeline_depth:
+            return False
+        return self._complete_barriers(self._pipeline_depth)
 
     def _finish(self) -> None:
-        """End-of-pump hook: flush and record the window's barrier, but
-        — unlike the pre-pipelining plane — only *complete* barriers
-        whose acks have already drained.  :meth:`drain` is the hard
-        variant that runs the pipeline dry."""
-        if not self._started:
-            return
-        while True:
-            self._flush_all()
-            if self._barrier_pending:
-                self._barrier_pending = False
-                self._barriers.append(self._batch_seq)
-            self._pump_links()
-            self._poll_results(timeout=0.0)
-            released = self._complete_ready_barriers()
-            if self._cap_pipeline() or released:
-                self._drain()
-                continue
-            if not self._queue and not any(h.buffer for h in self._workers):
-                break
+        """End-of-pump hook: close the window, but only complete the
+        barriers whose acks have already drained (plus the oldest while
+        more than ``pipeline_depth`` are outstanding).  :meth:`drain` is
+        the blocking variant that runs the pipeline dry."""
+        self._settle(block=False)
 
     def drain(self) -> None:
         """Run the pipeline dry: complete every outstanding barrier and
         release every stashed emission.  Called at the end of
         :meth:`run` and by session owners before reading final results;
         a no-op when nothing is outstanding."""
+        self._settle(block=True)
+
+    def _settle(self, block: bool) -> None:
+        """Close the window and complete barriers, then run released
+        emissions through the local FIFO, until nothing is queued or
+        buffered.  ``block`` completes every barrier — waiting on each —
+        and, once no ack is owed, releases the emissions of the batches
+        after the last barrier too."""
         if not self._started:
             return
         while True:
-            self._flush_all()
+            self._close_window()
             self._pump_links()
-            self._wait_until(lambda: not self._any_pending(), "drain")
-            self._barrier_pending = False
-            self._barriers.clear()
-            self._window_boundary_upto(self._batch_seq)
-            if self._release_emissions_upto(self._batch_seq):
+            self._poll_results(timeout=0.0)
+            released = self._complete_barriers(0 if block else self._pipeline_depth)
+            if block:
+                self._wait_until(lambda: not self._any_pending(), "drain")
+                # the run is over: trailing batches are history too
+                self._clear_through(self._batch_seq)
+                released |= self._reinject(self._barriers.release_rest())
+            if released:
                 self._drain()
                 continue
             if not self._queue and not any(h.buffer for h in self._workers):
                 break
 
-    def _barrier_ready(self, max_seq: int) -> bool:
-        return not any(
-            seq <= max_seq for h in self._workers for seq in h.pending
-        )
+    def _oldest_barrier_ready(self) -> bool:
+        return self._barriers.ready(handle.pending for handle in self._workers)
 
-    def _complete_ready_barriers(self) -> bool:
-        """Phase 2 for every barrier whose acks have fully drained."""
+    def _complete_barriers(self, keep: int) -> bool:
+        """Complete barriers oldest first: every one whose acks have
+        drained, then — blocking on each in turn — as many as it takes
+        to leave at most ``keep`` outstanding (the depth cap bounds
+        stash and journal growth to ``keep + 1`` windows).  True if
+        emissions were released."""
         released = False
-        while self._barriers and self._barrier_ready(self._barriers[0]):
-            max_seq = self._barriers.popleft()
-            self._window_boundary_upto(max_seq)
-            if self._release_emissions_upto(max_seq):
-                released = True
-            self._windows_completed += 1
-            # the elastic hook runs at the quietest possible point: the
-            # window's acks are drained, its journal entries cleared,
-            # its emissions released — migration moves minimal state
-            self._elastic_step()
+        while self._barriers.open:
+            if not self._oldest_barrier_ready():
+                if len(self._barriers.open) <= keep:
+                    break
+                self._wait_until(self._oldest_barrier_ready, "barrier")
+            released |= self._complete_barrier()
         return released
 
-    def _cap_pipeline(self) -> bool:
-        """Depth cap: block on the oldest barrier while more than
-        ``pipeline_depth`` overlap (bounds stash/journal growth to
-        ``pipeline_depth + 1`` windows).  True if emissions released."""
-        released = False
-        while len(self._barriers) > self._pipeline_depth:
-            oldest = self._barriers[0]
-            self._wait_until(lambda: self._barrier_ready(oldest), "barrier")
-            released |= self._complete_ready_barriers()
+    def _complete_barrier(self) -> bool:
+        """Phase 2 of the oldest barrier, whose acks have all arrived —
+        the one path every barrier completes through.
+
+        Clears the journals through the barrier's seq, re-injects the
+        window's stashed emissions in batch order, advances the window
+        count and consults the elastic controller once — at the quietest
+        point of the pipeline, so a migration moves the least state.
+        True if emissions were released.
+        """
+        window = self._barriers.complete()
+        self._clear_through(window.seq)
+        released = self._reinject(window.emissions)
+        controller = self._elastic
+        if controller is not None and not self._closed:
+            controller.observe_pressure(window.backpressured)
+            decision = controller.decide(window.index, self._worker_loads(window.docs))
+            if decision is not None:
+                self._apply_decision(decision)
         return released
 
-    def _window_boundary_upto(self, max_seq: int) -> None:
-        """A barrier completed: batches at or below ``max_seq`` are acked,
-        so their journal entries have served their purpose (worker state
-        tumbles with the window), restart budgets reset, and sticky
-        entries they carried become history that a future replacement
-        must replay before its window journal."""
+    def _clear_through(self, seq: int) -> None:
+        """Batches at or below ``seq`` are acknowledged history: drop
+        them from every journal and reset the restart budgets."""
         for handle in self._workers:
-            for seq in [s for s in handle.journal if s <= max_seq]:
-                del handle.journal[seq]
-                handle.journal_nbytes.pop(seq, None)
-            mark = handle.sticky_mark
-            sticky = handle.sticky
-            while mark < len(sticky) and sticky[mark][0] <= max_seq:
-                mark += 1
-            handle.sticky_mark = mark
+            handle.journal.clear_through(seq)
             handle.restarts_in_window = 0
         if self._obs:
             self.registry.gauge("executor.inflight_high_water").set_max(
                 self.inflight_high_water
             )
-            self.registry.gauge("executor.journal_bytes").set(
-                self._journal_bytes()
+
+    def _reinject(self, emissions: list) -> bool:
+        """Route released remote emissions, in the order given."""
+        for component, task_index, stream, direct, values in emissions:
+            self._route(
+                StreamTuple(
+                    stream=stream,
+                    values=self._codec.decode(stream, values),
+                    source=component,
+                    source_task=task_index,
+                    direct_task=direct,
+                )
             )
+        return bool(emissions)
 
     # ------------------------------------------------------------------
     # Result collection
@@ -798,10 +767,11 @@ class ParallelCluster(ClusterBase):
     def _wait_until(self, done, phase: str) -> None:
         """Poll acks and supervise workers until ``done()`` holds.
 
-        The parent's one blocking ack wait — ``phase`` is ``"barrier"``,
-        ``"backpressure"``, ``"drain"`` or ``"migration"``.  Past
-        ``barrier_timeout_s`` it raises a :class:`TopologyError` naming
-        the phase and every worker still owing acks.
+        The parent's one blocking wait — ``phase`` is ``"barrier"``,
+        ``"backpressure"``, ``"drain"``, ``"migration"``, ``"snapshot"``
+        or ``"retire"``.  Past ``barrier_timeout_s`` it raises a
+        :class:`TopologyError` naming the phase and every worker still
+        owing acks or a snapshot.
         """
         deadline = monotonic() + self._barrier_timeout_s
         while not done():
@@ -809,8 +779,10 @@ class ParallelCluster(ClusterBase):
                 stuck = ", ".join(
                     f"worker {h.index} ({len(h.pending)} batch(es), lowest "
                     f"seq {min(h.pending)})"
-                    for h in self._workers
                     if h.pending
+                    else f"worker {h.index} (snapshot)"
+                    for h in self._workers
+                    if h.pending or h.awaiting_snapshot is not None
                 )
                 raise TopologyError(
                     f"parallel {phase} wait timed out after "
@@ -862,22 +834,14 @@ class ParallelCluster(ClusterBase):
     def _handle_message(self, message: tuple) -> None:
         kind = message[0]
         if kind == "ack":
-            _, seq, worker_index, counts, failures, emissions, dead, busy_s = message
+            _, seq, worker_index, counts, failures, emissions, dead = message
             handle = self._workers[worker_index]
             handle.pending.discard(seq)
-            # ack-latency load signal: smoothed worker-side busy seconds
-            handle.busy_ewma = (
-                busy_s
-                if handle.busy_ewma is None
-                else (1.0 - BUSY_EWMA_ALPHA) * handle.busy_ewma
-                + BUSY_EWMA_ALPHA * busy_s
-            )
-            if seq in handle.suppress:
+            if handle.journal.suppressed(seq):
                 # a replayed batch that was already acknowledged by the
                 # dead incarnation: it rebuilt worker state, but its
                 # effects (emissions, counters, dead letters) were
                 # applied with the original ack — drop them
-                handle.suppress.discard(seq)
                 return
             self.failures += failures
             for component, n in counts:
@@ -885,7 +849,7 @@ class ParallelCluster(ClusterBase):
                 self._component_processed[component] += n
                 if self._obs:
                     self._proc_counters[component].inc(n)
-            self._stash[seq] = emissions
+            self._barriers.stash(seq, emissions)
             for component, task_index, stream, attempts, cause, tb_text, values in dead:
                 self._record_dead_letter(
                     DeadLetter(
@@ -916,7 +880,7 @@ class ParallelCluster(ClusterBase):
             _, worker_index, data = message
             handle = self._workers[worker_index]
             handle.snapshot = data
-            handle.awaiting_snapshot = False
+            handle.awaiting_snapshot = None
         elif kind == "bye":
             self._workers[message[1]].said_bye = True
 
@@ -959,6 +923,7 @@ class ParallelCluster(ClusterBase):
                     handle.index, exit_code, handle.restarts_in_window
                 )
             self._reap(handle)
+            handle.journal.link_lost(handle.pending)
             handle.incarnation += 1
             if exhausted:
                 self._degrade(handle)
@@ -974,10 +939,7 @@ class ParallelCluster(ClusterBase):
             self._spawn(handle)
             try:
                 self._ship_history(
-                    handle,
-                    handle.sticky[: handle.sticky_mark],
-                    handle.journal,
-                    handle.link.send,
+                    handle, handle.journal.history(), handle.link.send
                 )
                 return
             except LinkDown:  # the replacement died mid-replay
@@ -989,41 +951,27 @@ class ParallelCluster(ClusterBase):
             handle.link.reap(timeout=1.0)
             handle.link = None
 
-    def _ship_history(
-        self, handle: _WorkerHandle, sticky: list, batches: dict, send
-    ) -> None:
-        """Re-ship history to a fresh executor of ``handle`` via ``send``.
+    def _ship_history(self, handle: _WorkerHandle, history: tuple, send) -> None:
+        """Re-ship ``history`` (:meth:`Journal.history`) to a fresh
+        executor of ``handle`` via ``send``.
 
-        The one replay path (respawn, migration, degrade).  ``sticky`` —
-        the marked sticky prefix as ``(seq, entry)`` pairs — goes first
-        as one pseudo-batch under a fresh seq, then every batch of
-        ``batches`` (seq -> raw entries) in seq order under its original
-        seq, so the bookkeeping (pending set, stash) lines up; encoding
-        is deterministic, so a journaled batch goes out bit-identical to
-        its first send.  A seq ``handle`` has no pending ack for is
-        history whose effects were already applied: it is marked
-        suppressed, and its re-ack only rebuilds executor state.  A
-        :class:`LinkDown` from ``send`` propagates once the books are
-        consistent again.
+        The one replay path (respawn, migration, degrade).  The sticky
+        entries go first as one pseudo-batch under a fresh seq, then
+        every journaled batch in seq order under its original seq, so
+        the bookkeeping (pending set, stash) lines up; encoding is
+        deterministic, so a journaled batch goes out bit-identical to
+        its first send.  A re-shipped seq whose effects were already
+        applied is suppressed (:meth:`Journal.reship`): its re-ack only
+        rebuilds executor state.  The books are updated before each
+        send, so a :class:`LinkDown` from ``send`` simply propagates.
         """
-        shipments = sorted(batches.items())
+        sticky, shipments = history
         if sticky:
             self._batch_seq += 1
-            shipments.insert(0, (self._batch_seq, [entry for _, entry in sticky]))
-        try:
-            for seq, entries in shipments:
-                if seq not in handle.pending:  # already acked: state-only
-                    handle.pending.add(seq)
-                    handle.suppress.add(seq)
-                send(self._codec.encode_batch(seq, entries))
-        except LinkDown:
-            if sticky:
-                # this link is gone, so its sticky pseudo-batch can never
-                # be acknowledged — don't let a barrier wait for it.  A
-                # later replay assigns the history a fresh seq; keeping
-                # this one in ``suppress`` drops any straggler ack.
-                handle.pending.discard(shipments[0][0])
-            raise
+            shipments.insert(0, (self._batch_seq, sticky))
+        for seq, entries in shipments:
+            handle.journal.reship(seq, handle.pending)
+            send(self._codec.encode_batch(seq, entries))
 
     def _degrade(self, handle: _WorkerHandle) -> None:
         """Respawn a dead worker into the parent, then run its tasks inline.
@@ -1034,8 +982,8 @@ class ParallelCluster(ClusterBase):
         receives the replay a respawned worker would, and each reply
         takes the ordinary ack path (:meth:`_handle_message`), which
         suppresses acked history and stashes, counts and quarantines the
-        rest.  Only the plan's raise rules reach it: no kill, delay or
-        slow rule can fire in the parent.  From here on, placement falls
+        rest.  Only the plan's raise rules reach it: no kill or delay rule
+        can fire in the parent.  From here on, placement falls
         through to the local FIFO.  The caller has reaped the dead link
         and counted the new incarnation.
         """
@@ -1057,9 +1005,7 @@ class ParallelCluster(ClusterBase):
             for reply in session.handle(frame):
                 self._handle_message(reply)
 
-        self._ship_history(
-            handle, handle.sticky[: handle.sticky_mark], handle.journal, send
-        )
+        self._ship_history(handle, handle.journal.history(), send)
         # unsent buffered tuples simply fall through to the local FIFO
         raw, handle.buffer = handle.buffer, []
         for component, _task_index, tup, mask in raw:
@@ -1068,64 +1014,31 @@ class ParallelCluster(ClusterBase):
     # ------------------------------------------------------------------
     # Elasticity: scale-up/down and live partition migration
     # ------------------------------------------------------------------
-    def _journal_bytes(self) -> int:
-        """Bytes of journaled batches across all workers (load signal)."""
-        return sum(
-            sum(handle.journal_nbytes.values()) for handle in self._workers
-        )
-
-    def _worker_loads(self) -> list[WorkerLoad]:
-        """One load-signal record per live worker, for the controller."""
+    def _worker_loads(self, docs: dict) -> list[WorkerLoad]:
+        """One load record per live worker for a completed window's
+        delivered-entry counts, attributed to each task's current
+        worker."""
+        task_docs: dict[tuple[str, int], int] = {}
+        for (component, mask), count in docs.items():
+            for task_index in owners_of(mask):
+                key = (component, task_index)
+                task_docs[key] = task_docs.get(key, 0) + count
         loads = []
         for handle in self._workers:
             if handle.retired or handle.degraded or handle.link is None:
                 continue
-            task_docs: dict[tuple[str, int], int] = {}
-            for (component, mask), count in handle.delivered_docs.items():
-                for task_index in owners_of(mask):
-                    key = (component, task_index)
-                    task_docs[key] = task_docs.get(key, 0) + count
+            mine = sorted(
+                (key, task_docs[key]) for key in handle.assigned if key in task_docs
+            )
             loads.append(
                 WorkerLoad(
                     worker=handle.index,
                     tasks=tuple(handle.assigned),
-                    task_docs=tuple(sorted(task_docs.items())),
-                    docs=sum(task_docs.values()),
-                    pending=len(handle.pending),
-                    inflight_high_water=handle.inflight_high_water,
-                    journal_bytes=sum(handle.journal_nbytes.values()),
-                    busy_s=handle.busy_ewma or 0.0,
+                    task_docs=tuple(mine),
+                    docs=sum(count for _key, count in mine),
                 )
             )
         return loads
-
-    def _elastic_step(self) -> None:
-        """Consult the controller at a completed barrier and act on it.
-
-        Runs at the quietest point of the pipeline: the completed
-        window's journal entries are cleared and its emissions released,
-        so a migration ships the minimum of state.  The controller's
-        window index is 0-based over completed barriers.
-        """
-        controller = self._elastic
-        if controller is None or self._in_elastic_step or self._closed:
-            return
-        self._in_elastic_step = True
-        try:
-            controller.observe_pressure(self._backpressured_this_window)
-            self._backpressured_this_window = False
-            decision = controller.decide(
-                self._windows_completed - 1, self._worker_loads()
-            )
-            if decision is not None:
-                self._apply_decision(decision)
-        finally:
-            # doc counters are a per-window signal; under pipelining a
-            # few next-window deliveries may already have counted — an
-            # accepted approximation, the skew signal dominates anyway
-            for handle in self._workers:
-                handle.delivered_docs.clear()
-            self._in_elastic_step = False
 
     def _apply_decision(self, decision: Decision) -> None:
         src = self._workers[decision.source]
@@ -1185,9 +1098,7 @@ class ParallelCluster(ClusterBase):
            under their *original* batch seqs (globally unique, so the
            merge is collision-free and sorted-seq replay preserves
            per-task delivery order).  An entry whose mask names moved
-           and kept tasks is cut in two
-           (:func:`~repro.streaming.tuples.split_entries`); a batch's
-           journaled bytes divide by assignments.
+           and kept tasks is cut in two (:meth:`Journal.split_off`).
         3. **Ship** — the destination link receives, in one FIFO burst:
            an ``("adopt", tasks)`` message carrying the parent's
            pristine task instances, then the moved history through the
@@ -1214,51 +1125,8 @@ class ParallelCluster(ClusterBase):
             return False
         # -- 2: split the books (before any wire I/O, so a destination
         # death mid-ship leaves a consistent merged state behind)
-        moved_journal: dict[int, list] = {}
-        for seq in sorted(src.journal):
-            entries = src.journal[seq]
-            kept, moved = split_entries(entries, moving)
-            if not moved:
-                continue
-            nbytes = src.journal_nbytes.pop(seq, 0)
-            moved_share = int(
-                nbytes
-                * sum(entry[3].bit_count() for entry in moved)
-                / sum(entry[3].bit_count() for entry in entries)
-            )
-            if kept:
-                src.journal[seq] = kept
-                src.journal_nbytes[seq] = nbytes - moved_share
-            else:
-                del src.journal[seq]
-            # an earlier migration may have shared this seq
-            dst.journal[seq] = dst.journal.get(seq, []) + moved
-            dst.journal_nbytes[seq] = (
-                dst.journal_nbytes.get(seq, 0) + moved_share
-            )
-            moved_journal[seq] = moved
-        kept_sticky: list = []
-        moved_sticky: list = []
-        kept_marked = moved_marked = 0
-        for position, (seq, entry) in enumerate(src.sticky):
-            marked = position < src.sticky_mark
-            kept, moved = split_entries([entry], moving)
-            if kept:
-                kept_sticky.append((seq, kept[0]))
-                kept_marked += marked
-            if moved:
-                moved_sticky.append((seq, moved[0]))
-                moved_marked += marked
-        if moved_sticky:
-            src.sticky = kept_sticky
-            src.sticky_mark = kept_marked
-            # marked-ness is a pure seq threshold (every boundary advances
-            # all marks to the same max_seq), so a stable merge by seq
-            # keeps the marked prefix exactly the sum of both prefixes
-            dst.sticky = sorted(
-                dst.sticky + moved_sticky, key=lambda item: item[0]
-            )
-            dst.sticky_mark += moved_marked
+        moved = src.journal.split_off(moving)
+        dst.journal.merge(moved)
         for key in keys:
             src.assigned.remove(key)
             dst.assigned.append(key)
@@ -1274,9 +1142,7 @@ class ParallelCluster(ClusterBase):
                 ("adopt", {key: self._tasks[key[0]][key[1]] for key in keys})
             )
             # the source acked every moved seq, so all of it is suppressed
-            self._ship_history(
-                dst, moved_sticky[:moved_marked], moved_journal, dst.link.send
-            )
+            self._ship_history(dst, moved.history(), dst.link.send)
         except LinkDown:
             self._on_worker_failure(dst)
         self.migrations += 1
@@ -1292,21 +1158,7 @@ class ParallelCluster(ClusterBase):
         :meth:`snapshot` stays monotonic after the worker is gone.
         """
         if self.registry.enabled and handle.link is not None and handle.link.alive():
-            handle.awaiting_snapshot = True
-            try:
-                handle.link.send(("snapshot",))
-            except LinkDown:
-                handle.awaiting_snapshot = False
-            deadline = monotonic() + self._barrier_timeout_s
-            while handle.awaiting_snapshot:
-                self._poll_results(timeout=0.05)
-                if handle.link is None or not handle.link.alive():
-                    handle.awaiting_snapshot = False
-                elif monotonic() > deadline:
-                    raise TopologyError(
-                        f"timed out after {self._barrier_timeout_s:g}s "
-                        f"collecting retiring worker {handle.index}'s snapshot"
-                    )
+            self._await_snapshots([handle], "retire")
         if handle.link is not None:
             try:
                 handle.link.send(("stop",))
@@ -1315,29 +1167,42 @@ class ParallelCluster(ClusterBase):
         self._reap(handle)
         handle.retired = True
 
-    def _release_emissions_upto(self, max_seq: int) -> bool:
-        """Re-inject stashed remote emissions of batches at or below
-        ``max_seq``, in global batch order.  Later batches belong to a
-        window whose barrier has not completed; they stay stashed so the
-        release order is seq-deterministic regardless of pipeline depth.
+    def _await_snapshots(self, handles: list, phase: str) -> None:
+        """Ask each of ``handles`` for its registry snapshot and wait for
+        the replies through :meth:`_wait_until`.
+
+        With pipelined barriers a request can queue behind in-flight
+        batches, and a worker dying on one of them never replies: a
+        worker holding tasks is recovered like any dead worker and its
+        replacement asked again (a degraded one has nothing left to
+        report); a taskless, retiring one is let go.
         """
-        if not self._stash:
-            return False
-        released = False
-        for seq in sorted(self._stash):
-            if seq > max_seq:
-                continue
-            for component, task_index, stream, direct, values in self._stash.pop(seq):
-                tup = StreamTuple(
-                    stream=stream,
-                    values=self._codec.decode(stream, values),
-                    source=component,
-                    source_task=task_index,
-                    direct_task=direct,
-                )
-                self._route(tup)
-                released = True
-        return released
+        for handle in handles:
+            handle.awaiting_snapshot = -1  # no incarnation was asked yet
+
+        def replied() -> bool:
+            waiting = False
+            for handle in handles:
+                asked = handle.awaiting_snapshot
+                if asked is None:
+                    continue
+                if handle.degraded or handle.link is None:
+                    handle.awaiting_snapshot = None
+                elif asked != handle.incarnation:  # not asked, or respawned
+                    handle.awaiting_snapshot = handle.incarnation
+                    try:
+                        handle.link.send(("snapshot",))
+                    except LinkDown:
+                        handle.awaiting_snapshot = None
+                elif not handle.link.alive():
+                    if handle.assigned:  # recovered: asked again next pass
+                        self._on_worker_failure(handle)
+                    else:
+                        handle.awaiting_snapshot = None
+                waiting |= handle.awaiting_snapshot is not None
+            return not waiting
+
+        self._wait_until(replied, phase)
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
@@ -1354,7 +1219,6 @@ class ParallelCluster(ClusterBase):
         stats = super().stats()
         stats.update(self._transport.stats())
         stats["inflight_high_water"] = self.inflight_high_water
-        stats["journal_bytes"] = self._journal_bytes()
         stats["scale_ups"] = self.scale_ups
         stats["scale_downs"] = self.scale_downs
         stats["migrations"] = self.migrations
@@ -1375,42 +1239,10 @@ class ParallelCluster(ClusterBase):
             return self.registry.snapshot()
         if self._merged_snapshot is not None and self._closed:
             return self._merged_snapshot
-        alive = [
-            h for h in self._workers if h.link is not None and h.link.alive()
-        ]
-        for handle in alive:
-            handle.awaiting_snapshot = True
-            try:
-                handle.link.send(("snapshot",))
-            except LinkDown:
-                handle.awaiting_snapshot = False
-        deadline = monotonic() + self._barrier_timeout_s
-        while any(h.awaiting_snapshot for h in alive):
-            self._poll_results(timeout=0.05)
-            for handle in alive:
-                # with pipelined barriers a snapshot request can queue
-                # behind in-flight batches — a worker dying on one of
-                # them would never reply, so supervision must run here
-                # too, and the replacement (or nobody, if degraded) gets
-                # a fresh request
-                if not handle.awaiting_snapshot or handle.degraded:
-                    continue
-                if handle.link is not None and handle.link.alive():
-                    continue
-                self._on_worker_failure(handle)
-                if handle.degraded or handle.link is None:
-                    handle.awaiting_snapshot = False
-                    continue
-                try:
-                    handle.link.send(("snapshot",))
-                except LinkDown:
-                    handle.awaiting_snapshot = False
-            if monotonic() > deadline:
-                silent = [h.index for h in alive if h.awaiting_snapshot]
-                raise TopologyError(
-                    f"timed out after {self._barrier_timeout_s:g}s collecting "
-                    f"worker snapshots; no reply from worker(s) {silent}"
-                )
+        self._await_snapshots(
+            [h for h in self._workers if h.link is not None and h.link.alive()],
+            "snapshot",
+        )
         worker_snaps = []
         for handle in self._workers:
             if handle.snapshot is None:

@@ -231,29 +231,24 @@ class WorkerLink:
         self._pending: deque = deque()
         sock.setblocking(False)
 
-    def send(self, message) -> int:
+    def send(self, message) -> None:
         """Ship one message, FIFO per link; :class:`LinkDown` if gone.
 
         Whatever the kernel does not accept right away stays queued for
         :meth:`pump`; FIFO order holds because every send and stage
-        enters the same queue.  Returns the serialized payload size in
-        bytes — the cluster accounts journal bytes per batch with it,
-        feeding the ``journal_bytes`` load signal the elastic controller
-        watches.
+        enters the same queue.
         """
-        nbytes = self.stage(message)
+        self.stage(message)
         self.pump()
-        return nbytes
 
-    def stage(self, message) -> int:
+    def stage(self, message) -> None:
         """Queue a message's bytes without touching the wire.
 
         The cluster stages a window's batches while it routes and
         releases the bytes at the window barrier (:meth:`pump`), so
         workers receive a window's work in one burst and spend their
         CPU while the parent is busy elsewhere — on a loaded host this
-        keeps worker wakeups out of the parent's routing path.  Returns
-        the staged size in bytes, like :meth:`send`.
+        keeps worker wakeups out of the parent's routing path.
         """
         if self._sock is None:
             raise LinkDown("link already reaped")
@@ -261,16 +256,13 @@ class WorkerLink:
             # scatter list: header, envelope, raw column buffers — no
             # concatenation; the views keep their owners alive and the
             # journaled frame outlives the write
-            parts = [
+            self._pending.extend(
                 part if isinstance(part, memoryview) else memoryview(part)
                 for part in message.parts()
                 if len(part)
-            ]
-            self._pending.extend(parts)
-            return sum(len(part) for part in parts)
-        encoded = memoryview(encode_frame(message))
-        self._pending.append(encoded)
-        return len(encoded)
+            )
+        else:
+            self._pending.append(memoryview(encode_frame(message)))
 
     def pump(self) -> None:
         """Make progress on queued outbound bytes (non-blocking): one

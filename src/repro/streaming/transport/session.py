@@ -29,9 +29,7 @@ parent → worker
     reply — FIFO order already places an adopt before the batches that
     need it
 worker → parent
-    ``("ack", seq, worker_index, counts, failures, emissions, dead,
-    busy_s)`` — ``busy_s`` is the worker-side wall time spent executing
-    the batch, the ack-latency load signal of the elastic controller —
+    ``("ack", seq, worker_index, counts, failures, emissions, dead)``,
     ``("error", worker_index, seq, component, task_index, retries, exc)``,
     ``("snapshot", worker_index, dict)``, ``("bye", worker_index)``
 
@@ -137,6 +135,8 @@ class WorkerSession:
         #: component -> task index -> task / its collector
         self._tasks: dict[str, dict[int, Any]] = {}
         self._collectors: dict[str, dict[int, WorkerCollector]] = {}
+        #: component -> bitmask of the task indices this worker holds
+        self._own: dict[str, int] = {}
         self._hists: dict = {}
         self._install(init.tasks)
 
@@ -146,6 +146,7 @@ class WorkerSession:
             self._collectors.setdefault(component, {})[task_index] = (
                 WorkerCollector(component, task_index, self._codec)
             )
+            self._own[component] = self._own.get(component, 0) | 1 << task_index
             if component not in self._hists:
                 self._hists[component] = self._registry.histogram(
                     "executor.execute_seconds", component=component
@@ -195,6 +196,7 @@ class WorkerSession:
             if task is not None:
                 task.leave_executor()
                 del self._collectors[component][task_index]
+                self._own[component] &= ~(1 << task_index)
 
     def _handle_batch(self, seq: int, entries: list) -> tuple:
         faults = self._faults
@@ -202,12 +204,9 @@ class WorkerSession:
             exit_code = faults.kill_on_batch()
             if exit_code is not None:
                 raise WorkerKilled(exit_code)
-            delay = faults.batch_delay()
-            if delay > 0:
-                sleep(delay)
         per_task = faults is not None and faults.selects_deliveries
         obs = self._obs
-        batch_start = perf_counter()
+        own = self._own
         emissions: list = []
         for collectors in self._collectors.values():
             for collector in collectors.values():
@@ -218,6 +217,13 @@ class WorkerSession:
         dead: list[tuple] = []
         for entry_index, entry in enumerate(entries):
             component, task_index, stream, source, source_task, direct, values, mask = entry
+            if mask <= 0 or mask & ~own.get(component, 0):
+                # a peer naming no task, or tasks this worker does not hold
+                raise FrameError(
+                    f"batch {seq} entry {entry_index} addresses {component!r} "
+                    f"tasks {mask:#x}; worker {self.worker_index} holds "
+                    f"{own.get(component, 0):#x}"
+                )
             tup = StreamTuple(stream, values, source, source_task, direct)
             tasks = self._tasks[component]
             collectors = self._collectors[component]
@@ -315,7 +321,6 @@ class WorkerSession:
             failures,
             tuple(emissions),
             tuple(dead),
-            perf_counter() - batch_start,
         )
 
 
@@ -327,8 +332,9 @@ def serve_link(sock, init: Optional[WorkerInit] = None) -> None:
     link is FIFO both ways.  With ``init=None`` the first frame is the
     pickled :class:`WorkerInit`.  The link ends (and ``sock`` is closed)
     after the ``bye`` of a ``stop``, when the parent goes away, or on a
-    malformed frame (:class:`FrameError`); a fault-plan kill ends the
-    process.
+    malformed frame — including an entry whose mask names no task or a
+    task this worker does not hold (:class:`FrameError`); a fault-plan
+    kill ends the process.
     """
     decoder = FrameDecoder()
     session = None if init is None else WorkerSession(init)

@@ -138,9 +138,8 @@ class TestSocketTopology:
         assert faulted_stats.pop("reconnects") >= 1
         clean_stats.pop("reconnects")
         # load-signal gauges depend on shipping, not on results
-        for gauge in ("inflight_high_water", "journal_bytes"):
-            faulted_stats.pop(gauge)
-            clean_stats.pop(gauge)
+        faulted_stats.pop("inflight_high_water")
+        clean_stats.pop("inflight_high_water")
         assert faulted_stats == clean_stats
 
     def test_stats_schema_is_unified_across_backends(self):
@@ -163,7 +162,6 @@ class TestSocketTopology:
         # differs per transport; everything else must be identical
         for backend_stats in stats.values():
             backend_stats.pop("inflight_high_water")
-            backend_stats.pop("journal_bytes")
         # clean runs: identical accounting, zero robustness counters
         assert stats["local"] == stats["pipe"] == stats["socket"]
         assert stats["local"]["reconnects"] == 0

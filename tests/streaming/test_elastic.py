@@ -127,47 +127,65 @@ class TestSyntheticElasticity:
         assert stats["migrations"] == 2
         assert cluster.worker_count == 4
 
+    @pytest.mark.parametrize("last_window,scale_ups", [(4, 1), (5, 0)])
+    def test_drain_completes_windows_like_the_pump(self, last_window, scale_ups):
+        """Delayed acks keep the last windows' barriers open until the
+        final drain, which completes them through the same path as the
+        pump: each of the five windows consults the controller once, so
+        an action forced at window k fires iff the run has more than k
+        windows.  No worker ever holds a whole window, so ``hot_share=1``
+        leaves the forced action the only one."""
+        clean = _clean_reference()
+        collector = CollectBolt()
+        cluster = _parallel(
+            collector,
+            elastic=ElasticPolicy(
+                max_workers=4, hot_share=1.0, force=((last_window, "up"),)
+            ),
+            fault_plan=FaultPlan().delay_acks(0, 0.05).delay_acks(1, 0.05),
+        )
+        with cluster:
+            cluster.run()
+            stats = cluster.stats()
+        assert sorted(collector.values) == clean
+        assert stats["scale_ups"] == scale_ups
+        assert cluster._barriers.completed == 5
+
     def test_forced_scale_down_retires_into_survivor(self):
         clean = _clean_reference()
         collector = CollectBolt()
         cluster = _parallel(
             collector,
             workers=3,
-            elastic=ElasticPolicy(
-                # the cooldown outlasts the run: whether the last barrier
-                # completes before the final drain is a race, and its
-                # 5:9 document split is an organic scale-up
-                max_workers=4, force=((0, "down"),), cooldown_windows=10,
-            ),
+            elastic=ElasticPolicy(max_workers=4, force=((0, "down"),)),
         )
         with cluster:
             cluster.run()
             stats = cluster.stats()
         assert sorted(collector.values) == clean
         assert stats["scale_downs"] == 1
-        assert stats["migrations"] == 1
-        assert cluster.worker_count == 2
+        # the controller sees each window's own documents, so what
+        # follows is deterministic: window 2 puts 12 of 14 on the
+        # survivor holding three tasks — an organic scale-up
+        assert stats["scale_ups"] == 1
+        assert stats["migrations"] == 2
+        assert cluster.worker_count == 3
 
     def test_up_then_down_round_trip(self):
         clean = _clean_reference()
         collector = CollectBolt()
         cluster = _parallel(
             collector,
-            elastic=ElasticPolicy(
-                # the cooldown outlasts the run: after the forced pair,
-                # whether the last barrier completes before the final
-                # drain is a race, and an organic scale-up there made
-                # this fail about one run in ten
-                max_workers=4, force=((0, "up"), (2, "down")),
-                cooldown_windows=10,
-            ),
+            elastic=ElasticPolicy(max_workers=4, force=((0, "up"), (2, "down"))),
         )
         with cluster:
             cluster.run()
             stats = cluster.stats()
         assert sorted(collector.values) == clean
+        # no organic action: windows 3 and 4 split 8:6 and 7:7
         assert stats["scale_ups"] == 1
         assert stats["scale_downs"] == 1
+        assert stats["migrations"] == 2
         assert cluster.worker_count == 2
 
     def test_destination_killed_mid_migration_recovers(self):
@@ -267,7 +285,8 @@ class TestSyntheticElasticity:
         for key in ("scale_ups", "scale_downs", "migrations", "shed_tuples"):
             assert key in stats
         assert stats["inflight_high_water"] > 0
-        assert stats["journal_bytes"] == 0  # all barriers drained
+        # every barrier drained: nothing is left journaled for replay
+        assert not any(handle.journal for handle in cluster._workers)
 
 
 # ----------------------------------------------------------------------
@@ -376,11 +395,11 @@ class TestMaskSplit:
         on the wire by spying on the split — and every task must still
         report exactly what it reports on the static local run, also
         when the fresh destination dies on its second replayed batch."""
-        from repro.streaming import parallel
+        from repro.streaming import protocol
         from tests.topology.per_task import run_per_task
 
         spanning = []
-        split = parallel.split_entries
+        split = protocol.split_entries
 
         def spy(entries, moving):
             kept, moved = split(entries, moving)
@@ -391,7 +410,7 @@ class TestMaskSplit:
             )
             return kept, moved
 
-        monkeypatch.setattr(parallel, "split_entries", spy)
+        monkeypatch.setattr(protocol, "split_entries", spy)
         plan = FaultPlan().delay_acks(0, 0.02).delay_acks(1, 0.02)
         if kill_destination:
             # worker 2 is the first scale-up's destination: batch 1 is

@@ -16,16 +16,12 @@ from repro.streaming.elastic import (
 )
 
 
-def _load(worker, tasks, task_docs, pending=0, high_water=0, journal=0, busy=0.0):
+def _load(worker, tasks, task_docs):
     return WorkerLoad(
         worker=worker,
         tasks=tuple(tasks),
         task_docs=tuple(task_docs),
         docs=sum(docs for _key, docs in task_docs),
-        pending=pending,
-        inflight_high_water=high_water,
-        journal_bytes=journal,
-        busy_s=busy,
     )
 
 

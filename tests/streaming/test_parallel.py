@@ -120,9 +120,9 @@ class TestParallelSmoke:
             # load-signal gauges legitimately differ (the local backend
             # never ships batches, so its peaks stay zero)
             assert par_stats.pop("inflight_high_water") > 0
-            assert par_stats.pop("journal_bytes") == 0  # drained at close
             local_stats.pop("inflight_high_water")
-            local_stats.pop("journal_bytes")
+            # every barrier drained: nothing is left journaled for replay
+            assert not any(handle.journal for handle in cluster._workers)
             assert par_stats == local_stats
             assert par_stats["reconnects"] == 0
 

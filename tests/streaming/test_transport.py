@@ -54,7 +54,7 @@ from repro.streaming.transport.framing import (
     parse_address,
     parse_banner,
 )
-from repro.streaming.tuples import StreamTuple
+from repro.streaming.tuples import StreamTuple, lowest_owner
 from repro.topology.messages import ColumnarWireCodec
 from repro.topology.pipeline import StreamJoinConfig
 
@@ -194,6 +194,89 @@ def _generic_entries():
         ("square", 0, StreamTuple("tick", (10,), "src", 0), 0b11),
         ("square", 1, StreamTuple("numbers", (4,), "src", 0, 1)),
     ]
+
+
+def _one_entry_batch(codec, mask: int):
+    """A one-entry batch for ``mask``: a pickled slot from the base
+    codec, a row of the columnar mask column (signed ``'q'``) from the
+    topology's."""
+    if isinstance(codec, ColumnarWireCodec):
+        from repro.core.document import Document
+        from repro.topology.messages import ASSIGNED, ASSIGNER
+
+        tup = StreamTuple(ASSIGNED, (Document({"a": 1}, doc_id=1), 0, None), ASSIGNER, 0)
+    else:
+        tup = StreamTuple("numbers", (3,), "src", 0)
+    return codec.encode_batch(1, [("joiner", lowest_owner(mask), tup, mask)])
+
+
+class TestForeignMasks:
+    """A worker acks an entry only for tasks it holds: a mask naming no
+    task, a negative one or one naming a task the worker does not hold
+    is a :class:`FrameError`, and the worker loop closes the link — it
+    never hangs, grows a list forever or dies on a bare ``KeyError``."""
+
+    HELD = 0b101  # the worker holds joiner tasks 0 and 2
+
+    def _init(self, codec):
+        from repro.streaming.transport import WorkerInit
+
+        tasks = {("joiner", 0): SquareBolt(), ("joiner", 2): SquareBolt()}
+        return WorkerInit(0, 0, tasks, codec=codec)
+
+    def _serve(self, codec, mask: int) -> list:
+        """One batch through ``serve_link`` on a socketpair; the replies
+        before the link closed (after a ``stop`` when the batch acked)."""
+        from threading import Thread
+
+        from repro.streaming.transport import serve_link
+
+        parent, child = socket.socketpair()
+        served = []  # stays empty if serve_link raises
+        worker = Thread(target=lambda: served.append(serve_link(child, self._init(codec))))
+        worker.start()
+        replies: list = []
+        try:
+            parent.settimeout(5)
+            # one write: the worker may close the link right after the batch
+            parent.sendall(
+                _one_entry_batch(codec, mask).to_bytes() + encode_frame(("stop",))
+            )
+            decoder = FrameDecoder()
+            while data := parent.recv(1 << 16):
+                replies.extend(decoder.feed(data))
+        finally:
+            worker.join(5)
+            parent.close()
+        assert served == [None] and not worker.is_alive()
+        return replies
+
+    @pytest.mark.parametrize("codec", [WireCodec, ColumnarWireCodec])
+    @given(
+        mask=st.one_of(
+            st.integers(-2, 1 << 4), st.integers(-(2**63), 2**63 - 1)
+        )
+    )
+    def test_every_mask_acks_or_closes_the_link(self, codec, mask):
+        replies = self._serve(codec(), mask)
+        if mask > 0 and not mask & ~self.HELD:
+            (ack, bye) = replies
+            assert ack[:3] == ("ack", 1, 0) and ack[3] == (("joiner", mask.bit_count()),)
+            assert bye == ("bye", 0)
+        else:
+            assert replies == []
+
+    def test_adopt_and_disown_move_the_held_mask(self):
+        from repro.streaming.transport import WorkerSession
+
+        codec = WireCodec()
+        session = WorkerSession(self._init(codec))
+        session.handle(("disown", (("joiner", 2),)))
+        with pytest.raises(FrameError, match="holds 0x1"):
+            session.handle(_one_entry_batch(codec, 0b100))
+        session.handle(("adopt", {("joiner", 1): SquareBolt()}))
+        (ack,) = session.handle(_one_entry_batch(codec, 0b11))
+        assert ack[0] == "ack" and ack[3] == (("joiner", 2),)
 
 
 class TestBaseWireCodec:
@@ -457,14 +540,19 @@ class TransportConformance:
         assert stats["worker_restarts"] == 0
 
     def test_barrier_flush_releases_everything(self):
-        """After a run every shipped batch is acked and every stashed
-        emission released — nothing in flight, nothing buffered."""
+        """After a run every shipped batch is acked, every barrier
+        completed and every stashed emission released — nothing in
+        flight, nothing buffered, nothing journaled."""
         collector = CollectBolt()
         with self._cluster(collector) as cluster:
             cluster.run()
             for handle in cluster._workers:
                 assert not handle.pending
                 assert not handle.buffer
+                assert not handle.journal and not handle.journal.suppress
+            assert not cluster._barriers.open
+            assert cluster._barriers.completed == 5
+            assert cluster._barriers.release_rest() == []
         assert len(collector.values) == 50
 
     def test_mid_pipeline_kill_is_byte_identical(self):
@@ -521,7 +609,7 @@ class TransportConformance:
 
         def check_journals():
             for handle in cluster._workers:
-                for entries in handle.journal.values():
+                for _seq, entries in handle.journal.history()[1]:
                     assert type(entries) is list
                     for component, task_index, tup, mask in entries:
                         assert component == "square"
@@ -631,8 +719,8 @@ class TransportConformance:
                 )
 
             def stage(self, message):
-                staged.append(self._link.stage(message))
-                return staged[-1]
+                staged.append(len(message.to_bytes()))
+                self._link.stage(message)
 
             def __getattr__(self, name):
                 return getattr(self._link, name)

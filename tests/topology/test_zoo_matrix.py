@@ -86,7 +86,6 @@ def _comparable_stats(result, expect_transport):
     # load-signal gauges legitimately differ between an inline run
     # (always zero) and a worker-pool run
     stats.pop("inflight_high_water")
-    assert stats.pop("journal_bytes") == 0  # all barriers drained
     return stats
 
 
