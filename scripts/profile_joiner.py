@@ -16,7 +16,7 @@ Reported per (dataset, gc mode): µs per probe and per insert
 pass, not the row), new tree nodes per inserted document, and the
 gen-0/1/2 collections the loop triggered.  Beside each row, the
 **shared** columns time what the Joiner tasks run today — one
-:class:`SharedWindowIndex` that the same K owners ``arrive`` at — as µs
+:class:`SharedWindowIndex` that the same K owners arrive at one by one — as µs
 per assignment (one document at one owner, timed per window), next to
 the K joiners' µs per assignment (probe + insert, which carries its
 per-call timer reads, about 0.1 µs).  Join perf PRs should start from
@@ -86,7 +86,7 @@ def run_once(data: str, seed: int, n_windows: int, k: int, isolated: bool) -> di
         start = perf_counter()
         for document in window:
             for owner in owners:
-                index.arrive(document, owner)
+                index.arrive_many(document, 1 << owner)
         shared_windows.append(perf_counter() - start)
         index.reset()
     gc.unfreeze()

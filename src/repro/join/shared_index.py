@@ -11,10 +11,10 @@ once and remembers, per document, *which owners hold it*::
                                             d2 -> 0b110  (owners 1, 2)
     cache   (doc_id, partners) of the latest probe
 
-``arrive(document, owner)`` returns exactly what a private tree fed only
-``owner``'s arrivals would have returned for the probe — the stored
-joinable documents whose mask carries ``owner``'s bit — and then records
-``owner`` on the document.  d1 and d2 above are partners at owner 1
+``arrive_many(document, owners)`` returns, per owner, exactly what a
+private tree fed only that owner's arrivals would have returned for the
+probe — the stored joinable documents whose mask carries the owner's
+bit — and then records the owners on the document.  d1 and d2 above are partners at owner 1
 only.
 
 The first owner to see a document probes and inserts.  A later owner
@@ -53,7 +53,7 @@ class SharedWindowIndex:
         Forwarded to the :class:`~repro.join.fptree.FPTree`.
     registry:
         ``joiner.probes`` / ``joiner.inserts`` / ``joiner.partners``
-        count **per assignment** — once per ``arrive``, partners as
+        count **per assignment** — once per arriving owner, partners as
         returned to that owner — so they do not depend on which owners
         happen to be co-located.  Physical tree operations are the
         observations of the ``joiner.probe_seconds`` /
@@ -120,44 +120,20 @@ class SharedWindowIndex:
         self._cached = partners
         return partners
 
-    def arrive(self, document: Document, owner: int) -> list[int]:
-        """Probe-then-insert ``document`` on behalf of ``owner``.
-
-        Returns the ids of the documents that arrived at ``owner``
-        earlier and join with ``document``, in unspecified order; the
-        list may be the cache's own — do not mutate it.  A document may
-        arrive at most once per owner.
-        """
-        doc_id = document.doc_id
-        masks = self._masks
-        bit = 1 << owner
-        mask = masks.get(doc_id, 0)
-        if mask & bit:
-            raise ValueError(f"doc_id {doc_id} already arrived at owner {owner}")
-        partners = self._stored_partners(document, mask)
-        if self._fed != bit:
-            # other owners' documents are stored too: keep this owner's
-            self._fed |= bit
-            if partners:
-                partners = [p for p in partners if masks[p] & bit]
-        masks[doc_id] = mask | bit
-        if self._observed:
-            self._probe_count.inc()
-            self._insert_count.inc()
-            self._partner_count.inc(len(partners))
-        return partners
-
     def arrive_many(
         self, document: Document, owner_mask: int
     ) -> list[tuple[int, list[int]]]:
-        """:meth:`arrive` for every owner in ``owner_mask`` at once.
+        """Probe-then-insert ``document`` on behalf of every owner in
+        ``owner_mask`` (one bit for an ordinary arrival).
 
         One mask lookup, at most one probe and one insert, one pass over
         the partner list.  Returns ``(owner, partners)`` per owner in
-        ascending owner order — for each exactly what ``arrive(document,
-        owner)`` would have returned, in any interleaving with other
-        ``arrive`` / ``arrive_many`` calls.  Raises before changing
-        anything if the document already arrived at one of the owners.
+        ascending owner order: the ids of the documents that arrived at
+        that owner earlier and join with ``document``, in unspecified
+        order — in any interleaving with other calls; a list may be the
+        cache's own, do not mutate it.  A document may arrive at most
+        once per owner: raises before changing anything if it already
+        arrived at one of them.
         """
         doc_id = document.doc_id
         masks = self._masks
@@ -168,31 +144,41 @@ class SharedWindowIndex:
                 f"{mask & owner_mask:#b} of {owner_mask:#b}"
             )
         partners = self._stored_partners(document, mask)
-        self._fed |= owner_mask
-        # partners grouped by which of the arriving owners hold them:
-        # co-located owners mostly hold the same documents, so there are
-        # far fewer distinct groups than (partner, owner) pairs
-        shared: dict[int, list[int]] = {}
-        for partner in partners:
-            common = masks[partner] & owner_mask
-            if common:
-                group = shared.get(common)
-                if group is None:
-                    shared[common] = [partner]
-                else:
-                    group.append(partner)
-        arrivals = []
-        total = 0
-        rest = owner_mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            mine: list[int] = []
-            for common, group in shared.items():
-                if common & bit:
-                    mine += group
-            total += len(mine)
-            arrivals.append((bit.bit_length() - 1, mine))
+        if not owner_mask & (owner_mask - 1):
+            # one owner: its own partners — all of them while it is the
+            # only owner that fed the index
+            if self._fed != owner_mask:
+                self._fed |= owner_mask
+                if partners:
+                    partners = [p for p in partners if masks[p] & owner_mask]
+            arrivals = [(owner_mask.bit_length() - 1, partners)]
+            total = len(partners)
+        else:
+            self._fed |= owner_mask
+            # partners grouped by which of the arriving owners hold them:
+            # co-located owners mostly hold the same documents, so there
+            # are far fewer distinct groups than (partner, owner) pairs
+            shared: dict[int, list[int]] = {}
+            for partner in partners:
+                common = masks[partner] & owner_mask
+                if common:
+                    group = shared.get(common)
+                    if group is None:
+                        shared[common] = [partner]
+                    else:
+                        group.append(partner)
+            arrivals = []
+            total = 0
+            rest = owner_mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                mine: list[int] = []
+                for common, group in shared.items():
+                    if common & bit:
+                        mine += group
+                total += len(mine)
+                arrivals.append((bit.bit_length() - 1, mine))
         masks[doc_id] = mask | owner_mask
         if self._observed:
             self._probe_count.inc(len(arrivals))

@@ -1,14 +1,21 @@
-"""Spout and Bolt base classes and the emit interface."""
+"""Spout and Bolt base classes, the emit interface and the executor
+that delivers tuples to bolts."""
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from time import perf_counter
-from typing import Any, Optional, Protocol
+from typing import Any, Hashable, Optional, Protocol, Sequence
 
+from repro.exceptions import TupleProcessingError
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.tracing import Span
-from repro.streaming.tuples import StreamTuple
+from repro.streaming.recovery import (
+    DeadLetter,
+    format_dead_letter_cause,
+    truncated_repr,
+)
+from repro.streaming.tuples import StreamTuple, lowest_owner, owners_of
 
 
 class Collector(Protocol):
@@ -112,17 +119,18 @@ class Bolt(ABC):
     ) -> bool:
         """Handle one tuple addressed to several tasks of this executor.
 
-        Offered to the lowest addressee, once per (tuple, executor):
-        ``mask`` is the bitmask of the addressed task indices of this
-        component, ``tasks`` and ``collectors`` are indexable by task
-        index.  Return False, having changed nothing, to keep the
-        per-task meaning: the executor then delivers the tuple to each
-        addressee through :meth:`process`, ascending — what the base
-        does, so retry budgets, fault rules and dead letters keep
-        addressing one task.  A bolt whose co-located tasks share state
-        overrides this to do the shared work once for all of them and
-        return True; it must raise before it changes anything, because a
-        failed call is redelivered per addressee the same way.
+        :meth:`Executor.execute` offers it to the lowest addressee, once
+        per (tuple, executor), unless a fault rule has to select one
+        (tuple, task) delivery: ``mask`` is the bitmask of the addressed
+        task indices of this component, ``tasks`` and ``collectors`` are
+        indexable by task index.  Return False, having changed nothing,
+        to keep the per-task meaning: the executor then delivers the
+        tuple to each addressee through :meth:`process`, ascending —
+        what the base does, so retry budgets, fault rules and dead
+        letters keep addressing one task.  A bolt whose co-located tasks
+        share state overrides this to do the shared work once for all of
+        them and return True; it must raise before it changes anything,
+        because a failed call is delivered per addressee the same way.
         """
         return False
 
@@ -136,35 +144,104 @@ class Bolt(ABC):
         its executor's tasks share."""
 
 
-def offer_fanout(
-    task: Bolt, tup: StreamTuple, mask: int, tasks, collectors, histogram=None
-) -> bool:
-    """Executor side of :meth:`Bolt.process_fanout`: offer a fan-out
-    entry to its lowest addressee ``task`` in one call, timed into
-    ``histogram`` when it is taken.
+class Executor:
+    """The one delivery loop of every backend: runs addressed entries
+    on one process's tasks (the local FIFO, a worker's batches).
 
-    False means the entry must be delivered per owner instead: the bolt
-    keeps the per-task meaning, or the call failed — retry budgets and
-    dead letters address one task, and the per-owner delivery meets the
-    same error again.
+    ``tasks`` and ``collectors`` map a component to its tasks here, by
+    task index; ``hists`` to its ``executor.execute_seconds`` histogram
+    (every component's, or empty: untimed); ``faults`` is the process's
+    :class:`~repro.faults.FaultRuntime` or None; ``sink`` takes dead
+    letters (None: raise).  ``failures`` counts raising deliveries.
     """
-    try:
-        if histogram is None:
-            return task.process_fanout(tup, mask, tasks, collectors)
-        start = perf_counter()
-        handled = task.process_fanout(tup, mask, tasks, collectors)
-        if handled:
-            histogram.observe(perf_counter() - start)
-        return handled
-    except Exception:
-        return False
+
+    __slots__ = (
+        "tasks", "collectors", "hists", "faults", "max_retries", "sink", "failures"
+    )
+
+    def __init__(self, tasks, collectors, hists, faults, max_retries, sink) -> None:
+        self.tasks = tasks
+        self.collectors = collectors
+        self.hists = hists
+        self.faults = faults
+        self.max_retries = max_retries
+        self.sink = sink
+        self.failures = 0
+
+    def execute(
+        self, component: str, mask: int, tup: StreamTuple, key: Hashable
+    ) -> int:
+        """Deliver ``tup`` to the tasks of ``component`` in ``mask``;
+        return how many of those assignments were processed.
+
+        A fan-out is offered to :meth:`Bolt.process_fanout` unless a
+        fault rule selects deliveries.  Otherwise each owner, ascending,
+        gets a delivery — ``(key, owner)`` to fault rules — retried in
+        place up to ``max_retries`` times, then handed to the sink or
+        raised as :class:`~repro.exceptions.TupleProcessingError`.
+        """
+        tasks = self.tasks[component]
+        collectors = self.collectors[component]
+        hists = self.hists
+        hist = hists[component] if hists else None
+        faults = self.faults
+        if not mask & (mask - 1):
+            owners: Sequence[int] = (mask.bit_length() - 1,)
+        else:
+            if faults is None or not faults.selects_deliveries:
+                try:
+                    start = perf_counter() if hist is not None else 0.0
+                    handled = tasks[lowest_owner(mask)].process_fanout(
+                        tup, mask, tasks, collectors
+                    )
+                except Exception:  # the per-owner delivery meets it again
+                    handled = False
+                if handled:
+                    if hist is not None:
+                        hist.observe(perf_counter() - start)
+                    return mask.bit_count()  # accounting stays per assignment
+            owners = owners_of(mask)
+        processed = 0
+        for owner in owners:
+            task = tasks[owner]
+            collector = collectors[owner]
+            attempts = 0
+            while True:
+                try:
+                    if faults is not None:
+                        faults.check_raise(
+                            component, tup.stream, (key, owner), not attempts
+                        )
+                    if hist is None:
+                        task.process(tup, collector)
+                    else:
+                        start = perf_counter()
+                        task.process(tup, collector)
+                        hist.observe(perf_counter() - start)
+                    processed += 1
+                except Exception as exc:
+                    self.failures += 1
+                    if attempts < self.max_retries:
+                        attempts += 1
+                        continue
+                    if self.sink is None:
+                        raise TupleProcessingError(
+                            component, owner, attempts, exc
+                        ) from exc
+                    cause, traceback_text = format_dead_letter_cause(exc)
+                    self.sink(DeadLetter(
+                        component, owner, tup.stream, attempts, cause,
+                        traceback_text, truncated_repr(tup.values),
+                    ))
+                break
+        return processed
 
 
 __all__ = [
     "Bolt",
     "Collector",
     "ComponentContext",
+    "Executor",
     "Spout",
     "StreamTuple",
-    "offer_fanout",
 ]

@@ -1,8 +1,10 @@
 """Deterministic topology executors.
 
 :class:`ClusterBase` holds everything every execution backend shares:
-task instantiation, routing tables with pre-resolved groupings, FIFO
-work-queue draining, and Storm-style retry bookkeeping.  The
+task instantiation, routing tables with pre-resolved groupings and FIFO
+work-queue draining through the one
+:class:`~repro.streaming.component.Executor`, which owns the
+Storm-style retry budget.  The
 single-process :class:`LocalCluster` is the reference backend — it
 executes every component inline, in strict FIFO order, so runs are
 exactly replayable.  The process-parallel backend
@@ -24,22 +26,16 @@ trivial) and spouts are finite.
 from __future__ import annotations
 
 from collections import deque
-from time import perf_counter
 from typing import Any, Callable, Optional, Sequence
 
-from repro.exceptions import TopologyError, TupleProcessingError
+from repro.exceptions import TopologyError
 from repro.faults import FaultPlan
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry, ObservabilitySnapshot
-from repro.streaming.component import Bolt, ComponentContext, Spout, offer_fanout
+from repro.streaming.component import Bolt, ComponentContext, Executor, Spout
 from repro.streaming.grouping import Grouping
-from repro.streaming.recovery import (
-    DeadLetter,
-    DeadLetterQueue,
-    format_dead_letter_cause,
-    truncated_repr,
-)
+from repro.streaming.recovery import DeadLetter, DeadLetterQueue
 from repro.streaming.topology import Topology
-from repro.streaming.tuples import StreamTuple, lowest_owner, owners_of
+from repro.streaming.tuples import StreamTuple
 
 #: one pre-resolved routing edge: (bolt name, grouping.targets, parallelism)
 Route = tuple[str, Callable[[StreamTuple, int], Sequence[int]], int]
@@ -155,9 +151,10 @@ class ClusterBase:
         fault_plan: Optional[FaultPlan] = None,
     ):
         """``max_retries`` > 0 enables Storm-style guaranteed delivery: a
-        tuple whose processing raises is redelivered to the same task up
-        to that many times (at-least-once semantics — bolts observing a
-        redelivered tuple must tolerate their own partial effects).
+        tuple whose processing raises is redelivered to the same task, in
+        place, up to that many times (at-least-once semantics — bolts
+        observing a redelivered tuple must tolerate their own partial
+        effects).
         Exceeding the budget raises :class:`TupleProcessingError` —
         unless ``dead_letters`` is configured, in which case the tuple is
         *quarantined*: recorded on the queue (with component, task,
@@ -184,21 +181,16 @@ class ClusterBase:
         self._fault_plan = (
             fault_plan if fault_plan is not None and not fault_plan.empty else None
         )
-        #: parent-process fault state (worker processes derive their own)
-        self._fault_runtime = (
-            self._fault_plan.runtime() if self._fault_plan is not None else None
-        )
         #: worker process replacements performed (parallel backend only)
         self.worker_restarts = 0
-        self.failures = 0
         #: deepest the work queue ever got — a backpressure indicator
         self.max_queue_depth = 0
         #: FIFO of (delivery seq, bolt name, bitmask of the addressed
         #: tasks, tuple)
         self._queue: deque[tuple[Any, str, int, StreamTuple]] = deque()
         #: monotonically increasing delivery sequence number; assigned at
-        #: enqueue time and used to key retry budgets (an ``id()`` key
-        #: could be recycled by the allocator mid-run)
+        #: enqueue time and used to key fault-rule selection (an ``id()``
+        #: key could be recycled by the allocator mid-run)
         self._seq = 0
         self._tasks: dict[str, list[Spout | Bolt]] = {}
         #: component -> its tasks' collectors, by task index
@@ -224,6 +216,16 @@ class ClusterBase:
         for (source, stream), routes in self._routes.items():
             self._routes_by_source[source][stream] = routes
         self._build_tasks()
+        #: parent-process fault state (worker processes derive their own)
+        faults = self._fault_plan.runtime() if self._fault_plan is not None else None
+        self._executor = Executor(
+            self._tasks,
+            self._collectors,
+            self._exec_hists if self._obs else {},
+            faults,
+            max_retries,
+            self._record_dead_letter if dead_letters is not None else None,
+        )
 
     # ------------------------------------------------------------------
     # Setup
@@ -323,107 +325,30 @@ class ClusterBase:
         """Hook: the spouts are exhausted and the FIFO is drained."""
 
     def _drain(self) -> None:
-        retry_counts: dict[Any, int] = {}
         queue = self._queue
-        obs = self._obs
-        faults = self._fault_runtime
-        per_task = faults is not None and faults.selects_deliveries
+        execute = self._executor.execute
+        count = self._count_processed
         while True:
             while queue:
                 seq, component, mask, tup = queue.popleft()
-                tasks = self._tasks[component]
-                if mask & (mask - 1):  # addressed to several tasks
-                    # one call for all of them — unless a fault rule has
-                    # to select one (tuple, task) delivery
-                    if not per_task and offer_fanout(
-                        tasks[lowest_owner(mask)],
-                        tup,
-                        mask,
-                        tasks,
-                        self._collectors[component],
-                        self._exec_hists[component] if obs else None,
-                    ):
-                        # accounting stays per assignment
-                        n = mask.bit_count()
-                        self.processed += n
-                        self._component_processed[component] += n
-                        if obs:
-                            self._proc_counters[component].inc(n)
-                    else:
-                        # one delivery per owner, keyed (seq, owner), at
-                        # the head of the FIFO
-                        queue.extendleft(
-                            ((seq, owner), component, 1 << owner, tup)
-                            for owner in reversed(owners_of(mask))
-                        )
-                    continue
-                task_index = mask.bit_length() - 1
-                task = tasks[task_index]
-                collector = self._collectors[component][task_index]
-                try:
-                    if faults is not None:
-                        faults.check_raise(
-                            component, tup.stream, seq, seq not in retry_counts
-                        )
-                    if obs:
-                        start = perf_counter()
-                        task.process(tup, collector)
-                        self._exec_hists[component].observe(perf_counter() - start)
-                    else:
-                        task.process(tup, collector)
-                except Exception as exc:
-                    self.failures += 1
-                    attempts = retry_counts.get(seq, 0)
-                    if attempts >= self.max_retries:
-                        if self.dead_letters is not None:
-                            retry_counts.pop(seq, None)
-                            self._quarantine(
-                                component, task_index, tup, attempts, exc
-                            )
-                            continue
-                        raise TupleProcessingError(
-                            component, task_index, attempts, exc
-                        ) from exc
-                    retry_counts[seq] = attempts + 1
-                    # redeliver immediately to the same task (replay)
-                    queue.appendleft((seq, component, mask, tup))
-                    continue
-                if retry_counts:
-                    # the delivery succeeded: its retry budget is spent
-                    # state, not history — drop it
-                    retry_counts.pop(seq, None)
-                self.processed += 1
-                self._component_processed[component] += 1
-                if obs:
-                    self._proc_counters[component].inc()
+                n = execute(component, mask, tup, seq)
+                if n:
+                    count(component, n)
             if not self._on_idle():
                 break
 
-    def _quarantine(
-        self,
-        component: str,
-        task_index: int,
-        tup: StreamTuple,
-        attempts: int,
-        exc: Exception,
-        worker: Optional[int] = None,
-        batch_seq: Optional[int] = None,
-    ) -> None:
-        """Record a tuple that exhausted its retry budget and skip it."""
-        cause, traceback_text = format_dead_letter_cause(exc)
-        self._record_dead_letter(
-            DeadLetter(
-                component=component,
-                task_index=task_index,
-                stream=tup.stream,
-                attempts=attempts,
-                cause=cause,
-                traceback=traceback_text,
-                values_repr=truncated_repr(tup.values),
-                worker=worker,
-                batch_seq=batch_seq,
-            )
-        )
+    def _count_processed(self, component: str, n: int) -> None:
+        """Account ``n`` assignments of ``component`` as processed."""
+        self.processed += n
+        self._component_processed[component] += n
+        if self._obs:
+            self._proc_counters[component].inc(n)
+
+    @property
+    def failures(self) -> int:
+        """Deliveries that raised, retries included — in this process
+        and, reported by their acks, in its workers."""
+        return self._executor.failures
 
     def _record_dead_letter(self, letter: DeadLetter) -> None:
         assert self.dead_letters is not None

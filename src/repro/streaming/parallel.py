@@ -51,11 +51,13 @@ the emissions back.  Three properties keep runs exact and replayable:
   of only applying backpressure at the blocking ``max_inflight`` limit.
   The protocol state — per-worker journals and the barrier tracker —
   lives in the pure classes of :mod:`repro.streaming.protocol`.
-* **Failure containment.**  Worker-side processing follows the same
-  retry budget as the base; a tuple that exhausts it is quarantined on
-  the configured :class:`~repro.streaming.recovery.DeadLetterQueue` or
-  surfaces as :class:`~repro.exceptions.TupleProcessingError` (with the
-  worker index and batch sequence) in the parent rather than a hang.
+* **Failure containment.**  A worker runs every entry through the
+  base's :class:`~repro.streaming.component.Executor`; a tuple that
+  exhausts its retry budget ships in the ack as a
+  :class:`~repro.streaming.recovery.DeadLetter` stamped with the worker
+  index and batch sequence, or surfaces as
+  :class:`~repro.exceptions.TupleProcessingError` (with both) in the
+  parent rather than a hang.
 
 Crash recovery (the upstream-backup story, ``docs/fault_tolerance.md``):
 the parent journals every batch shipped to a worker since the last
@@ -843,27 +845,12 @@ class ParallelCluster(ClusterBase):
                 # effects (emissions, counters, dead letters) were
                 # applied with the original ack — drop them
                 return
-            self.failures += failures
+            self._executor.failures += failures
             for component, n in counts:
-                self.processed += n
-                self._component_processed[component] += n
-                if self._obs:
-                    self._proc_counters[component].inc(n)
+                self._count_processed(component, n)
             self._barriers.stash(seq, emissions)
-            for component, task_index, stream, attempts, cause, tb_text, values in dead:
-                self._record_dead_letter(
-                    DeadLetter(
-                        component=component,
-                        task_index=task_index,
-                        stream=stream,
-                        attempts=attempts,
-                        cause=cause,
-                        traceback=tb_text,
-                        values_repr=values,
-                        worker=worker_index,
-                        batch_seq=seq,
-                    )
-                )
+            for letter in dead:
+                self._record_dead_letter(letter)
         elif kind == "error":
             _, worker_index, seq, component, task_index, retries, cause = message
             # the batch died with the tuple — it will never be acked

@@ -18,6 +18,7 @@ The executors' failure story has three levels (see
 from __future__ import annotations
 
 import random
+import traceback
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -131,15 +132,9 @@ class DeadLetterQueue:
 
 
 def format_dead_letter_cause(exc: Exception) -> tuple[str, str]:
-    """``(repr, formatted traceback)`` of a quarantined tuple's cause."""
-    import traceback as tb_module
-
-    text = ""
-    if exc.__traceback__ is not None:
-        text = "".join(
-            tb_module.format_exception(type(exc), exc, exc.__traceback__)
-        )
-    return repr(exc), text
+    """``(repr, formatted traceback)`` of a quarantined tuple's cause,
+    as caught."""
+    return repr(exc), "".join(traceback.format_exception(exc))
 
 
 def truncated_repr(values: object, limit: int = _VALUES_REPR_LIMIT) -> str:

@@ -1,9 +1,9 @@
 """Transport-agnostic worker logic.
 
 :class:`WorkerSession` is the single implementation of the worker side
-of the cluster/worker protocol: batch execution with the retry budget,
-fault injection, dead-letter quarantine, snapshot export and the stop
-handshake.  :func:`serve_link` is the single worker loop around one
+of the cluster/worker protocol: batch execution (each entry through the
+local backend's :class:`~repro.streaming.component.Executor`, plus the
+kill and ack-delay faults), snapshot export and the stop handshake.  :func:`serve_link` is the single worker loop around one
 session; the transports differ only in how a worker process starts:
 
 * the pipe transport forks a child holding one end of a
@@ -22,14 +22,17 @@ parent → worker
     codec's ``decode_batch`` turns back into ``(seq, entries)`` with
     entries ``(component, task_index, stream, source, source_task,
     direct, values, mask)`` — one tuple for every task of this worker
-    in ``mask``, ``task_index`` the lowest; ``("adopt", tasks)`` and
+    in ``mask``, ``task_index`` the lowest (informational: the worker
+    finds the owners from ``mask`` alone); ``("adopt", tasks)`` and
     ``("disown", keys)`` (live partition migration hands a worker task
     instances mid-run and tells the worker they left to let them go),
     ``("snapshot",)``, ``("stop",)``; ``adopt`` and ``disown`` have no
     reply — FIFO order already places an adopt before the batches that
     need it
 worker → parent
-    ``("ack", seq, worker_index, counts, failures, emissions, dead)``,
+    ``("ack", seq, worker_index, counts, failures, emissions, dead)``
+    (``dead``: :class:`~repro.streaming.recovery.DeadLetter` records
+    stamped with ``worker`` and ``batch_seq``),
     ``("error", worker_index, seq, component, task_index, retries, exc)``,
     ``("snapshot", worker_index, dict)``, ``("bye", worker_index)``
 
@@ -43,11 +46,13 @@ from __future__ import annotations
 import os
 import pickle
 import traceback
-from time import perf_counter, sleep
+from dataclasses import replace
+from time import sleep
 from typing import Any, Optional
 
-from repro.streaming.component import offer_fanout
-from repro.streaming.recovery import format_dead_letter_cause, truncated_repr
+from repro.exceptions import TupleProcessingError
+from repro.streaming.component import Executor
+from repro.streaming.recovery import DeadLetter
 from repro.streaming.transport.base import WorkerInit
 from repro.streaming.transport.framing import (
     BufferFrame,
@@ -55,7 +60,7 @@ from repro.streaming.transport.framing import (
     FrameError,
     encode_frame,
 )
-from repro.streaming.tuples import StreamTuple, owners_of
+from repro.streaming.tuples import StreamTuple
 
 
 class WorkerKilled(BaseException):
@@ -78,11 +83,11 @@ class WorkerCollector:
 
     __slots__ = ("_component", "_task_index", "_codec", "buffer")
 
-    def __init__(self, component: str, task_index: int, codec) -> None:
+    def __init__(self, component: str, task_index: int, codec, buffer: list) -> None:
         self._component = component
         self._task_index = task_index
         self._codec = codec
-        self.buffer: list = []
+        self.buffer = buffer
 
     def emit(
         self,
@@ -124,31 +129,36 @@ class WorkerSession:
         self._registry = init.registry
         self._obs = init.registry.enabled
         self._codec = init.codec
-        self._max_retries = init.max_retries
-        self._quarantine = init.quarantine
         plan = init.fault_plan
-        self._faults = (
-            plan.runtime(init.worker_index, init.incarnation)
-            if plan is not None
-            else None
-        )
         #: component -> task index -> task / its collector
         self._tasks: dict[str, dict[int, Any]] = {}
         self._collectors: dict[str, dict[int, WorkerCollector]] = {}
         #: component -> bitmask of the task indices this worker holds
         self._own: dict[str, int] = {}
-        self._hists: dict = {}
+        #: the current batch's emissions and quarantined tuples
+        self._emissions: list = []
+        self._dead: list[DeadLetter] = []
+        faults = plan.runtime(init.worker_index, init.incarnation) if plan else None
+        self._executor = Executor(
+            self._tasks,
+            self._collectors,
+            {},  # component -> histogram, with observability on
+            faults,
+            init.max_retries,
+            self._dead.append if init.quarantine else None,
+        )
         self._install(init.tasks)
 
     def _install(self, tasks: dict) -> None:
         for (component, task_index), task in tasks.items():
             self._tasks.setdefault(component, {})[task_index] = task
             self._collectors.setdefault(component, {})[task_index] = (
-                WorkerCollector(component, task_index, self._codec)
+                WorkerCollector(component, task_index, self._codec, self._emissions)
             )
             self._own[component] = self._own.get(component, 0) | 1 << task_index
-            if component not in self._hists:
-                self._hists[component] = self._registry.histogram(
+            hists = self._executor.hists
+            if self._obs and component not in hists:
+                hists[component] = self._registry.histogram(
                     "executor.execute_seconds", component=component
                 )
 
@@ -199,24 +209,21 @@ class WorkerSession:
                 self._own[component] &= ~(1 << task_index)
 
     def _handle_batch(self, seq: int, entries: list) -> tuple:
-        faults = self._faults
+        faults = self._executor.faults
         if faults is not None:
             exit_code = faults.kill_on_batch()
             if exit_code is not None:
                 raise WorkerKilled(exit_code)
-        per_task = faults is not None and faults.selects_deliveries
-        obs = self._obs
         own = self._own
-        emissions: list = []
-        for collectors in self._collectors.values():
-            for collector in collectors.values():
-                collector.buffer = emissions
+        executor = self._executor
+        executor.failures = 0
+        self._emissions.clear()
+        self._dead.clear()
         counts: dict[str, int] = {}
-        failures = 0
-        failed = None
-        dead: list[tuple] = []
         for entry_index, entry in enumerate(entries):
-            component, task_index, stream, source, source_task, direct, values, mask = entry
+            # the owners come from the mask alone: entry[1], the lowest
+            # owner's index, is the sender's word for it
+            component, _, stream, source, source_task, direct, values, mask = entry
             if mask <= 0 or mask & ~own.get(component, 0):
                 # a peer naming no task, or tasks this worker does not hold
                 raise FrameError(
@@ -225,102 +232,44 @@ class WorkerSession:
                     f"{own.get(component, 0):#x}"
                 )
             tup = StreamTuple(stream, values, source, source_task, direct)
-            tasks = self._tasks[component]
-            collectors = self._collectors[component]
-            if mask == 1 << task_index:
-                owners = (task_index,)
-            elif not per_task and offer_fanout(
-                tasks[task_index],
-                tup,
-                mask,
-                tasks,
-                collectors,
-                self._hists[component] if obs else None,
-            ):
-                # accounting stays per assignment
-                counts[component] = counts.get(component, 0) + mask.bit_count()
-                continue
-            else:
-                # a fault rule selects one (tuple, task) delivery, the
-                # bolt keeps the per-task meaning, or the call failed:
-                # each owner gets its own delivery and retry budget
-                owners = owners_of(mask)
-            for owner in owners:
-                task = tasks[owner]
-                collector = collectors[owner]
-                attempts = 0
-                quarantined = False
-                while True:
-                    try:
-                        if faults is not None:
-                            faults.check_raise(
-                                component, stream, (seq, entry_index, owner),
-                                attempts == 0,
-                            )
-                        if obs:
-                            start = perf_counter()
-                            task.process(tup, collector)
-                            self._hists[component].observe(perf_counter() - start)
-                        else:
-                            task.process(tup, collector)
-                        break
-                    except Exception as exc:  # mirror the base retry budget
-                        failures += 1
-                        if attempts >= self._max_retries:
-                            if self._quarantine:
-                                cause, tb_text = format_dead_letter_cause(exc)
-                                dead.append(
-                                    (
-                                        component,
-                                        owner,
-                                        stream,
-                                        attempts,
-                                        cause,
-                                        tb_text,
-                                        truncated_repr(tup.values),
-                                    )
-                                )
-                                quarantined = True
-                                break
-                            failed = (component, owner, attempts, exc)
-                            break
-                        attempts += 1
-                if failed is not None:
-                    break
-                if not quarantined:
-                    counts[component] = counts.get(component, 0) + 1
-            if failed is not None:
-                break
-        if failed is not None:
-            component, task_index, attempts, exc = failed
-            try:  # exceptions are usually picklable; fall back to text
-                pickle.dumps(exc)
-            except Exception:
-                # the original traceback would be lost with the
-                # process — carry its formatted text across the link
-                detail = "".join(
-                    traceback.format_exception(type(exc), exc, exc.__traceback__)
-                ) or repr(exc)
-                exc = RuntimeError(
-                    f"unpicklable worker exception {exc!r}; "
-                    f"worker-side traceback:\n{detail}"
-                )
-            # stay alive after reporting so the parent can stop us cleanly
-            return (
-                "error", self.worker_index, seq, component, task_index, attempts, exc,
-            )
+            try:
+                n = executor.execute(component, mask, tup, (seq, entry_index))
+            except TupleProcessingError as failed:
+                return self._error(seq, failed)
+            if n:
+                counts[component] = counts.get(component, 0) + n
         if faults is not None:
             delay = faults.ack_delay()
             if delay > 0:
                 sleep(delay)
+        dead = tuple(
+            replace(letter, worker=self.worker_index, batch_seq=seq)
+            for letter in self._dead
+        )
         return (
-            "ack",
-            seq,
-            self.worker_index,
-            tuple(counts.items()),
-            failures,
-            tuple(emissions),
-            tuple(dead),
+            "ack", seq, self.worker_index, tuple(counts.items()),
+            executor.failures, tuple(self._emissions), dead,
+        )
+
+    def _error(self, seq: int, failed: TupleProcessingError) -> tuple:
+        """The reply to a batch whose tuple exhausted its retry budget;
+        the worker stays alive so that the parent can stop it cleanly."""
+        exc = failed.cause
+        try:  # exceptions are usually picklable; fall back to text
+            pickle.dumps(exc)
+        except Exception:
+            # the original traceback would be lost with the process —
+            # carry its formatted text across the link
+            detail = "".join(
+                traceback.format_exception(type(exc), exc, exc.__traceback__)
+            ) or repr(exc)
+            exc = RuntimeError(
+                f"unpicklable worker exception {exc!r}; "
+                f"worker-side traceback:\n{detail}"
+            )
+        return (
+            "error", self.worker_index, seq, failed.component,
+            failed.task_index, failed.retries, exc,
         )
 
 

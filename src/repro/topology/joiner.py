@@ -234,9 +234,10 @@ class JoinerBolt(Bolt):
                 # dedup is needed within a machine; a second arrival is
                 # rejected before anything is counted.
                 index = self._group.index(window_id, self._order, self._metrics)
-                self._add_partners(
-                    document, index.arrive(document, self._task_index)
+                ((_, partners),) = index.arrive_many(
+                    document, 1 << self._task_index
                 )
+                self._add_partners(document, partners)
             self._docs += 1
         elif tup.stream == msg.PARTITIONS:
             (partition_set,) = tup.values

@@ -31,6 +31,12 @@ VALUES = st.sampled_from([0, 1, True, 1.0, "1"])
 PAIRS = st.dictionaries(ATTRIBUTES, VALUES, min_size=1, max_size=3)
 
 
+def _one(index: SharedWindowIndex, document: Document, owner: int) -> list[int]:
+    """The partners of a one-owner arrival."""
+    ((_, partners),) = index.arrive_many(document, 1 << owner)
+    return partners
+
+
 class _Window:
     """One open window: the shared index beside its isolated reference."""
 
@@ -114,13 +120,13 @@ class SharedIndexMachine(RuleBasedStateMachine):
         window = self.windows[window_id]
         doc_id, owner = data.draw(st.sampled_from(window.undelivered()))
         document = self._document(window_id, doc_id, same_object)
-        self._arrived(window, owner, document, window.index.arrive(document, owner))
+        self._arrived(window, owner, document, _one(window.index, document, owner))
 
     @precondition(lambda self: any(w.undelivered() for w in self.windows))
     @rule(data=st.data(), same_object=st.booleans())
     def arrive_at_several_owners_at_once(self, data, same_object):
-        """``arrive_many`` mixed freely with ``arrive``: any subset of the
-        owners the document has not reached yet."""
+        """Multi-owner arrivals mixed freely with one-owner ones: any
+        subset of the owners the document has not reached yet."""
         window_id = self._open_window(data)
         window = self.windows[window_id]
         undelivered = window.undelivered()
@@ -144,7 +150,7 @@ class SharedIndexMachine(RuleBasedStateMachine):
     @precondition(lambda self: self._delivered())
     @rule(data=st.data(), extra=st.integers(0, (1 << OWNERS) - 1))
     def a_mask_overlapping_an_earlier_arrival_is_rejected(self, data, extra):
-        """Like a second ``arrive`` at one owner — and before anything
+        """Like a second arrival at one owner — and before anything
         changes: the invariants and every later arrival see no trace."""
         window_id, doc_id, owner = data.draw(st.sampled_from(self._delivered()))
         document = self._document(window_id, doc_id, same_object=False)
@@ -202,10 +208,10 @@ def test_cached_partner_list_is_not_reused_after_an_insert():
     after the probe that d's cached list came from."""
     d, e = _docs()
     index = SharedWindowIndex()
-    assert index.arrive(d, 0) == []
-    assert index.arrive(e, 0) == [0]
-    assert index.arrive(e, 1) == []  # cache hit on e; d is not owner 1's yet
-    assert index.arrive(d, 1) == [1]  # cache miss: e joined the tree since
+    assert _one(index, d, 0) == []
+    assert _one(index, e, 0) == [0]
+    assert _one(index, e, 1) == []  # cache hit on e; d is not owner 1's yet
+    assert _one(index, d, 1) == [1]  # cache miss: e joined the tree since
     assert len(index) == 2
 
 
@@ -214,7 +220,7 @@ def test_later_owner_reuses_the_first_probe():
     d, e = _docs()
     registry = MetricsRegistry()
     index = SharedWindowIndex(registry=registry)
-    results = [index.arrive(doc, owner) for doc in (d, e) for owner in (0, 1)]
+    results = [_one(index, doc, owner) for doc in (d, e) for owner in (0, 1)]
     assert results == [[], [], [0], [0]]
     snap = registry.snapshot()
     # physical operations: the histograms' observation counts
@@ -229,24 +235,24 @@ def test_later_owner_reuses_the_first_probe():
 def test_rejects_a_second_arrival_at_the_same_owner_and_a_missing_id():
     d, _ = _docs()
     index = SharedWindowIndex()
-    index.arrive(d, 0)
-    with pytest.raises(ValueError, match="already arrived at owner 0"):
-        index.arrive(Document({"a": 1, "d": 1}, doc_id=0), 0)
+    _one(index, d, 0)
+    with pytest.raises(ValueError, match="already arrived at owners 0b1 "):
+        _one(index, Document({"a": 1, "d": 1}, doc_id=0), 0)
     with pytest.raises(ValueError, match="doc_id"):
-        index.arrive(Document({"a": 1}), 1)
-    assert len(index) == 1 and index.arrive(d, 1) == []
+        _one(index, Document({"a": 1}), 1)
+    assert len(index) == 1 and _one(index, d, 1) == []
 
 
 def test_arrive_many_is_one_probe_and_one_insert_for_all_owners():
     """d@{0,1,2} then e@{1,2} then e@0: per-owner answers and
-    per-assignment counters as with six ``arrive`` calls, two probes and
+    per-assignment counters as with six one-owner arrivals, two probes and
     two inserts in the tree — e@0 reuses the cached partner list."""
     d, e = _docs()
     registry = MetricsRegistry()
     index = SharedWindowIndex(registry=registry)
     assert index.arrive_many(d, 0b111) == [(0, []), (1, []), (2, [])]
     assert index.arrive_many(e, 0b110) == [(1, [0]), (2, [0])]
-    assert index.arrive(e, 0) == [0]
+    assert _one(index, e, 0) == [0]
     with pytest.raises(ValueError, match="already arrived"):
         index.arrive_many(Document({"a": 1, "d": 1}, doc_id=0), 0b1100)
     late = index.arrive_many(Document({"a": 1}, doc_id=2), 0b1001)
@@ -264,14 +270,14 @@ def test_arrive_many_is_one_probe_and_one_insert_for_all_owners():
 def test_release_reports_the_last_holder():
     d, e = _docs()
     index = SharedWindowIndex()
-    index.arrive(d, 0)
-    index.arrive(e, 2)
+    _one(index, d, 0)
+    _one(index, e, 2)
     assert not index.release(1)  # never fed it: nothing changes
     assert not index.release(0)
-    assert index.arrive(d, 2) == [1]  # owner 2 still sees only its own
+    assert _one(index, d, 2) == [1]  # owner 2 still sees only its own
     assert index.release(2)
     index.reset()
-    assert len(index) == 0 and index.arrive(e, 0) == []
+    assert len(index) == 0 and _one(index, e, 0) == []
 
 
 def test_the_pure_core_does_not_import_the_runtime():

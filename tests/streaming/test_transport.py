@@ -196,10 +196,13 @@ def _generic_entries():
     ]
 
 
-def _one_entry_batch(codec, mask: int):
+def _one_entry_batch(codec, mask: int, task_index=None):
     """A one-entry batch for ``mask``: a pickled slot from the base
     codec, a row of the columnar mask column (signed ``'q'``) from the
-    topology's."""
+    topology's.  The slot names ``task_index`` beside the mask, by
+    default the lowest owner (a column row carries no task index)."""
+    if task_index is None:
+        task_index = lowest_owner(mask)
     if isinstance(codec, ColumnarWireCodec):
         from repro.core.document import Document
         from repro.topology.messages import ASSIGNED, ASSIGNER
@@ -207,14 +210,15 @@ def _one_entry_batch(codec, mask: int):
         tup = StreamTuple(ASSIGNED, (Document({"a": 1}, doc_id=1), 0, None), ASSIGNER, 0)
     else:
         tup = StreamTuple("numbers", (3,), "src", 0)
-    return codec.encode_batch(1, [("joiner", lowest_owner(mask), tup, mask)])
+    return codec.encode_batch(1, [("joiner", task_index, tup, mask)])
 
 
 class TestForeignMasks:
     """A worker acks an entry only for tasks it holds: a mask naming no
     task, a negative one or one naming a task the worker does not hold
     is a :class:`FrameError`, and the worker loop closes the link — it
-    never hangs, grows a list forever or dies on a bare ``KeyError``."""
+    never hangs, grows a list forever or dies on a bare ``KeyError``.
+    The slot's task index is never read: the owners come from the mask."""
 
     HELD = 0b101  # the worker holds joiner tasks 0 and 2
 
@@ -224,7 +228,7 @@ class TestForeignMasks:
         tasks = {("joiner", 0): SquareBolt(), ("joiner", 2): SquareBolt()}
         return WorkerInit(0, 0, tasks, codec=codec)
 
-    def _serve(self, codec, mask: int) -> list:
+    def _serve(self, codec, mask: int, task_index=None) -> list:
         """One batch through ``serve_link`` on a socketpair; the replies
         before the link closed (after a ``stop`` when the batch acked)."""
         from threading import Thread
@@ -240,7 +244,8 @@ class TestForeignMasks:
             parent.settimeout(5)
             # one write: the worker may close the link right after the batch
             parent.sendall(
-                _one_entry_batch(codec, mask).to_bytes() + encode_frame(("stop",))
+                _one_entry_batch(codec, mask, task_index).to_bytes()
+                + encode_frame(("stop",))
             )
             decoder = FrameDecoder()
             while data := parent.recv(1 << 16):
@@ -259,6 +264,16 @@ class TestForeignMasks:
     )
     def test_every_mask_acks_or_closes_the_link(self, codec, mask):
         replies = self._serve(codec(), mask)
+        if mask > 0 and not mask & ~self.HELD:
+            (ack, bye) = replies
+            assert ack[:3] == ("ack", 1, 0) and ack[3] == (("joiner", mask.bit_count()),)
+            assert bye == ("bye", 0)
+        else:
+            assert replies == []
+
+    @given(task_index=st.integers(), mask=st.integers(-2, 1 << 4))
+    def test_every_task_index_acks_or_closes_the_link(self, task_index, mask):
+        replies = self._serve(WireCodec(), mask, task_index)
         if mask > 0 and not mask & ~self.HELD:
             (ack, bye) = replies
             assert ack[:3] == ("ack", 1, 0) and ack[3] == (("joiner", mask.bit_count()),)
