@@ -25,7 +25,8 @@ Fault kinds
     fires before any state mutation, so a retried or quarantined tuple
     leaves no partial effects.  ``sticky=True`` (a poison tuple) re-fires
     on every retry of the same delivery; ``sticky=False`` models a
-    transient failure that succeeds on replay.
+    transient failure that succeeds on replay.  Retries run in place, so
+    a retry is always of the last delivery a rule checked.
 :class:`DelayAcks`
     The targeted worker sleeps before sending every ``every``-th
     acknowledgement — the knob for exercising barrier timeouts and for
@@ -39,7 +40,7 @@ order, so a sticky rule deterministically re-selects the same tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Hashable, Optional
+from typing import Optional
 
 
 class InjectedFault(RuntimeError):
@@ -181,31 +182,33 @@ class FaultPlan:
 class _RaiseState:
     """Per-runtime firing state of one :class:`RaiseInBolt` rule."""
 
-    __slots__ = ("rule", "count", "fired", "poison_key")
+    __slots__ = ("rule", "count", "fired", "poisoned")
 
     def __init__(self, rule: RaiseInBolt):
         self.rule = rule
         self.count = 0
         self.fired = False
-        self.poison_key: Optional[Hashable] = None
+        #: a sticky rule fired and no later first attempt matched yet:
+        #: retries are of the poison delivery
+        self.poisoned = False
 
     def should_raise(
-        self, component: str, stream: str, key: Hashable, first_attempt: bool
+        self, component: str, stream: str, first_attempt: bool
     ) -> bool:
         rule = self.rule
         if component != rule.component:
             return False
         if rule.stream is not None and stream != rule.stream:
             return False
-        if self.poison_key is not None and key == self.poison_key:
-            return True  # sticky: the poison tuple fails on every retry
-        if self.fired or not first_attempt:
+        if not first_attempt:
+            return self.poisoned  # sticky: the poison tuple fails on every retry
+        self.poisoned = False
+        if self.fired:
             return False
         self.count += 1
         if self.count == rule.nth:
             self.fired = True
-            if rule.sticky:
-                self.poison_key = key
+            self.poisoned = rule.sticky
             return True
         return False
 
@@ -253,17 +256,16 @@ class FaultRuntime:
         )
 
     def check_raise(
-        self, component: str, stream: str, key: Hashable, first_attempt: bool
+        self, component: str, stream: str, first_attempt: bool
     ) -> None:
         """Raise :class:`InjectedFault` if a rule selects this delivery.
 
-        ``key`` identifies the delivery (a batch/entry pair or a local
-        delivery seq) so sticky rules can re-fire on retries of the same
-        tuple; ``first_attempt`` gates the 1-based ``nth`` counting so
-        retries are not double counted.
+        ``first_attempt`` gates the 1-based ``nth`` counting so retries
+        are not double counted; a retry (False) is of the last delivery
+        checked, so a sticky rule re-fires on it.
         """
         for state in self._raises:
-            if state.should_raise(component, stream, key, first_attempt):
+            if state.should_raise(component, stream, first_attempt):
                 raise InjectedFault(
                     f"{state.rule.message} ({component} delivery #{state.rule.nth})"
                 )

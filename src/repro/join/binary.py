@@ -15,6 +15,7 @@ works as the store (FPJ by default).
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from repro.core.document import Document
@@ -82,6 +83,15 @@ class BinaryStreamJoiner:
         return sum(len(store) for store in self._stores.values())
 
 
+def interleave(
+    left: Sequence[Document], right: Sequence[Document]
+) -> list[tuple[Document, str]]:
+    """One window's arrivals: R and S documents alternate, each tagged
+    with its side, and the longer stream's tail comes last."""
+    pairs = zip_longest([(d, LEFT) for d in left], [(d, RIGHT) for d in right])
+    return [arrival for pair in pairs for arrival in pair if arrival is not None]
+
+
 def binary_join_window(
     left: Sequence[Document],
     right: Sequence[Document],
@@ -94,13 +104,7 @@ def binary_join_window(
     """
     joiner = BinaryStreamJoiner(store_factory)
     pairs: set[BinaryJoinPair] = set()
-    queue: list[tuple[Document, str]] = []
-    for i in range(max(len(left), len(right))):
-        if i < len(left):
-            queue.append((left[i], LEFT))
-        if i < len(right):
-            queue.append((right[i], RIGHT))
-    for document, side in queue:
+    for document, side in interleave(left, right):
         pairs.update(joiner.process(document, side))
     return frozenset(pairs)
 

@@ -24,7 +24,6 @@ from repro.obs.registry import (
     histogram_quantile,
     merge_snapshots,
     series_name,
-    subtract_snapshot,
 )
 from repro.obs.tracing import Span, trace
 
@@ -40,6 +39,5 @@ __all__ = [
     "histogram_quantile",
     "merge_snapshots",
     "series_name",
-    "subtract_snapshot",
     "trace",
 ]

@@ -250,56 +250,6 @@ def merge_snapshots(
     )
 
 
-def subtract_snapshot(
-    snapshot: ObservabilitySnapshot, baseline: ObservabilitySnapshot
-) -> ObservabilitySnapshot:
-    """Remove a forked-in ``baseline`` from a worker's snapshot.
-
-    A worker forked *mid-run* (a supervisor restarting a dead worker)
-    inherits the parent registry's accumulated values; merging its
-    snapshot back verbatim would double-count all parent-side activity
-    recorded before the fork.  The supervisor captures the parent
-    snapshot at respawn time and subtracts it here before merging.
-
-    Counters and histogram counts/sums subtract exactly (floored at
-    zero).  Gauges pass through unchanged: every executor gauge is a
-    high-water mark and merging takes the max anyway, so an inherited
-    parent value can never exceed the parent's own current reading.
-    Histogram min/max cannot be un-merged — they are kept when any
-    post-fork observations remain (a documented approximation) and
-    dropped otherwise.  Spans drop the inherited prefix.
-    """
-    counters = {
-        name: max(0, value - baseline.counters.get(name, 0))
-        for name, value in snapshot.counters.items()
-    }
-    histograms: dict[str, dict] = {}
-    for name, data in snapshot.histograms.items():
-        base = baseline.histograms.get(name)
-        if base is None:
-            histograms[name] = dict(data)
-            continue
-        count = max(0, data["count"] - base["count"])
-        merged = {
-            "buckets": list(data["buckets"]),
-            "counts": [
-                max(0, a - b) for a, b in zip(data["counts"], base["counts"])
-            ],
-            "count": count,
-            "sum": max(0.0, data["sum"] - base["sum"]),
-            "min": data["min"] if count else None,
-            "max": data["max"] if count else None,
-        }
-        merged["mean"] = merged["sum"] / count if count else 0.0
-        histograms[name] = merged
-    return ObservabilitySnapshot(
-        counters=counters,
-        gauges=dict(snapshot.gauges),
-        histograms=histograms,
-        spans=list(snapshot.spans[len(baseline.spans):]),
-    )
-
-
 class MetricsRegistry:
     """Factory and store for metric instruments plus finished spans.
 
@@ -371,6 +321,26 @@ class MetricsRegistry:
             },
             spans=[s.as_dict() for s in self.finished_spans],
         )
+
+    def reset(self) -> None:
+        """Zero every instrument in place and drop the finished spans.
+
+        A worker process calls this on the registry it inherited from
+        the parent (by fork or in its pickled init) before it records
+        anything, so its snapshot holds its own activity only; the
+        instrument handles its tasks hold stay live.
+        """
+        for counter in self._counters.values():
+            counter.value = 0
+        for gauge in self._gauges.values():
+            gauge.value = 0.0
+        for histogram in self._histograms.values():
+            histogram.counts = [0] * len(histogram.counts)
+            histogram.count = 0
+            histogram.sum = 0.0
+            histogram.min = float("inf")
+            histogram.max = float("-inf")
+        self.finished_spans.clear()
 
     def series_names(self) -> Iterable[str]:
         yield from self._counters

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from time import perf_counter
-from typing import Any, Hashable, Optional, Protocol, Sequence
+from typing import Any, Optional, Protocol, Sequence
 
 from repro.exceptions import TupleProcessingError
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
@@ -168,17 +168,15 @@ class Executor:
         self.sink = sink
         self.failures = 0
 
-    def execute(
-        self, component: str, mask: int, tup: StreamTuple, key: Hashable
-    ) -> int:
+    def execute(self, component: str, mask: int, tup: StreamTuple) -> int:
         """Deliver ``tup`` to the tasks of ``component`` in ``mask``;
         return how many of those assignments were processed.
 
         A fan-out is offered to :meth:`Bolt.process_fanout` unless a
         fault rule selects deliveries.  Otherwise each owner, ascending,
-        gets a delivery — ``(key, owner)`` to fault rules — retried in
-        place up to ``max_retries`` times, then handed to the sink or
-        raised as :class:`~repro.exceptions.TupleProcessingError`.
+        gets a delivery, retried in place up to ``max_retries`` times,
+        then handed to the sink or raised as
+        :class:`~repro.exceptions.TupleProcessingError`.
         """
         tasks = self.tasks[component]
         collectors = self.collectors[component]
@@ -209,9 +207,7 @@ class Executor:
             while True:
                 try:
                     if faults is not None:
-                        faults.check_raise(
-                            component, tup.stream, (key, owner), not attempts
-                        )
+                        faults.check_raise(component, tup.stream, not attempts)
                     if hist is None:
                         task.process(tup, collector)
                     else:

@@ -185,13 +185,8 @@ class ClusterBase:
         self.worker_restarts = 0
         #: deepest the work queue ever got — a backpressure indicator
         self.max_queue_depth = 0
-        #: FIFO of (delivery seq, bolt name, bitmask of the addressed
-        #: tasks, tuple)
-        self._queue: deque[tuple[Any, str, int, StreamTuple]] = deque()
-        #: monotonically increasing delivery sequence number; assigned at
-        #: enqueue time and used to key fault-rule selection (an ``id()``
-        #: key could be recycled by the allocator mid-run)
-        self._seq = 0
+        #: FIFO of (bolt name, bitmask of the addressed tasks, tuple)
+        self._queue: deque[tuple[str, int, StreamTuple]] = deque()
         self._tasks: dict[str, list[Spout | Bolt]] = {}
         #: component -> its tasks' collectors, by task index
         self._collectors: dict[str, list[_TaskCollector]] = {}
@@ -313,8 +308,7 @@ class ClusterBase:
     def _deliver(self, component: str, mask: int, tup: StreamTuple) -> None:
         """Hand one tuple to the tasks of ``component`` in ``mask`` (base:
         one entry on the local FIFO — this process is one executor)."""
-        self._seq += 1
-        self._queue.append((self._seq, component, mask, tup))
+        self._queue.append((component, mask, tup))
 
     def _on_idle(self) -> bool:
         """Hook: the local FIFO ran empty.  Return True if more local
@@ -330,8 +324,8 @@ class ClusterBase:
         count = self._count_processed
         while True:
             while queue:
-                seq, component, mask, tup = queue.popleft()
-                n = execute(component, mask, tup, seq)
+                component, mask, tup = queue.popleft()
+                n = execute(component, mask, tup)
                 if n:
                     count(component, n)
             if not self._on_idle():
@@ -358,41 +352,38 @@ class ClusterBase:
                 "executor.dead_letters", component=letter.component
             ).inc()
 
+    def _spouts(self) -> list[tuple]:
+        """Every spout task with its collector, in declaration order."""
+        return [
+            (spout, self._collectors[spec.name][task_index])
+            for spec in self.topology.spouts()
+            for task_index, spout in enumerate(self._tasks[spec.name])
+        ]
+
     def pump(self) -> None:
         """Advance every spout until it reports no data, then return.
 
         Unlike :meth:`run`, a spout returning False is treated as "no
         data *right now*" rather than exhausted — the building block for
-        interactive sessions that feed a buffer-backed spout
-        incrementally.
+        interactive sessions that feed their spout incrementally.
         """
-        for spec in self.topology.spouts():
-            for task_index in range(spec.parallelism):
-                spout = self._tasks[spec.name][task_index]
-                assert isinstance(spout, Spout)
-                collector = self._collectors[spec.name][task_index]
-                while spout.next_tuple(collector):
-                    self._drain()
+        for spout, collector in self._spouts():
+            while spout.next_tuple(collector):
                 self._drain()
+            self._drain()
         self._finish()
 
     def run(self) -> None:
-        """Pump all spouts to exhaustion, draining between emissions."""
-        spouts = [
-            (spec.name, task_index, self._tasks[spec.name][task_index])
-            for spec in self.topology.spouts()
-            for task_index in range(spec.parallelism)
-        ]
-        active = {(name, idx) for name, idx, _ in spouts}
+        """Pump all spouts to exhaustion, round robin, draining between
+        emissions."""
+        active = self._spouts()
         while active:
-            for name, task_index, spout in spouts:
-                if (name, task_index) not in active:
-                    continue
-                assert isinstance(spout, Spout)
-                has_more = spout.next_tuple(self._collectors[name][task_index])
+            remaining = []
+            for spout, collector in active:
+                if spout.next_tuple(collector):
+                    remaining.append((spout, collector))
                 self._drain()
-                if not has_more:
-                    active.discard((name, task_index))
+            active = remaining
         self._finish()
 
     # ------------------------------------------------------------------

@@ -84,11 +84,11 @@ ship history through one method (``_ship_history``), and every blocking
 ack wait goes through one bounded wait (``_wait_until``).
 
 Observability: each worker records into its (shipped copy of the) run's
-registry; :meth:`ParallelCluster.snapshot` fetches every worker's
-snapshot and merges it with the parent's via
-:func:`repro.obs.registry.merge_snapshots` (a replacement worker's
-inherited baseline is subtracted first, see
-:func:`repro.obs.registry.subtract_snapshot`).
+registry, which the worker loop zeroes (``MetricsRegistry.reset``)
+before it builds its session — a worker spawned mid-run inherits the
+parent's activity so far and must not count it twice;
+:meth:`ParallelCluster.snapshot` fetches every worker's snapshot and
+merges it with the parent's via :func:`repro.obs.registry.merge_snapshots`.
 
 Elasticity (``docs/elasticity.md``): with an
 :class:`~repro.streaming.elastic.ElasticPolicy`, the cluster consults a
@@ -125,7 +125,6 @@ from repro.obs.registry import (
     MetricsRegistry,
     ObservabilitySnapshot,
     merge_snapshots,
-    subtract_snapshot,
 )
 from repro.streaming.elastic import (
     Decision,
@@ -196,7 +195,6 @@ class _WorkerHandle:
         "incarnation",
         "degraded",
         "retired",
-        "fork_baseline",
     )
 
     def __init__(self, index: int, assigned: list[tuple[str, int]]):
@@ -221,7 +219,6 @@ class _WorkerHandle:
         self.degraded = False
         #: retired by a scale-down: tasks migrated away, worker stopped
         self.retired = False
-        self.fork_baseline: Optional[ObservabilitySnapshot] = None
 
 
 class ParallelCluster(ClusterBase):
@@ -449,11 +446,6 @@ class ParallelCluster(ClusterBase):
 
     def _spawn(self, handle: _WorkerHandle) -> None:
         """Start one worker for ``handle`` over a fresh link."""
-        if self._started and self.registry.enabled:
-            # a mid-run spawn (replacement or scale-up) inherits everything
-            # the parent registry has recorded so far (by fork or by
-            # pickled init); remember it so snapshot() can subtract it
-            handle.fork_baseline = self.registry.snapshot()
         handle.link = self._transport.spawn(
             self._worker_init(handle, self._fault_plan)
         )
@@ -465,9 +457,6 @@ class ParallelCluster(ClusterBase):
             return
         if self._closed:
             raise TopologyError("cluster is closed")
-        # Spawn before the first tuple flows: the workers' registry copies
-        # then hold only zero-valued instruments, so merging their
-        # snapshots back never double-counts parent-side activity.
         self._transport.start()
         for handle in self._workers:
             self._spawn(handle)
@@ -1230,17 +1219,14 @@ class ParallelCluster(ClusterBase):
             [h for h in self._workers if h.link is not None and h.link.alive()],
             "snapshot",
         )
-        worker_snaps = []
-        for handle in self._workers:
-            if handle.snapshot is None:
-                continue
-            snap = ObservabilitySnapshot.from_dict(handle.snapshot)
-            if handle.fork_baseline is not None:
-                # a replacement spawned mid-run: remove the parent-side
-                # activity it inherited at spawn time
-                snap = subtract_snapshot(snap, handle.fork_baseline)
-            worker_snaps.append(snap)
-        merged = merge_snapshots(self.registry.snapshot(), *worker_snaps)
+        merged = merge_snapshots(
+            self.registry.snapshot(),
+            *(
+                ObservabilitySnapshot.from_dict(handle.snapshot)
+                for handle in self._workers
+                if handle.snapshot is not None
+            ),
+        )
         self._merged_snapshot = merged
         return merged
 

@@ -233,7 +233,7 @@ class WorkerSession:
                 )
             tup = StreamTuple(stream, values, source, source_task, direct)
             try:
-                n = executor.execute(component, mask, tup, (seq, entry_index))
+                n = executor.execute(component, mask, tup)
             except TupleProcessingError as failed:
                 return self._error(seq, failed)
             if n:
@@ -279,13 +279,17 @@ def serve_link(sock, init: Optional[WorkerInit] = None) -> None:
     Each pass is ``recv`` → :meth:`FrameDecoder.feed` →
     :meth:`WorkerSession.handle` → ``sendall`` of every reply, so the
     link is FIFO both ways.  With ``init=None`` the first frame is the
-    pickled :class:`WorkerInit`.  The link ends (and ``sock`` is closed)
-    after the ``bye`` of a ``stop``, when the parent goes away, or on a
-    malformed frame — including an entry whose mask names no task or a
-    task this worker does not hold (:class:`FrameError`); a fault-plan
-    kill ends the process.
+    pickled :class:`WorkerInit`.  Either way its registry is reset
+    before the session is built, as only a worker process may do.  The
+    link ends (and ``sock`` is closed) after the ``bye`` of a ``stop``,
+    when the parent goes away, or on a malformed frame — including an
+    entry whose mask names no task or a task this worker does not hold
+    (:class:`FrameError`); a fault-plan kill ends the process.
     """
     decoder = FrameDecoder()
+    # the registry came with the parent's activity so far: start at zero
+    if init is not None:
+        init.registry.reset()
     session = None if init is None else WorkerSession(init)
     try:
         while session is None or not session.stopped:
@@ -294,6 +298,7 @@ def serve_link(sock, init: Optional[WorkerInit] = None) -> None:
                 break
             for message in decoder.feed(data):
                 if session is None:
+                    message.registry.reset()
                     session = WorkerSession(message)
                     continue
                 for reply in session.handle(message):

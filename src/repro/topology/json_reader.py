@@ -2,81 +2,53 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections import deque
+from typing import Iterator, Optional, Sequence
 
 from repro.core.document import Document
 from repro.streaming.component import Collector, Spout
 from repro.topology import messages as msg
 
+#: one window of arrivals: ``(document, side)`` items, side None for the
+#: self-join or :data:`repro.join.binary.LEFT` / ``RIGHT`` for R x S
+Window = list[tuple[Document, Optional[str]]]
+
 
 class DocumentSpout(Spout):
-    """Feeds pre-windowed documents into the topology.
+    """Feeds tumbling windows into the topology, first in first out.
 
-    Emits every document of a window on the ``docs`` stream (tagged with
-    its window id and a ``None`` stream side) followed by one
+    Emits every item of a window on the ``docs`` stream (the document
+    tagged with its window id and stream side) followed by one
     ``window_end`` punctuation tuple.  The FIFO drain of the local
     cluster guarantees all downstream effects of the punctuation finish
     before the next window starts — the stand-in for Storm's time-based
-    window boundaries.
+    window boundaries.  Windows are given up front (``windows``, all on
+    the self-join side) or fed one at a time (:meth:`feed`); the spout
+    reports no data while its FIFO is empty.
     """
 
-    def __init__(self, windows: Sequence[Sequence[Document]]):
-        self._windows = [list(w) for w in windows]
+    def __init__(self, windows: Sequence[Sequence[Document]] = ()):
+        self._windows: deque[Window] = deque(
+            [(document, None) for document in window] for window in windows
+        )
         self._window_id = 0
-        self._position = 0
+        #: the items of the window being emitted, None between windows
+        self._arrivals: Optional[Iterator[tuple[Document, Optional[str]]]] = None
+
+    def feed(self, window: Window) -> None:
+        """Queue one window of ``(document, side)`` items (may be empty)."""
+        self._windows.append(window)
 
     def next_tuple(self, collector: Collector) -> bool:
-        if self._window_id >= len(self._windows):
-            return False
-        window = self._windows[self._window_id]
-        if self._position < len(window):
-            doc = window[self._position]
-            self._position += 1
-            collector.emit(msg.DOCS, (doc, self._window_id, None))
-        else:
-            collector.emit(msg.WINDOW_END, (self._window_id,))
-            self._window_id += 1
-            self._position = 0
-        return self._window_id < len(self._windows)
-
-
-class TwoStreamSpout(Spout):
-    """Feeds two document streams (R and S) with aligned windows.
-
-    Documents of the two streams are interleaved within each window and
-    tagged with their side (:data:`repro.join.binary.LEFT` /
-    :data:`repro.join.binary.RIGHT`), so downstream Joiners can run the
-    cross-stream join.  Document ids must be unique across *both*
-    streams.
-    """
-
-    def __init__(self, left_windows, right_windows):
-        if len(left_windows) != len(right_windows):
-            raise ValueError("both streams need the same number of windows")
-        from repro.join.binary import LEFT, RIGHT
-
-        self._windows: list[list[tuple]] = []
-        for left, right in zip(left_windows, right_windows):
-            window = []
-            for i in range(max(len(left), len(right))):
-                if i < len(left):
-                    window.append((left[i], LEFT))
-                if i < len(right):
-                    window.append((right[i], RIGHT))
-            self._windows.append(window)
-        self._window_id = 0
-        self._position = 0
-
-    def next_tuple(self, collector: Collector) -> bool:
-        if self._window_id >= len(self._windows):
-            return False
-        window = self._windows[self._window_id]
-        if self._position < len(window):
-            doc, side = window[self._position]
-            self._position += 1
-            collector.emit(msg.DOCS, (doc, self._window_id, side))
-        else:
-            collector.emit(msg.WINDOW_END, (self._window_id,))
-            self._window_id += 1
-            self._position = 0
-        return self._window_id < len(self._windows)
+        arrivals = self._arrivals
+        if arrivals is None:
+            if not self._windows:
+                return False
+            arrivals = self._arrivals = iter(self._windows.popleft())
+        for document, side in arrivals:
+            collector.emit(msg.DOCS, (document, self._window_id, side))
+            return True
+        collector.emit(msg.WINDOW_END, (self._window_id,))
+        self._arrivals = None
+        self._window_id += 1
+        return bool(self._windows)

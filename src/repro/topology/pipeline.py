@@ -1,20 +1,23 @@
-"""Wiring of the Fig. 2 topology and the high-level run facade."""
+"""Wiring of the Fig. 2 topology and the high-level run facade.
+
+The batch runners (:func:`run_stream_join`, :func:`run_binary_stream_join`
+and :func:`run`) have no driver of their own: they push their windows
+one at a time through a :class:`~repro.topology.session.StreamJoinSession`,
+whose ``result()`` is the one place a :class:`StreamJoinResult` is built.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.core.document import Document
 from repro.exceptions import PartitioningError
 from repro.faults import FaultPlan
 from repro.join.base import JoinPair
+from repro.join.binary import interleave
 from repro.metrics.report import ExperimentSummary, WindowMetrics, aggregate_metrics
-from repro.obs.registry import (
-    NULL_REGISTRY,
-    MetricsRegistry,
-    ObservabilitySnapshot,
-)
+from repro.obs.registry import MetricsRegistry, ObservabilitySnapshot
 from repro.partitioning.association import AssociationGroupPartitioner
 from repro.partitioning.base import Partitioner
 from repro.partitioning.disjoint import DisjointSetPartitioner
@@ -43,7 +46,7 @@ from repro.topology import messages as msg
 from repro.topology.messages import wire_codec
 from repro.topology.assigner import AssignerBolt
 from repro.topology.joiner import JoinerBolt, JoinerGroup
-from repro.topology.json_reader import DocumentSpout, TwoStreamSpout
+from repro.topology.json_reader import DocumentSpout, Window
 from repro.topology.merger import MergerBolt
 from repro.topology.partition_creator import PartitionCreatorBolt
 from repro.topology.sink import MetricsSinkBolt
@@ -294,21 +297,20 @@ def run_binary_stream_join(
     conflicts are co-located — but Joiners only report *cross-stream*
     pairs.  Document ids must be unique across the two streams.
     """
+    if len(left_windows) != len(right_windows):
+        raise ValueError("both streams need the same number of windows")
     if not config.binary:
         config = replace(config, binary=True)
-    topology = build_topology(config, [])
-    topology.components[msg.READER].factory = (
-        lambda: TwoStreamSpout(left_windows, right_windows)
-    )
-    return _execute(config, topology)
+    return _run_session(config, map(interleave, left_windows, right_windows))
 
 
 def run_stream_join(
     config: StreamJoinConfig, windows: Sequence[Sequence[Document]]
 ) -> StreamJoinResult:
     """Run the full topology over pre-windowed documents."""
-    topology = build_topology(config, windows)
-    return _execute(config, topology)
+    return _run_session(
+        config, ([(document, None) for document in window] for window in windows)
+    )
 
 
 def run(
@@ -383,34 +385,19 @@ def make_cluster(
     )
 
 
-def _execute(config: StreamJoinConfig, topology: Topology) -> StreamJoinResult:
-    registry = MetricsRegistry() if config.observability else NULL_REGISTRY
-    cluster = make_cluster(config, topology, registry)
+def _run_session(
+    config: StreamJoinConfig, windows: Iterable[Window]
+) -> StreamJoinResult:
+    """The batch driver: every window of ``(document, side)`` items,
+    empty ones included, through one
+    :class:`~repro.topology.session.StreamJoinSession`."""
+    from repro.topology.session import StreamJoinSession  # imports this module
+
+    session = StreamJoinSession(config)
     try:
-        cluster.run()
-        sink = cluster.tasks(msg.SINK)[0]
-        assert isinstance(sink, MetricsSinkBolt)
-        # The merger's repartition event for window w is emitted after the
-        # sink has already finalized w's metrics (the partition protocol runs
-        # later in the punctuation drain), so the flags are stamped here.
-        recomputed = {
-            w for w, initial in sink.repartition_events.items() if not initial
-        }
-        for window in sink.windows:
-            if window.window in recomputed:
-                window.repartitioned = True
-        return StreamJoinResult(
-            config=config,
-            per_window=list(sink.windows),
-            repartition_windows=sink.repartition_windows(),
-            join_pairs=frozenset(sink.join_pairs),
-            tuple_stats=cluster.stats(),
-            observability=cluster.snapshot() if config.observability else None,
-            dead_letters=(
-                cluster.dead_letters.entries
-                if cluster.dead_letters is not None
-                else ()
-            ),
-        )
-    finally:
-        cluster.close()
+        for window in windows:
+            session._push(window)
+    except BaseException:
+        session._cluster.close()
+        raise
+    return session.result()

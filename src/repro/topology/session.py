@@ -1,11 +1,12 @@
-"""Incremental stream-join sessions.
+"""Incremental stream-join sessions — the one driver of the topology.
 
 :func:`repro.topology.pipeline.run_stream_join` consumes a fully
 materialized list of windows — fine for experiments, wrong for a live
 deployment where windows arrive one at a time.  A
 :class:`StreamJoinSession` keeps the topology alive between windows:
 push each window as it closes, read its metrics immediately, and collect
-the final result when done.
+the final result when done.  The batch runners are sessions too: they
+push their windows the same way and return :meth:`StreamJoinSession.result`.
 
     session = StreamJoinSession(StreamJoinConfig(m=8, algorithm="AG"))
     for window in source:
@@ -16,18 +17,13 @@ the final result when done.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, Sequence
 
 from repro.core.document import Document
 from repro.metrics.report import WindowMetrics
-from repro.obs.registry import (
-    NULL_REGISTRY,
-    MetricsRegistry,
-    ObservabilitySnapshot,
-)
-from repro.streaming.component import Collector, Spout
+from repro.obs.registry import MetricsRegistry, ObservabilitySnapshot
 from repro.topology import messages as msg
+from repro.topology.json_reader import DocumentSpout, Window
 from repro.topology.pipeline import (
     StreamJoinConfig,
     StreamJoinResult,
@@ -37,52 +33,21 @@ from repro.topology.pipeline import (
 from repro.topology.sink import MetricsSinkBolt
 
 
-class BufferSpout(Spout):
-    """A spout fed by the session: emits what it has, then yields."""
-
-    def __init__(self) -> None:
-        self._queue: deque[tuple] = deque()
-
-    def feed_window(self, documents: Sequence[Document], window_id: int) -> None:
-        for doc in documents:
-            self._queue.append((msg.DOCS, (doc, window_id, None)))
-        self._queue.append((msg.WINDOW_END, (window_id,)))
-
-    def next_tuple(self, collector: Collector) -> bool:
-        if not self._queue:
-            return False
-        stream, values = self._queue.popleft()
-        collector.emit(stream, values)
-        return bool(self._queue)
-
-
 class StreamJoinSession:
     """A live, incremental run of the Fig. 2 topology."""
 
     def __init__(self, config: StreamJoinConfig):
-        if config.binary:
-            raise ValueError(
-                "binary mode needs side-tagged input; use run_binary_stream_join"
-            )
         self.config = config
-        self._spout = BufferSpout()
-        topology = build_topology(config, [])
-        topology.components[msg.READER].factory = lambda: self._made_spout()
-        self._registry = (
-            MetricsRegistry() if config.observability else NULL_REGISTRY
+        self._cluster = make_cluster(
+            config,
+            build_topology(config, []),
+            MetricsRegistry() if config.observability else None,
         )
-        self._cluster = make_cluster(config, topology, self._registry)
+        # both live in this process on every backend
+        self._spout: DocumentSpout = self._cluster.tasks(msg.READER)[0]
+        self._sink: MetricsSinkBolt = self._cluster.tasks(msg.SINK)[0]
         self._next_window_id = 0
         self._closed = False
-
-    def _made_spout(self) -> BufferSpout:
-        return self._spout
-
-    @property
-    def _sink(self) -> MetricsSinkBolt:
-        sink = self._cluster.tasks(msg.SINK)[0]
-        assert isinstance(sink, MetricsSinkBolt)
-        return sink
 
     def push_window(self, documents: Sequence[Document]) -> Optional[WindowMetrics]:
         """Feed one tumbling window and process it.
@@ -92,29 +57,30 @@ class StreamJoinSession:
         pipelined parallel backend the window may still be in flight
         when this returns — worker acks drain while the next window is
         routed — so the return value is the metrics of the *newest
-        window finalized so far*, or None when nothing new finalized
-        during this push.  :meth:`result` runs the pipeline dry, so
-        every pushed window's metrics appear in the final result either
-        way.  The repartitioned flag is stamped from the merger events
-        that fired during processing.
+        window finalized so far* (not necessarily this push's), or None
+        while none has.  :meth:`result` runs the pipeline dry, so every
+        pushed window's metrics appear in the final result either way.
         """
-        if self._closed:
-            raise RuntimeError("session is closed")
+        if self.config.binary:
+            raise ValueError(
+                "binary mode needs side-tagged input; use run_binary_stream_join"
+            )
         if not documents:
             raise ValueError("cannot push an empty window")
-        window_id = self._next_window_id
+        return self._push([(document, None) for document in documents])
+
+    def _push(self, window: Window) -> Optional[WindowMetrics]:
+        """Feed one window of ``(document, side)`` items and process it;
+        unlike :meth:`push_window` it takes empty windows and binary
+        configs, as the batch runners need."""
+        if self._closed:
+            raise RuntimeError("session is closed")
         self._next_window_id += 1
-        self._spout.feed_window(documents, window_id)
+        self._spout.feed(window)
         self._cluster.pump()
-        sink = self._sink
-        metrics = next(
-            (w for w in reversed(sink.windows) if w.window <= window_id), None
-        )
-        if metrics is not None and not sink.repartition_events.get(
-            metrics.window, True
-        ):
-            metrics.repartitioned = True
-        return metrics
+        # the sink holds pushed windows only, in window order
+        finalized = self._sink.windows
+        return finalized[-1] if finalized else None
 
     def observability(self) -> "ObservabilitySnapshot":
         """A live metric snapshot of the running session.
@@ -164,35 +130,32 @@ class StreamJoinSession:
         """Close the session and return the accumulated results.
 
         Runs a pipelined parallel backend dry first, so windows still in
-        flight are finalized before the sink is read."""
+        flight are finalized before the sink is read.  The cluster is
+        closed even when that fails."""
         self._closed = True
-        drain = getattr(self._cluster, "drain", None)
-        if drain is not None:
-            drain()
-        sink = self._sink
-        recomputed = {
-            w for w, initial in sink.repartition_events.items() if not initial
-        }
-        for window in sink.windows:
-            if window.window in recomputed:
-                window.repartitioned = True
-        result = StreamJoinResult(
-            config=self.config,
-            per_window=list(sink.windows),
-            repartition_windows=sink.repartition_windows(),
-            join_pairs=frozenset(sink.join_pairs),
-            tuple_stats=self._cluster.stats(),
-            observability=(
-                self._cluster.snapshot() if self.config.observability else None
-            ),
-            dead_letters=(
-                self._cluster.dead_letters.entries
-                if self._cluster.dead_letters is not None
-                else ()
-            ),
-        )
-        self._cluster.close()
-        return result
+        cluster = self._cluster
+        try:
+            drain = getattr(cluster, "drain", None)
+            if drain is not None:
+                drain()
+            sink = self._sink
+            return StreamJoinResult(
+                config=self.config,
+                per_window=list(sink.windows),
+                repartition_windows=sink.repartition_windows(),
+                join_pairs=frozenset(sink.join_pairs),
+                tuple_stats=cluster.stats(),
+                observability=(
+                    cluster.snapshot() if self.config.observability else None
+                ),
+                dead_letters=(
+                    cluster.dead_letters.entries
+                    if cluster.dead_letters is not None
+                    else ()
+                ),
+            )
+        finally:
+            cluster.close()
 
     @property
     def windows_processed(self) -> int:

@@ -70,6 +70,9 @@ class MetricsSinkBolt(Bolt):
         elif tup.stream == msg.REPARTITION_EVENT:
             window_id, initial = tup.values
             self.repartition_events[window_id] = initial
+            for window in self.windows:  # finalized before the event came
+                if window.window == window_id and not initial:
+                    window.repartitioned = True
 
     def _maybe_finalize(self, window_id: int) -> None:
         assigners = self._assigner_stats.get(window_id, [])
@@ -99,7 +102,7 @@ class MetricsSinkBolt(Bolt):
                 join_pairs=sum(s.join_pairs for s in joiners),
                 loads=loads,
             )
-        else:  # pragma: no cover - empty windows are rejected upstream
+        else:  # an empty window: the batch runners pass them through
             metrics = WindowMetrics(
                 window=window_id,
                 replication=0.0,
@@ -119,9 +122,7 @@ class MetricsSinkBolt(Bolt):
 
     def _was_repartitioned(self, window_id: int) -> bool:
         """True when a *non-initial* partition computation hit this window."""
-        if window_id not in self.repartition_events:
-            return False
-        return not self.repartition_events[window_id]
+        return not self.repartition_events.get(window_id, True)
 
     def repartition_windows(self) -> list[int]:
         """All windows in which partitions were (re)computed, incl. initial."""

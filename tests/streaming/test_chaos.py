@@ -428,6 +428,28 @@ class TestTopologyChaos:
         clean_stats.pop("inflight_high_water")
         assert faulted_stats == clean_stats
 
+    def test_a_replacement_does_not_recount_parent_activity(self):
+        """A worker spawned mid-run inherits the parent registry; merged
+        counters only the parent records must still equal a clean run's."""
+        windows = _windows()
+        clean = run_stream_join(_config(observability=True), windows)
+        faulted = run_stream_join(
+            _config(
+                observability=True,
+                backend="parallel",
+                workers=2,
+                restart_policy=FAST_RESTART,
+                fault_plan=FaultPlan().kill_worker(0, after_batches=1),
+            ),
+            windows,
+        )
+        assert faulted.tuple_stats["worker_restarts"] >= 1
+        for name in ("assigner.documents", "sink.windows"):
+            assert (
+                faulted.observability.counters[name]
+                == clean.observability.counters[name]
+            ), name
+
     @pytest.mark.parametrize(
         "transport", ["pipe", pytest.param("socket", marks=pytest.mark.distributed)]
     )

@@ -107,30 +107,30 @@ class TestFaultPlan:
     def test_raise_rule_counts_first_attempts_only(self):
         plan = FaultPlan().raise_in("joiner", nth=2, sticky=False)
         runtime = plan.runtime()
-        runtime.check_raise("joiner", "assigned", key=1, first_attempt=True)
+        runtime.check_raise("joiner", "assigned", first_attempt=True)
         # a retry of delivery 1 does not advance the count
-        runtime.check_raise("joiner", "assigned", key=1, first_attempt=False)
+        runtime.check_raise("joiner", "assigned", first_attempt=False)
         with pytest.raises(InjectedFault):
-            runtime.check_raise("joiner", "assigned", key=2, first_attempt=True)
+            runtime.check_raise("joiner", "assigned", first_attempt=True)
         # non-sticky: the same delivery passes on retry
-        runtime.check_raise("joiner", "assigned", key=2, first_attempt=False)
+        runtime.check_raise("joiner", "assigned", first_attempt=False)
 
     def test_sticky_rule_refires_on_the_poison_key_only(self):
         plan = FaultPlan().raise_in("joiner", nth=1)
         runtime = plan.runtime()
         with pytest.raises(InjectedFault):
-            runtime.check_raise("joiner", "assigned", key=7, first_attempt=True)
+            runtime.check_raise("joiner", "assigned", first_attempt=True)
         with pytest.raises(InjectedFault):  # retry of the poison delivery
-            runtime.check_raise("joiner", "assigned", key=7, first_attempt=False)
+            runtime.check_raise("joiner", "assigned", first_attempt=False)
         # other deliveries pass; the rule fired already
-        runtime.check_raise("joiner", "assigned", key=8, first_attempt=True)
+        runtime.check_raise("joiner", "assigned", first_attempt=True)
 
     def test_stream_filter(self):
         plan = FaultPlan().raise_in("joiner", nth=1, stream="assigned")
         runtime = plan.runtime()
-        runtime.check_raise("joiner", "partitions", key=1, first_attempt=True)
+        runtime.check_raise("joiner", "partitions", first_attempt=True)
         with pytest.raises(InjectedFault):
-            runtime.check_raise("joiner", "assigned", key=2, first_attempt=True)
+            runtime.check_raise("joiner", "assigned", first_attempt=True)
 
     def test_ack_delays_accumulate_per_matching_rule(self):
         plan = FaultPlan().delay_acks(0, seconds=0.5, every=2)

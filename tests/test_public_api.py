@@ -1,10 +1,14 @@
 """Smoke tests over the public API surface and packaging."""
 
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 import repro
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestPublicSurface:
@@ -36,6 +40,19 @@ class TestPublicSurface:
                 continue
             mod = importlib.import_module(info.name)
             assert mod.__doc__, f"{info.name} lacks a module docstring"
+
+    def test_api_reference_is_generated_from_the_code(self):
+        """``docs/api.md`` is ``scripts/gen_api_docs.py``'s output, so a
+        removed public name cannot linger in the reference."""
+        spec = importlib.util.spec_from_file_location(
+            "gen_api_docs", ROOT / "scripts" / "gen_api_docs.py"
+        )
+        gen_api_docs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen_api_docs)
+        reference = (ROOT / "docs" / "api.md").read_text(encoding="utf-8")
+        assert reference == gen_api_docs.render(), (
+            "docs/api.md is stale: run python scripts/gen_api_docs.py"
+        )
 
     def test_exceptions_form_one_hierarchy(self):
         from repro import exceptions

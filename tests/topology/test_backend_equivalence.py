@@ -181,3 +181,20 @@ def test_joiner_dispatches_are_per_executor_while_counters_stay_per_assignment()
         )
     assert dispatches["local"] == documents  # one executor
     assert documents <= dispatches["parallel"] <= 2 * documents  # two workers
+
+
+@pytest.mark.parametrize("backend", ["local", "parallel"])
+def test_empty_window_yields_an_empty_record(backend):
+    """The batch runner pushes an empty window through like any other:
+    the sink finalizes a zero-document record for it."""
+    w0, w2 = _windows("rwData", n_windows=2)
+    result = run_stream_join(
+        StreamJoinConfig(
+            m=4, n_assigners=3, compute_joins=True, collect_pairs=True,
+            backend=backend, workers=2 if backend == "parallel" else None,
+        ),
+        [w0, [], w2],
+    )
+    empty = result.per_window[1]
+    assert (empty.window, empty.documents, empty.replication) == (1, 0, 0.0)
+    assert [w.documents for w in result.per_window] == [120, 0, 120]

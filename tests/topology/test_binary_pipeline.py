@@ -72,10 +72,9 @@ class TestBinaryPipeline:
         assert result.join_pairs == frozenset({BinaryJoinPair(0, 7)})
 
     def test_mismatched_window_counts_rejected(self):
-        from repro.topology.json_reader import TwoStreamSpout
-
+        config = StreamJoinConfig(m=2, n_assigners=1, n_creators=1, binary=True)
         with pytest.raises(ValueError, match="same number of windows"):
-            TwoStreamSpout([[]], [[], []])
+            run_binary_stream_join(config, [[]], [[], []])
 
     def test_binary_sliding_rejected(self):
         from repro.topology.joiner import JoinerBolt

@@ -82,6 +82,35 @@ class TestDocumentSpout:
         assert spout.next_tuple(collector) is True  # the doc
         assert spout.next_tuple(collector) is False  # punctuation, then done
 
+    def test_fed_windows_emit_what_windows_given_up_front_do(self):
+        w0 = [Document({"a": 1}, doc_id=0), Document({"b": 2}, doc_id=1)]
+        w2 = [Document({"c": 3}, doc_id=2)]
+        up_front = FakeCollector()
+        spout = DocumentSpout([w0, [], w2])
+        while spout.next_tuple(up_front):
+            pass
+        fed = FakeCollector()
+        spout = DocumentSpout()
+        assert spout.next_tuple(fed) is False  # nothing fed yet
+        for window in (w0, [], w2):
+            spout.feed([(doc, None) for doc in window])
+            while spout.next_tuple(fed):
+                pass
+        assert fed.emitted == up_front.emitted
+        assert [e[0] for e in fed.emitted].count(msg.WINDOW_END) == 3
+
+    def test_carries_sides(self):
+        r, s = Document({"k": 1}, doc_id=0), Document({"k": 1}, doc_id=1)
+        spout = DocumentSpout()
+        spout.feed([(r, "R"), (s, "S")])
+        collector = FakeCollector()
+        while spout.next_tuple(collector):
+            pass
+        assert [values for _, values, _ in collector.on_stream(msg.DOCS)] == [
+            (r, 0, "R"),
+            (s, 0, "S"),
+        ]
+
 
 class TestPartitionCreator:
     def test_samples_bootstrap_window(self):

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.data.serverlogs import ServerLogGenerator
+from repro.exceptions import TupleProcessingError, WorkerCrashError
+from repro.faults import FaultPlan
 from repro.join.base import brute_force_pairs
+from repro.streaming.executor import LocalCluster
+from repro.topology import messages as msg
 from repro.topology.pipeline import StreamJoinConfig, run_stream_join
 from repro.topology.session import StreamJoinSession
 
@@ -76,7 +80,9 @@ class TestStreamJoinSession:
 
     def test_binary_config_rejected(self):
         with pytest.raises(ValueError, match="binary"):
-            StreamJoinSession(_config(binary=True))
+            StreamJoinSession(_config(binary=True)).push_window(
+                ServerLogGenerator(seed=22).next_window(10)
+            )
 
     def test_windows_processed_counter(self):
         generator = ServerLogGenerator(seed=21)
@@ -84,3 +90,37 @@ class TestStreamJoinSession:
         assert session.windows_processed == 0
         session.push_window(generator.next_window(40))
         assert session.windows_processed == 1
+
+    def test_failed_result_closes_the_cluster(self, monkeypatch):
+        session = StreamJoinSession(_config())
+        session.push_window(ServerLogGenerator(seed=23).next_window(40))
+        closed = []
+
+        def failing_drain():
+            raise WorkerCrashError(0, 41, restarts=0)
+
+        monkeypatch.setattr(session._cluster, "drain", failing_drain, raising=False)
+        monkeypatch.setattr(session._cluster, "close", lambda: closed.append(1))
+        with pytest.raises(WorkerCrashError):
+            session.result()
+        assert closed == [1]
+
+
+class TestBatchRunners:
+    def test_empty_window_yields_an_empty_record(self):
+        generator = ServerLogGenerator(seed=24)
+        windows = [generator.next_window(60), [], generator.next_window(60)]
+        result = run_stream_join(_config(), windows)
+        assert [w.window for w in result.per_window] == [0, 1, 2]
+        empty = result.per_window[1]
+        assert (empty.window, empty.documents, empty.replication) == (1, 0, 0.0)
+        assert result.per_window[2].documents == 60
+
+    def test_a_failing_push_closes_the_cluster(self, monkeypatch):
+        closed = []
+        monkeypatch.setattr(LocalCluster, "close", lambda self: closed.append(1))
+        config = _config(fault_plan=FaultPlan().raise_in(msg.MERGER, nth=1))
+        windows = [ServerLogGenerator(seed=25).next_window(40)]
+        with pytest.raises(TupleProcessingError, match="injected fault"):
+            run_stream_join(config, windows)
+        assert closed == [1]
