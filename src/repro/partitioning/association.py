@@ -163,9 +163,11 @@ def consolidate_association_groups(
             for pair in group.pairs:
                 pair_to_kept.setdefault(pair, []).append(index)
     # Step 2: deduplicate pairs shared by two groups — drop from the
-    # group with more elements (ties resolved toward the later group to
-    # keep the outcome deterministic).
-    for pair, owners in pair_to_kept.items():
+    # group with more elements (ties resolved toward the later group).
+    # Each drop shrinks a group and so moves later tie-breaks: walk the
+    # pairs in their canonical order, not in (hash-seeded) set order.
+    for pair in sorted(pair_to_kept, key=AVPair.sort_key):
+        owners = pair_to_kept[pair]
         holders = [i for i in owners if pair in kept[i].pairs]
         while len(holders) > 1:
             largest = max(holders, key=lambda i: (len(kept[i].pairs), i))

@@ -75,13 +75,14 @@ Tuples on configured ``sticky_streams`` (cross-window control
 broadcasts such as partition versions) are retained past barriers and
 replayed first.  When the per-window restart budget runs out the run
 aborts with :class:`~repro.exceptions.WorkerCrashError` — or, with
-``degrade=True``, the dead worker is respawned *into the parent*: an
-in-parent :class:`~repro.streaming.transport.WorkerSession` over the
-parent's pristine task copies receives the same replay a fresh worker
-would, its replies take the ordinary ack path, and the tasks then run
-inline for the rest of the run.  Respawn, degrade and migration all
-ship history through one method (``_ship_history``), and every blocking
-ack wait goes through one bounded wait (``_wait_until``).
+``degrade=True``, the dead worker is respawned *into the parent*, onto
+an :class:`~repro.streaming.transport.InlineLink`: a worker session in
+this process over a copy of the pristine tasks.  It receives the replay
+a fresh worker would, and its replies take the ordinary ack path; from
+then on the slot is one like any other, fed through its link.  Respawn,
+degrade and migration all ship history through one method
+(``_ship_history``), and every blocking ack wait goes through one
+bounded wait (``_wait_until``).
 
 Observability: each worker records into its (shipped copy of the) run's
 registry, which the worker loop zeroes (``MetricsRegistry.reset``)
@@ -103,7 +104,7 @@ and kept tasks together are cut in two by mask), which merges into the
 destination's journal under the original batch seqs, the destination
 receives an ``("adopt", tasks)`` message followed by the re-encoded
 history as suppressed batches, the source a ``("disown", keys)``, and
-routing (``_placement`` and the per-worker task masks) swaps — so
+routing (the slots' ``assigned`` and the per-worker task masks) swaps — so
 per-task delivery order and the seq-deterministic release are
 preserved and output stays byte-identical to the static pool.  With
 ``policy.shed`` armed, sustained backpressure (consecutive
@@ -142,12 +143,12 @@ from repro.streaming.recovery import (
 )
 from repro.streaming.topology import Topology
 from repro.streaming.transport import (
+    InlineLink,
     LinkDown,
     Transport,
     WireCodec,
     WorkerInit,
     WorkerLink,
-    WorkerSession,
     make_transport,
 )
 from repro.streaming.transport.framing import parse_address
@@ -178,7 +179,11 @@ DEFAULT_PIPELINE_DEPTH = 2
 
 
 class _WorkerHandle:
-    """Parent-side state of one worker slot (journal, acks, link)."""
+    """Parent-side state of one worker slot (journal, acks, link).
+
+    The slot is live iff it has a link: a scale-down retires it by
+    reaping the link for good.
+    """
 
     __slots__ = (
         "index",
@@ -187,27 +192,27 @@ class _WorkerHandle:
         "pending",
         "buffer",
         "buffer_since",
-        "said_bye",
-        "snapshot",
+        "snapshots",
         "awaiting_snapshot",
         "journal",
         "restarts_in_window",
         "incarnation",
-        "degraded",
-        "retired",
     )
 
     def __init__(self, index: int, assigned: list[tuple[str, int]]):
         self.index = index
+        #: the one placement record: the (component, task_index) keys
+        #: this slot runs
         self.assigned = assigned
-        self.link: Optional[WorkerLink] = None
+        self.link: Optional[Union[WorkerLink, InlineLink]] = None
         self.pending: set[int] = set()
         #: raw (component, task_index, StreamTuple, mask) entries not yet
         #: shipped: one tuple for this worker's tasks in ``mask``
         self.buffer: list = []
         self.buffer_since = 0.0
-        self.said_bye = False
-        self.snapshot: Optional[dict] = None
+        #: incarnation -> its latest registry snapshot; a dead
+        #: incarnation's stays, so merged counters never move backward
+        self.snapshots: dict[int, dict] = {}
         #: the incarnation a snapshot request went to, None when no
         #: reply is owed
         self.awaiting_snapshot: Optional[int] = None
@@ -216,9 +221,6 @@ class _WorkerHandle:
         self.journal = Journal()
         self.restarts_in_window = 0
         self.incarnation = 0
-        self.degraded = False
-        #: retired by a scale-down: tasks migrated away, worker stopped
-        self.retired = False
 
 
 class ParallelCluster(ClusterBase):
@@ -247,8 +249,9 @@ class ParallelCluster(ClusterBase):
         its journal replayed over a fresh link.  On budget exhaustion
         the run aborts with
         :class:`~repro.exceptions.WorkerCrashError`, or — with
-        ``degrade=True`` — the worker's tasks move into the parent and
-        run inline.  Without a policy, any worker death raises
+        ``degrade=True`` — the worker is respawned onto an in-process
+        link and its slot then serves like any other.  Without a
+        policy, any worker death raises
         :class:`~repro.exceptions.TupleProcessingError` (the pre-existing
         fail-fast behavior).
     transport:
@@ -379,7 +382,7 @@ class ParallelCluster(ClusterBase):
         self.shed_tuples = 0
         #: peak simultaneous unacknowledged batches across all workers
         self.inflight_high_water = 0
-        #: dead workers whose tasks now execute inline in the parent
+        #: dead workers respawned onto an in-process link
         self.degraded_workers = 0
         remote_tasks: list[tuple[str, int]] = []
         for name in self._remote_components:
@@ -397,12 +400,9 @@ class ParallelCluster(ClusterBase):
         self._workers: list[_WorkerHandle] = [
             _WorkerHandle(i, remote_tasks[i::n]) for i in range(n)
         ]
-        self._placement: dict[tuple[str, int], _WorkerHandle] = {}
-        for handle in self._workers:
-            for key in handle.assigned:
-                self._placement[key] = handle
         #: component -> [(worker, bitmask of its tasks of the component)],
-        #: derived from ``_placement``; how a fan-out is cut per worker
+        #: derived from the slots' ``assigned``; how a fan-out is cut per
+        #: worker
         self._worker_masks: dict[str, list[tuple[_WorkerHandle, int]]] = {}
         self._rebuild_worker_masks()
         self._batch_seq = 0
@@ -414,7 +414,6 @@ class ParallelCluster(ClusterBase):
         self._pumping = False
         self._started = False
         self._closed = False
-        self._merged_snapshot: Optional[ObservabilitySnapshot] = None
 
     @property
     def transport_name(self) -> str:
@@ -422,18 +421,21 @@ class ParallelCluster(ClusterBase):
 
     @property
     def worker_count(self) -> int:
-        """Worker slots in the pool (scale-downs retire theirs)."""
-        return sum(not handle.retired for handle in self._workers)
+        """Worker slots that hold tasks (scale-downs retire theirs)."""
+        return sum(bool(handle.assigned) for handle in self._workers)
 
     # ------------------------------------------------------------------
     # Worker lifecycle
     # ------------------------------------------------------------------
-    def _worker_init(
-        self, handle: _WorkerHandle, fault_plan: Optional[FaultPlan]
-    ) -> WorkerInit:
-        """The bootstrap of ``handle``'s next incarnation, over the
-        parent's pristine copies of its tasks."""
-        return WorkerInit(
+    def _spawn(self, handle: _WorkerHandle, inline: bool = False) -> None:
+        """Start ``handle``'s next incarnation over a fresh link, from the
+        parent's pristine copies of its tasks — on an :class:`InlineLink`
+        in this process if ``inline``, where only the plan's raise rules
+        reach it: no kill or delay rule can fire in the parent."""
+        plan = self._fault_plan
+        if inline and plan is not None:
+            plan = FaultPlan(raises=plan.raises)
+        init = WorkerInit(
             worker_index=handle.index,
             incarnation=handle.incarnation,
             tasks={key: self._tasks[key[0]][key[1]] for key in handle.assigned},
@@ -441,16 +443,12 @@ class ParallelCluster(ClusterBase):
             registry=self.registry,
             max_retries=self.max_retries,
             quarantine=self.dead_letters is not None,
-            fault_plan=fault_plan,
+            fault_plan=plan,
         )
-
-    def _spawn(self, handle: _WorkerHandle) -> None:
-        """Start one worker for ``handle`` over a fresh link."""
-        handle.link = self._transport.spawn(
-            self._worker_init(handle, self._fault_plan)
-        )
-        handle.said_bye = False
-        handle.snapshot = None
+        if inline:
+            handle.link = InlineLink(init, self._transport)
+        else:
+            handle.link = self._transport.spawn(init)
 
     def _ensure_started(self) -> None:
         if self._started or not self._workers:
@@ -486,18 +484,14 @@ class ParallelCluster(ClusterBase):
     # Delivery / batching
     # ------------------------------------------------------------------
     def _rebuild_worker_masks(self) -> None:
-        """Placement changed (construction, migration, degradation)."""
-        masks: dict[str, dict[int, int]] = {}
-        for (component, task_index), handle in self._placement.items():
-            per_worker = masks.setdefault(component, {})
-            per_worker[handle.index] = per_worker.get(handle.index, 0) | (
-                1 << task_index
-            )
+        """Placement changed (construction, migration)."""
+        masks: dict[str, dict[_WorkerHandle, int]] = {}
+        for handle in self._workers:
+            for component, task_index in handle.assigned:
+                per_worker = masks.setdefault(component, {})
+                per_worker[handle] = per_worker.get(handle, 0) | 1 << task_index
         self._worker_masks = {
-            component: [
-                (self._workers[index], mask)
-                for index, mask in sorted(per_worker.items())
-            ]
+            component: list(per_worker.items())
             for component, per_worker in masks.items()
         }
 
@@ -507,7 +501,7 @@ class ParallelCluster(ClusterBase):
             if owners:
                 self._buffer(handle, component, tup, owners)
                 mask ^= owners
-        if mask:  # tasks that run inline (non-remote, or a degraded worker's)
+        if mask:  # tasks of non-remote components
             super()._deliver(component, mask, tup)
 
     def _buffer(
@@ -572,7 +566,7 @@ class ParallelCluster(ClusterBase):
             )
 
     def _flush(self, handle: _WorkerHandle) -> None:
-        if not handle.buffer or handle.degraded:
+        if not handle.buffer:
             return
         if not self._started:
             raise TopologyError(
@@ -593,8 +587,8 @@ class ParallelCluster(ClusterBase):
             # stay out of the parent's routing path
             handle.link.stage(message)
         except LinkDown:
-            # the worker died while idle; recovery replays the journal
-            # (which already holds this batch) — a degrade acks all of it
+            # the worker died while idle; recovery replays the journal,
+            # which already holds this batch
             self._on_worker_failure(handle)
         # credit loop: every send opportunistically drains whatever acks
         # have arrived, so links stay full during compute and the hard
@@ -793,7 +787,7 @@ class ParallelCluster(ClusterBase):
         try:
             for handle in self._workers:
                 link = handle.link
-                if link is None or handle.degraded:
+                if link is None:
                     continue
                 try:
                     link.pump()
@@ -855,17 +849,14 @@ class ParallelCluster(ClusterBase):
         elif kind == "snapshot":
             _, worker_index, data = message
             handle = self._workers[worker_index]
-            handle.snapshot = data
+            handle.snapshots[handle.incarnation] = data
             handle.awaiting_snapshot = None
-        elif kind == "bye":
-            self._workers[message[1]].said_bye = True
 
     def _supervise(self) -> None:
-        """Recover (or fail on) every worker that died unannounced."""
+        """Recover (or fail on) every live worker that died; a stop is
+        always reaped before the next supervision pass."""
         for handle in self._workers:
-            if handle.degraded or handle.link is None or handle.said_bye:
-                continue
-            if handle.link.alive():
+            if handle.link is None or handle.link.alive():
                 continue
             if handle.pending or self._restart_policy is not None:
                 self._on_worker_failure(handle)
@@ -874,11 +865,12 @@ class ParallelCluster(ClusterBase):
     # Supervision and recovery
     # ------------------------------------------------------------------
     def _on_worker_failure(self, handle: _WorkerHandle) -> None:
-        """A worker died: restart and replay, degrade, or abort."""
+        """A worker died: respawn and replay — onto an in-process link
+        once the restart budget is spent, under ``degrade`` — or abort."""
         # collect whatever the worker managed to say before dying — any
         # ack drained here shrinks the replay's pending set
         self._poll_results(timeout=0.0)
-        exit_code = handle.link.exit_code if handle.link is not None else None
+        exit_code = handle.link.exit_code
         policy = self._restart_policy
         if policy is None:
             component, task_index = handle.assigned[0]
@@ -902,36 +894,35 @@ class ParallelCluster(ClusterBase):
             handle.journal.link_lost(handle.pending)
             handle.incarnation += 1
             if exhausted:
-                self._degrade(handle)
-                return
-            attempt = handle.restarts_in_window
-            handle.restarts_in_window += 1
-            self.worker_restarts += 1
-            if self._obs:
-                self.registry.counter("executor.worker_restarts").inc()
-            delay = policy.delay(attempt, self._rng)
-            if delay > 0:
-                sleep(delay)
-            self._spawn(handle)
+                self.degraded_workers += 1
+                if self._obs:
+                    self.registry.counter("executor.degraded_workers").inc()
+            else:
+                attempt = handle.restarts_in_window
+                handle.restarts_in_window += 1
+                self.worker_restarts += 1
+                if self._obs:
+                    self.registry.counter("executor.worker_restarts").inc()
+                delay = policy.delay(attempt, self._rng)
+                if delay > 0:
+                    sleep(delay)
+            self._spawn(handle, inline=exhausted)
             try:
-                self._ship_history(
-                    handle, handle.journal.history(), handle.link.send
-                )
+                self._ship_history(handle, handle.journal.history())
                 return
             except LinkDown:  # the replacement died mid-replay
-                exit_code = handle.link.exit_code if handle.link else None
-                continue
+                exit_code = handle.link.exit_code
 
-    def _reap(self, handle: _WorkerHandle) -> None:
+    def _reap(self, handle: _WorkerHandle, timeout: float = 1.0) -> None:
         if handle.link is not None:
-            handle.link.reap(timeout=1.0)
+            handle.link.reap(timeout)
             handle.link = None
 
-    def _ship_history(self, handle: _WorkerHandle, history: tuple, send) -> None:
-        """Re-ship ``history`` (:meth:`Journal.history`) to a fresh
-        executor of ``handle`` via ``send``.
+    def _ship_history(self, handle: _WorkerHandle, history: tuple) -> None:
+        """Re-ship ``history`` (:meth:`Journal.history`) over ``handle``'s
+        fresh link.
 
-        The one replay path (respawn, migration, degrade).  The sticky
+        The one replay path (respawn, degrade, migration).  The sticky
         entries go first as one pseudo-batch under a fresh seq, then
         every journaled batch in seq order under its original seq, so
         the bookkeeping (pending set, stash) lines up; encoding is
@@ -939,7 +930,7 @@ class ParallelCluster(ClusterBase):
         its first send.  A re-shipped seq whose effects were already
         applied is suppressed (:meth:`Journal.reship`): its re-ack only
         rebuilds executor state.  The books are updated before each
-        send, so a :class:`LinkDown` from ``send`` simply propagates.
+        send, so a :class:`LinkDown` from the link simply propagates.
         """
         sticky, shipments = history
         if sticky:
@@ -947,45 +938,7 @@ class ParallelCluster(ClusterBase):
             shipments.insert(0, (self._batch_seq, sticky))
         for seq, entries in shipments:
             handle.journal.reship(seq, handle.pending)
-            send(self._codec.encode_batch(seq, entries))
-
-    def _degrade(self, handle: _WorkerHandle) -> None:
-        """Respawn a dead worker into the parent, then run its tasks inline.
-
-        The parent's copies of the remote task instances are pristine —
-        it prepared them but never executes them — so an in-parent
-        :class:`WorkerSession` over them is a replacement worker: it
-        receives the replay a respawned worker would, and each reply
-        takes the ordinary ack path (:meth:`_handle_message`), which
-        suppresses acked history and stashes, counts and quarantines the
-        rest.  Only the plan's raise rules reach it: no kill or delay rule
-        can fire in the parent.  From here on, placement falls
-        through to the local FIFO.  The caller has reaped the dead link
-        and counted the new incarnation.
-        """
-        handle.degraded = True
-        self.degraded_workers += 1
-        if self._obs:
-            self.registry.counter("executor.degraded_workers").inc()
-        for key in handle.assigned:
-            self._placement.pop(key, None)
-        self._rebuild_worker_masks()
-        plan = self._fault_plan
-        session = WorkerSession(
-            self._worker_init(
-                handle, FaultPlan(raises=plan.raises) if plan is not None else None
-            )
-        )
-
-        def send(frame) -> None:
-            for reply in session.handle(frame):
-                self._handle_message(reply)
-
-        self._ship_history(handle, handle.journal.history(), send)
-        # unsent buffered tuples simply fall through to the local FIFO
-        raw, handle.buffer = handle.buffer, []
-        for component, _task_index, tup, mask in raw:
-            ClusterBase._deliver(self, component, mask, tup)
+            handle.link.send(self._codec.encode_batch(seq, entries))
 
     # ------------------------------------------------------------------
     # Elasticity: scale-up/down and live partition migration
@@ -1001,7 +954,7 @@ class ParallelCluster(ClusterBase):
                 task_docs[key] = task_docs.get(key, 0) + count
         loads = []
         for handle in self._workers:
-            if handle.retired or handle.degraded or handle.link is None:
+            if handle.link is None:
                 continue
             mine = sorted(
                 (key, task_docs[key]) for key in handle.assigned if key in task_docs
@@ -1017,33 +970,21 @@ class ParallelCluster(ClusterBase):
         return loads
 
     def _apply_decision(self, decision: Decision) -> None:
+        """Carry out one controller decision.  It names live workers only
+        (:meth:`_worker_loads` reports no other); a scale-up moves some
+        of the source's tasks, a scale-down all of them."""
         src = self._workers[decision.source]
-        if src.retired or src.degraded or src.link is None:
-            return
-        keys = tuple(key for key in decision.keys if key in src.assigned)
-        if not keys:
-            return
         if decision.kind == "up":
-            if len(keys) >= len(src.assigned):
-                return  # never strand the source without tasks
-            dst = self._add_worker()
-            if self._migrate_tasks(src, dst, keys):
-                self.scale_ups += 1
-                if self._obs:
-                    self.registry.counter("executor.scale_ups").inc()
-            elif not dst.assigned:
-                self._retire(dst)  # migration aborted; drop the idle spawn
-        elif decision.kind == "down":
-            if decision.target is None:
-                return
-            dst = self._workers[decision.target]
-            if dst is src or dst.retired or dst.degraded or dst.link is None:
-                return
-            if self._migrate_tasks(src, dst, keys) and not src.assigned:
-                self._retire(src)
-                self.scale_downs += 1
-                if self._obs:
-                    self.registry.counter("executor.scale_downs").inc()
+            self._migrate_tasks(src, self._add_worker(), decision.keys)
+            self.scale_ups += 1
+            if self._obs:
+                self.registry.counter("executor.scale_ups").inc()
+        else:
+            self._migrate_tasks(src, self._workers[decision.target], decision.keys)
+            self._retire(src)
+            self.scale_downs += 1
+            if self._obs:
+                self.registry.counter("executor.scale_downs").inc()
 
     def _add_worker(self) -> _WorkerHandle:
         """Grow the pool by one (initially taskless) worker slot.
@@ -1062,7 +1003,7 @@ class ParallelCluster(ClusterBase):
         src: _WorkerHandle,
         dst: _WorkerHandle,
         keys: tuple[tuple[str, int], ...],
-    ) -> bool:
+    ) -> None:
         """Live-migrate ``keys`` (and their journaled state) src → dst.
 
         The procedure (the ``docs/elasticity.md`` timeline):
@@ -1086,19 +1027,16 @@ class ParallelCluster(ClusterBase):
            what they hold of the worker's shared state.
 
         If the destination dies mid-ship its books already hold the
-        merged history, so the ordinary failure path (respawn + full
-        replay, or degrade) finishes the job.
+        merged history, so the ordinary failure path (respawn and full
+        replay) finishes the job.
         """
         moving: dict[str, int] = {}
         for component, task_index in keys:
             moving[component] = moving.get(component, 0) | (1 << task_index)
-        # -- 1: drain the source (a source that degrades while draining
-        # ran its whole history inline: nothing is left to migrate)
+        # -- 1: drain the source
         self._flush(src)
         self._pump_links()
-        self._wait_until(lambda: src.degraded or not src.pending, "migration")
-        if src.degraded or dst.retired or dst.degraded or dst.link is None:
-            return False
+        self._wait_until(lambda: not src.pending, "migration")
         # -- 2: split the books (before any wire I/O, so a destination
         # death mid-ship leaves a consistent merged state behind)
         moved = src.journal.split_off(moving)
@@ -1106,7 +1044,6 @@ class ParallelCluster(ClusterBase):
         for key in keys:
             src.assigned.remove(key)
             dst.assigned.append(key)
-            self._placement[key] = dst
         self._rebuild_worker_masks()
         # -- 3: ship adopt + suppressed history over the destination FIFO
         try:
@@ -1118,30 +1055,27 @@ class ParallelCluster(ClusterBase):
                 ("adopt", {key: self._tasks[key[0]][key[1]] for key in keys})
             )
             # the source acked every moved seq, so all of it is suppressed
-            self._ship_history(dst, moved.history(), dst.link.send)
+            self._ship_history(dst, moved.history())
         except LinkDown:
             self._on_worker_failure(dst)
         self.migrations += 1
         if self._obs:
             self.registry.counter("executor.migrations").inc()
-        return True
 
     def _retire(self, handle: _WorkerHandle) -> None:
-        """Stop a (task-less) worker and shrink the live pool.
+        """Stop a (task-less) worker and reap its link for good.
 
         The handle stays in ``self._workers`` — indices are positional —
-        with its final observability snapshot retained so the merged
-        :meth:`snapshot` stays monotonic after the worker is gone.
+        with its snapshots retained so the merged :meth:`snapshot` stays
+        monotonic after the worker is gone.
         """
-        if self.registry.enabled and handle.link is not None and handle.link.alive():
+        if self.registry.enabled:
             self._await_snapshots([handle], "retire")
-        if handle.link is not None:
-            try:
-                handle.link.send(("stop",))
-            except LinkDown:
-                pass
+        try:
+            handle.link.send(("stop",))
+        except LinkDown:
+            pass
         self._reap(handle)
-        handle.retired = True
 
     def _await_snapshots(self, handles: list, phase: str) -> None:
         """Ask each of ``handles`` for its registry snapshot and wait for
@@ -1150,8 +1084,7 @@ class ParallelCluster(ClusterBase):
         With pipelined barriers a request can queue behind in-flight
         batches, and a worker dying on one of them never replies: a
         worker holding tasks is recovered like any dead worker and its
-        replacement asked again (a degraded one has nothing left to
-        report); a taskless, retiring one is let go.
+        replacement asked again; a taskless, retiring one is let go.
         """
         for handle in handles:
             handle.awaiting_snapshot = -1  # no incarnation was asked yet
@@ -1162,9 +1095,7 @@ class ParallelCluster(ClusterBase):
                 asked = handle.awaiting_snapshot
                 if asked is None:
                     continue
-                if handle.degraded or handle.link is None:
-                    handle.awaiting_snapshot = None
-                elif asked != handle.incarnation:  # not asked, or respawned
+                if asked != handle.incarnation:  # not asked, or respawned
                     handle.awaiting_snapshot = handle.incarnation
                     try:
                         handle.link.send(("snapshot",))
@@ -1208,27 +1139,24 @@ class ParallelCluster(ClusterBase):
         every few windows): each live call performs a fresh worker
         round-trip, so successive snapshots are monotonic — counters and
         histogram totals never move backward, and window barriers never
-        reset them.  The merged result is only memoized once the cluster
-        is closed, when the workers that held the counters are gone.
+        reset them: every incarnation's latest snapshot stays merged, a
+        dead or scaled-down one's too.  Once the cluster is closed it
+        merges the last snapshots it holds.
         """
         if not self.registry.enabled or not self._started:
             return self.registry.snapshot()
-        if self._merged_snapshot is not None and self._closed:
-            return self._merged_snapshot
         self._await_snapshots(
             [h for h in self._workers if h.link is not None and h.link.alive()],
             "snapshot",
         )
-        merged = merge_snapshots(
+        return merge_snapshots(
             self.registry.snapshot(),
             *(
-                ObservabilitySnapshot.from_dict(handle.snapshot)
+                ObservabilitySnapshot.from_dict(data)
                 for handle in self._workers
-                if handle.snapshot is not None
+                for data in handle.snapshots.values()
             ),
         )
-        self._merged_snapshot = merged
-        return merged
 
     def close(self) -> None:
         """Stop all workers and release transport resources (idempotent)."""
@@ -1245,9 +1173,7 @@ class ParallelCluster(ClusterBase):
                 except LinkDown:
                     pass
         for handle in self._workers:
-            if handle.link is not None:
-                handle.link.reap(timeout=5.0)
-                handle.link = None
+            self._reap(handle, timeout=5.0)
         self._transport.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net

@@ -12,7 +12,7 @@ The executors' failure story has three levels (see
   under a :class:`RestartPolicy` and replays the current window's
   journaled batches into the replacement; on budget exhaustion it
   either aborts (:class:`~repro.exceptions.WorkerCrashError`) or
-  degrades the dead worker's tasks to inline parent-side execution.
+  degrades: respawns the dead worker onto an in-process link.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ class RestartPolicy:
     barrier, i.e. window end).  Backoff before the ``k``-th restart is
     ``min(backoff_base_s * backoff_factor**k, backoff_max_s)``, inflated
     by up to ``jitter`` (a fraction, drawn from a ``seed``-ed RNG so runs
-    stay reproducible).  On budget exhaustion, ``degrade=True`` reassigns
-    the dead worker's tasks to the parent process instead of aborting.
+    stay reproducible).  On budget exhaustion, ``degrade=True`` respawns
+    the dead worker into the parent process instead of aborting.
     """
 
     max_restarts_per_window: int = 2

@@ -23,6 +23,7 @@ from repro.streaming.transport.base import (
     register_transport,
 )
 from repro.streaming.transport.session import (
+    InlineLink,
     WorkerCollector,
     WorkerSession,
     serve_link,
@@ -33,6 +34,7 @@ from repro.streaming.transport.pipe import PipeTransport  # noqa: E402
 from repro.streaming.transport.tcp import SocketTransport  # noqa: E402
 
 __all__ = [
+    "InlineLink",
     "LinkDown",
     "PipeTransport",
     "SocketTransport",

@@ -323,7 +323,7 @@ class WorkerLink:
         sock, self._sock = self._sock, None
         process = self._process
         if process is not None:
-            # let a stopping worker finish its bye/exit before the socket
+            # let a stopping worker finish its exit before the socket
             # goes away under it, then escalate
             try:
                 process.wait(timeout=timeout)

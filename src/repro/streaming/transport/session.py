@@ -3,8 +3,10 @@
 :class:`WorkerSession` is the single implementation of the worker side
 of the cluster/worker protocol: batch execution (each entry through the
 local backend's :class:`~repro.streaming.component.Executor`, plus the
-kill and ack-delay faults), snapshot export and the stop handshake.  :func:`serve_link` is the single worker loop around one
-session; the transports differ only in how a worker process starts:
+kill and ack-delay faults), snapshot export and stop.  :func:`serve_link`
+is the single worker loop around one session, :class:`InlineLink` its
+in-process twin; the transports differ only in how a worker process
+starts:
 
 * the pipe transport forks a child holding one end of a
   ``socketpair`` and calls ``serve_link(sock, init)`` with the
@@ -26,15 +28,15 @@ parent → worker
     finds the owners from ``mask`` alone); ``("adopt", tasks)`` and
     ``("disown", keys)`` (live partition migration hands a worker task
     instances mid-run and tells the worker they left to let them go),
-    ``("snapshot",)``, ``("stop",)``; ``adopt`` and ``disown`` have no
-    reply — FIFO order already places an adopt before the batches that
-    need it
+    ``("snapshot",)``, ``("stop",)``; ``adopt``, ``disown`` and
+    ``stop`` have no reply — FIFO order already places an adopt before
+    the batches that need it
 worker → parent
     ``("ack", seq, worker_index, counts, failures, emissions, dead)``
     (``dead``: :class:`~repro.streaming.recovery.DeadLetter` records
     stamped with ``worker`` and ``batch_seq``),
     ``("error", worker_index, seq, component, task_index, retries, exc)``,
-    ``("snapshot", worker_index, dict)``, ``("bye", worker_index)``
+    ``("snapshot", worker_index, dict)``
 
 Every worker→parent message carries the worker index, which is what
 lets a transport multiplex all links into one ``recv`` stream without
@@ -53,7 +55,7 @@ from typing import Any, Optional
 from repro.exceptions import TupleProcessingError
 from repro.streaming.component import Executor
 from repro.streaming.recovery import DeadLetter
-from repro.streaming.transport.base import WorkerInit
+from repro.streaming.transport.base import LinkDown, WorkerInit
 from repro.streaming.transport.framing import (
     BufferFrame,
     FrameDecoder,
@@ -67,8 +69,8 @@ class WorkerKilled(BaseException):
     """A fault-plan kill fired; the worker loop must exit the process.
 
     The session never ends the process itself — it also runs inside the
-    parent for a degraded worker — so it raises and :func:`serve_link`,
-    which owns the worker process, calls ``os._exit``.
+    parent behind an :class:`InlineLink` — so it raises and
+    :func:`serve_link`, which owns the worker process, calls ``os._exit``.
     ``BaseException`` so task-level exception handling can never swallow
     an injected kill.
     """
@@ -119,8 +121,7 @@ class WorkerSession:
     The session is synchronous and single-threaded by design — a worker
     owns its tasks exclusively and the per-link FIFO guarantee comes
     from processing messages in arrival order.  ``stopped`` flips once a
-    ``stop`` was handled; the surrounding loop then exits after shipping
-    the ``bye``.
+    ``stop`` was handled; the surrounding loop then exits.
     """
 
     def __init__(self, init: WorkerInit) -> None:
@@ -179,7 +180,7 @@ class WorkerSession:
             ]
         if kind == "stop":
             self.stopped = True
-            return [("bye", self.worker_index)]
+            return []
         raise ValueError(f"unknown worker message kind {kind!r}")
 
     def _handle_adopt(self, tasks: dict) -> None:
@@ -281,8 +282,8 @@ def serve_link(sock, init: Optional[WorkerInit] = None) -> None:
     link is FIFO both ways.  With ``init=None`` the first frame is the
     pickled :class:`WorkerInit`.  Either way its registry is reset
     before the session is built, as only a worker process may do.  The
-    link ends (and ``sock`` is closed) after the ``bye`` of a ``stop``,
-    when the parent goes away, or on a malformed frame — including an
+    link ends (and ``sock`` is closed) on ``stop``, when the parent goes
+    away, or on a malformed frame — including an
     entry whose mask names no task or a task this worker does not hold
     (:class:`FrameError`); a fault-plan kill ends the process.
     """
@@ -312,3 +313,49 @@ def serve_link(sock, init: Optional[WorkerInit] = None) -> None:
         pass
     finally:
         sock.close()
+
+
+def _copy(obj):
+    """What a process boundary delivers of ``obj``."""
+    return pickle.loads(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+
+
+class InlineLink:
+    """A link to a :class:`WorkerSession` in this process.
+
+    The in-process twin of :func:`serve_link`: :meth:`send` (and
+    :meth:`stage`) runs the message through the session at once and
+    queues its replies where ``Transport.recv`` returns them first.  The
+    session owns a copy of ``init`` — one pickle, as the socket
+    transport ships it — with a reset registry: pristine tasks, and
+    counters of its own.  A degraded worker is respawned onto one.
+    """
+
+    exit_code = None
+
+    def __init__(self, init: WorkerInit, transport) -> None:
+        init = _copy(init)
+        init.registry.reset()
+        self._session: Optional[WorkerSession] = WorkerSession(init)
+        self._inbox = transport._inbox
+
+    def send(self, message) -> None:
+        """Run one message through the session; queue its replies."""
+        if self._session is None:
+            raise LinkDown("link already reaped")
+        if not isinstance(message, BufferFrame):
+            message = _copy(message)  # adopt ships task instances
+        self._inbox.extend(self._session.handle(message))
+
+    stage = send
+
+    def pump(self) -> None:
+        """Nothing is queued: :meth:`send` ran the message."""
+
+    def alive(self) -> bool:
+        """Until reaped: a session cannot die on its own."""
+        return self._session is not None
+
+    def reap(self, timeout: float = 1.0) -> None:
+        """Drop the session (idempotent)."""
+        self._session = None

@@ -43,10 +43,9 @@ class JoinerGroup:
     pickles *empty*: the tasks shipped to a socket worker in one
     ``WorkerInit`` (or to a migration target in one ``adopt``) arrive
     sharing one fresh group, whatever the sender's group held.  A forked
-    worker inherits the parent's group, which is empty unless the parent
-    runs a dead worker's tasks inline; entries inherited then belong to
-    owners the child does not run: they never match the child's, and
-    there are no more of them than windows open at the fork.
+    worker inherits the parent's group, which is empty: the parent runs
+    no Joiner task, and a degraded worker's copies (an ``InlineLink``'s)
+    have a group of their own.
 
     An index is dropped when the last owner that fed it tumbles that
     window.  One evicted index is kept as a spare and reused for the

@@ -9,9 +9,8 @@ a spawning parent can discover the bound port, and serves connections:
    :class:`~repro.streaming.transport.base.WorkerInit`;
 2. every further frame is a parent message, answered on the same
    connection via :class:`~repro.streaming.transport.session.WorkerSession`;
-3. the connection ends on ``stop`` (after the ``bye`` reply) or when
-   the parent goes away; the *process* ends once the connection budget
-   is spent.
+3. the connection ends on ``stop`` or when the parent goes away; the
+   *process* ends once the connection budget is spent.
 
 Connections are served one at a time by the transports' one worker
 loop, :func:`~repro.streaming.transport.session.serve_link`.

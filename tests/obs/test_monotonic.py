@@ -9,11 +9,16 @@ reset metrics.  The parallel leg pins the regression where
 returned frozen values to every later call.
 """
 
+from itertools import combinations
+
 import pytest
 
+from repro.data.serverlogs import ServerLogGenerator
 from repro.data.zoo import ZipfSkewGenerator
+from repro.faults import FaultPlan
 from repro.soak.driver import check_monotonic
-from repro.topology.pipeline import StreamJoinConfig
+from repro.streaming.recovery import RestartPolicy
+from repro.topology.pipeline import StreamJoinConfig, run_stream_join
 from repro.topology.session import StreamJoinSession
 
 
@@ -110,3 +115,42 @@ class TestParallelSessionMonotonicity:
             config, n_windows=100, window_size=8, sample_every=20
         )
         _assert_monotonic(snapshots)
+
+    @pytest.mark.parametrize("pipeline_depth", [0, 2])
+    @pytest.mark.parametrize("degrade", [False, True], ids=["respawn", "degrade"])
+    def test_counters_survive_a_respawn(self, degrade, pipeline_depth):
+        """A killed worker's last snapshot stays merged: no sample moves
+        backward, and with every sample at a completed barrier
+        (``pipeline_depth=0``) the Joiner counts equal a clean run's."""
+        generator = ServerLogGenerator(seed=7)
+        windows = [generator.next_window(200) for _ in range(12)]
+        config = StreamJoinConfig(
+            m=8, compute_joins=True, observability=True,
+            backend="parallel", transport="pipe", workers=2,
+            pipeline_depth=pipeline_depth,
+            restart_policy=RestartPolicy(
+                max_restarts_per_window=0 if degrade else 2,
+                backoff_base_s=0.0, jitter=0.0, degrade=degrade,
+            ),
+            fault_plan=FaultPlan().kill_worker(0, after_batches=8),
+        )
+        session = StreamJoinSession(config)
+        samples = []
+        for window in windows:
+            session.push_window(window)
+            samples.append(session.observability())
+        cluster = session._cluster
+        session.result()
+        assert (cluster.worker_restarts, cluster.degraded_workers) == (
+            (0, 1) if degrade else (1, 0)
+        )
+        for earlier, later in combinations(samples, 2):
+            assert check_monotonic(earlier, later) == []
+        if pipeline_depth == 0:
+            clean = run_stream_join(
+                StreamJoinConfig(m=8, compute_joins=True, observability=True),
+                windows,
+            ).observability
+            for name in ("probes", "inserts"):
+                name = f"joiner.{name}{{algorithm=FPJ}}"
+                assert samples[-1].counters[name] == clean.counters[name], name

@@ -1,0 +1,188 @@
+"""The parallel backend without processes: every worker on an InlineLink.
+
+:class:`~repro.streaming.transport.InlineLink` runs a worker session in
+this process, so ``ParallelCluster`` — batching, journals, barriers,
+supervision, migration and degrade — can be driven end to end in the
+tier-1 suite.  A test transport spawns every worker onto such a link;
+its link turns a fault-plan kill into a dead link, the way a worker
+process dies.  Each run of the Fig. 2 topology must match the local
+run window for window.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from repro.data.serverlogs import ServerLogGenerator
+from repro.faults import FaultPlan
+from repro.soak.driver import check_monotonic
+from repro.streaming import parallel
+from repro.streaming.component import Executor
+from repro.streaming.elastic import ElasticPolicy
+from repro.streaming.recovery import RestartPolicy
+from repro.streaming.transport import InlineLink, LinkDown, Transport
+from repro.streaming.transport.session import WorkerKilled
+from repro.topology import messages as msg
+from repro.topology.pipeline import StreamJoinConfig, run_stream_join
+from repro.topology.session import StreamJoinSession
+
+RESPAWN = RestartPolicy(max_restarts_per_window=3, backoff_base_s=0.0, jitter=0.0)
+DEGRADE = RestartPolicy(
+    max_restarts_per_window=0, backoff_base_s=0.0, jitter=0.0, degrade=True
+)
+#: the slot a forced scale-down at window 3 retires (the colder of the
+#: two on this stream): killing it first makes that the degraded slot
+DEGRADED = 1
+#: merged worker and parent counters that must equal the local run's
+COUNTERS = ("assigner.documents", "sink.windows", "joiner.probes{algorithm=FPJ}")
+
+
+class MortalInlineLink(InlineLink):
+    """An inline link whose fault-plan kill leaves it dead."""
+
+    def send(self, message) -> None:
+        if self.exit_code is not None:
+            raise LinkDown("worker killed")
+        try:
+            super().send(message)
+        except WorkerKilled as kill:
+            self.exit_code = kill.exit_code
+
+    stage = send
+
+    def alive(self) -> bool:
+        return self.exit_code is None and super().alive()
+
+
+class InlineTransport(Transport):
+    name = "inline"
+
+    def spawn(self, init):
+        return MortalInlineLink(init, self)
+
+
+@pytest.fixture
+def inline_workers(monkeypatch):
+    """Resolve the parallel backend's transport to an InlineTransport."""
+    monkeypatch.setattr(
+        parallel, "make_transport", lambda name, addresses=None: InlineTransport()
+    )
+
+
+def _windows():
+    generator = ServerLogGenerator(seed=7)
+    return [generator.next_window(200) for _ in range(6)]
+
+
+def _config(**overrides) -> StreamJoinConfig:
+    return StreamJoinConfig(
+        m=8, compute_joins=True, collect_pairs=True, observability=True,
+        **overrides,
+    )
+
+
+def _run_parallel(config, windows, monkeypatch):
+    """One session on two inline workers, sampling its observability
+    after every window; returns its result, its cluster and the
+    components the parent's own executor ran."""
+    session = StreamJoinSession(replace(config, backend="parallel", workers=2))
+    cluster = session._cluster
+    parent_ran: set = set()
+    execute = Executor.execute
+
+    def spy(executor, component, mask, tup):
+        if executor is cluster._executor:
+            parent_ran.add(component)
+        return execute(executor, component, mask, tup)
+
+    monkeypatch.setattr(Executor, "execute", spy)
+    samples = []
+    for window in windows:
+        session.push_window(window)
+        samples.append(session.observability())
+    result = session.result()
+    for previous, current in zip(samples, [*samples[1:], result.observability]):
+        assert check_monotonic(previous, current) == []
+    return result, cluster, parent_ran
+
+
+def _assert_matches_local(result, config, windows, counters=True):
+    """Per-window metrics and join pairs equal the local run's and, if
+    ``counters``, so do the merged :data:`COUNTERS`."""
+    local = run_stream_join(config, windows)
+    assert result.per_window == local.per_window
+    assert result.join_pairs == local.join_pairs
+    assert result.repartition_windows == local.repartition_windows
+    for name in COUNTERS if counters else ():
+        assert result.observability.counters[name] == (
+            local.observability.counters[name]
+        ), name
+
+
+@pytest.mark.usefixtures("inline_workers")
+class TestInlineCluster:
+    def test_plain(self, monkeypatch):
+        config, windows = _config(), _windows()
+        result, cluster, parent_ran = _run_parallel(config, windows, monkeypatch)
+        _assert_matches_local(result, config, windows)
+        assert msg.JOINER not in parent_ran
+        assert result.tuple_stats["transport"] == "inline"
+
+    def test_forced_scale_up_then_down(self, monkeypatch):
+        config = _config(
+            elastic=ElasticPolicy(max_workers=4, force=((1, "up"), (3, "down")))
+        )
+        windows = _windows()
+        result, cluster, _ = _run_parallel(config, windows, monkeypatch)
+        # an adopted task counts into the registry it was pickled with,
+        # not its new worker's: the Joiner counters undercount
+        _assert_matches_local(result, config, windows, counters=False)
+        stats = result.tuple_stats
+        assert (stats["scale_ups"], stats["scale_downs"]) == (1, 1)
+        assert cluster.worker_count == 2
+
+    def test_kill_then_respawn(self, monkeypatch):
+        config = _config(
+            restart_policy=RESPAWN,
+            fault_plan=FaultPlan().kill_worker(0, after_batches=1),
+        )
+        windows = _windows()
+        result, cluster, parent_ran = _run_parallel(config, windows, monkeypatch)
+        _assert_matches_local(result, config, windows)
+        assert cluster.worker_restarts == 1 and cluster.degraded_workers == 0
+        assert msg.JOINER not in parent_ran
+
+    def test_kill_then_degrade(self, monkeypatch):
+        """The degraded slot's entries reach its in-process session
+        through its link: the parent's own executor runs no Joiner."""
+        config = _config(
+            restart_policy=DEGRADE,
+            fault_plan=FaultPlan().kill_worker(0, after_batches=1),
+        )
+        windows = _windows()
+        result, cluster, parent_ran = _run_parallel(config, windows, monkeypatch)
+        _assert_matches_local(result, config, windows)
+        assert cluster.degraded_workers == 1 and cluster.worker_restarts == 0
+        assert msg.JOINER not in parent_ran
+        assert result.observability.counters["executor.degraded_workers"] == 1
+
+    def test_kill_then_degrade_then_scale_down_the_degraded_slot(self, monkeypatch):
+        """A degraded slot is one like any other: a scale-down moves its
+        tasks out of the parent and retires it."""
+        config = _config(
+            restart_policy=DEGRADE,
+            fault_plan=FaultPlan().kill_worker(DEGRADED, after_batches=1),
+            # the cooldown keeps the lone survivor from scaling up again
+            elastic=ElasticPolicy(cooldown_windows=6, force=((3, "down"),)),
+        )
+        windows = _windows()
+        result, cluster, parent_ran = _run_parallel(config, windows, monkeypatch)
+        _assert_matches_local(result, config, windows, counters=False)
+        assert cluster.degraded_workers == 1
+        stats = result.tuple_stats
+        assert (stats["scale_ups"], stats["scale_downs"]) == (0, 1)
+        degraded = cluster._workers[DEGRADED]
+        assert degraded.assigned == [] and degraded.link is None
+        assert cluster.worker_count == 1
+        assert msg.JOINER not in parent_ran
+
