@@ -91,11 +91,6 @@ class EncodedDocument:
             self._pair_set = frozenset(self.pair_ids)
         return self._pair_set
 
-    @property
-    def attr_ids(self):
-        """View of the document's attribute ids."""
-        return self.attr_to_pair.keys()
-
     def joinable(self, other: "EncodedDocument") -> bool:
         """Natural-join test on ids: share >= 1 pair, no attribute conflict.
 

@@ -12,9 +12,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from repro.experiments.config import (
-    DEFAULT_M,
-    DEFAULT_THETA,
-    DEFAULT_W,
     M_VALUES,
     THETA_VALUES,
     W_VALUES,

@@ -14,22 +14,30 @@ once and remembers, per document, *which owners hold it*::
 ``arrive_many(document, owners)`` returns, per owner, exactly what a
 private tree fed only that owner's arrivals would have returned for the
 probe — the stored joinable documents whose mask carries the owner's
-bit — and then records the owners on the document.  d1 and d2 above are partners at owner 1
-only.
+bit — and then records the owners on the document.  d1 and d2 above are
+partners at owner 1 only.
 
 The first owner to see a document probes and inserts.  A later owner
-reuses that probe's partner list **only while nothing has been inserted
-since** (every insert overwrites the cache, so a cached list is never
-stale); otherwise it probes again.  A re-probe finds the document
-itself, which needs no special case: the mask filter runs before the
-arriving owner's bit is set, so the document never carries it yet.
+reuses that probe's partner list **only while the probed tree has not
+changed since** (an insert or a removal drops the cache, so a cached
+list is never stale); otherwise it probes again.  A re-probe finds the
+document itself, which needs no special case: the mask filter runs
+before the arriving owner's bit is set, so the document never carries
+it yet.
 Nothing here assumes an arrival order — owners may see documents in
 different orders, and a ``doc_id`` may arrive as distinct-but-equal
 objects (a fan-out split across two decoded wire frames).
+
+A two-stream join (R ⋈ S) keeps an index per side, and an arrival probes
+the other side's (``arrive_many(document, owners, probe)``).  A sliding
+index (``extent=N``) keeps each owner's arrivals and, before an owner
+probes, expires all but its last N - 1 — a private
+``SlidingFPTreeJoiner``'s extent; a document no owner holds leaves the tree.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
 from time import perf_counter
 from typing import Optional
 
@@ -45,7 +53,7 @@ _ALGORITHM = FPTreeJoiner.name
 
 
 class SharedWindowIndex:
-    """One tumbling window's documents, indexed once for several owners.
+    """One window's documents, indexed once for several owners.
 
     Parameters
     ----------
@@ -58,6 +66,8 @@ class SharedWindowIndex:
         happen to be co-located.  Physical tree operations are the
         observations of the ``joiner.probe_seconds`` /
         ``joiner.insert_seconds`` histograms.
+    extent:
+        None, or N: a sliding extent of each owner's last N arrivals.
 
     Owners are small non-negative ints (the Joiner task index).
     """
@@ -67,8 +77,12 @@ class SharedWindowIndex:
         order: Optional[AttributeOrder] = None,
         registry: Optional[MetricsRegistry] = None,
         interner: Optional[PairInterner] = None,
+        extent: Optional[int] = None,
     ):
         self.order = order
+        self.extent = extent
+        #: extent only: owner -> the ids of its arrivals, oldest first
+        self._arrivals: defaultdict[int, deque[int]] = defaultdict(deque)
         self.tree = FPTree(order, interner)
         self._masks: dict[int, int] = {}
         #: bits of the owners that arrived since the last reset, and of
@@ -89,51 +103,23 @@ class SharedWindowIndex:
         self._partner_count = registry.counter("joiner.partners", algorithm=_ALGORITHM)
         self._insert_count = registry.counter("joiner.inserts", algorithm=_ALGORITHM)
 
-    def _probe(self, document: Document) -> list[int]:
-        if not self._observed:
-            return fptree_join(self.tree, document)
-        start = perf_counter()
-        partners = fptree_join(self.tree, document)
-        self._probe_seconds.observe(perf_counter() - start)
-        return partners
-
-    def _insert(self, document: Document) -> None:
-        if not self._observed:
-            self.tree.insert(document)
-            return
-        start = perf_counter()
-        self.tree.insert(document)
-        self._insert_seconds.observe(perf_counter() - start)
-
-    def _stored_partners(self, document: Document, mask: int) -> list[int]:
-        """Everything stored that joins with ``document`` (whose current
-        owner mask is ``mask``), indexing the document if it is new."""
-        doc_id = document.doc_id
-        if not mask:
-            partners = self._probe(document)
-            self._insert(document)  # rejects a missing doc_id
-        elif doc_id == self._cached_id:
-            return self._cached
-        else:
-            partners = self._probe(document)
-        self._cached_id = doc_id
-        self._cached = partners
-        return partners
-
     def arrive_many(
-        self, document: Document, owner_mask: int
+        self, document: Document, owner_mask: int,
+        probe: Optional[SharedWindowIndex] = None,
     ) -> list[tuple[int, list[int]]]:
         """Probe-then-insert ``document`` on behalf of every owner in
-        ``owner_mask`` (one bit for an ordinary arrival).
+        ``owner_mask`` (one bit for an ordinary arrival): probe ``probe``
+        (default: this index), then store the document here.
 
         One mask lookup, at most one probe and one insert, one pass over
         the partner list.  Returns ``(owner, partners)`` per owner in
-        ascending owner order: the ids of the documents that arrived at
-        that owner earlier and join with ``document``, in unspecified
-        order — in any interleaving with other calls; a list may be the
-        cache's own, do not mutate it.  A document may arrive at most
-        once per owner: raises before changing anything if it already
-        arrived at one of them.
+        ascending owner order: the ids of the documents in ``probe``
+        that arrived at that owner earlier (and are still in its extent)
+        and join with ``document``, in unspecified order — in any
+        interleaving with other calls; a list may be the cache's own, do
+        not mutate it.  A document may arrive at most once per owner:
+        raises before changing anything if it already arrived at one of
+        them.
         """
         doc_id = document.doc_id
         masks = self._masks
@@ -143,24 +129,43 @@ class SharedWindowIndex:
                 f"doc_id {doc_id} already arrived at owners "
                 f"{mask & owner_mask:#b} of {owner_mask:#b}"
             )
-        partners = self._stored_partners(document, mask)
+        probe = self if probe is None else probe
+        if self.extent is not None:
+            self.expire(owner_mask, self.extent - 1)
+        if doc_id == probe._cached_id:
+            partners = probe._cached
+        elif self._observed:
+            start = perf_counter()
+            partners = fptree_join(probe.tree, document)
+            self._probe_seconds.observe(perf_counter() - start)
+        else:
+            partners = fptree_join(probe.tree, document)
+        if not mask:
+            if self._observed:
+                start = perf_counter()
+                self.tree.insert(document)
+                self._insert_seconds.observe(perf_counter() - start)
+            else:
+                self.tree.insert(document)  # rejects a missing doc_id
+            self._cached_id = None
+        probe._cached_id = doc_id
+        probe._cached = partners
+        self._fed |= owner_mask
+        held = probe._masks
         if not owner_mask & (owner_mask - 1):
             # one owner: its own partners — all of them while it is the
-            # only owner that fed the index
-            if self._fed != owner_mask:
-                self._fed |= owner_mask
-                if partners:
-                    partners = [p for p in partners if masks[p] & owner_mask]
+            # only owner that fed the probed index
+            if partners and probe._fed != owner_mask:
+                partners = [p for p in partners if held[p] & owner_mask]
             arrivals = [(owner_mask.bit_length() - 1, partners)]
             total = len(partners)
         else:
-            self._fed |= owner_mask
             # partners grouped by which of the arriving owners hold them:
             # co-located owners mostly hold the same documents, so there
             # are far fewer distinct groups than (partner, owner) pairs
             shared: dict[int, list[int]] = {}
             for partner in partners:
-                common = masks[partner] & owner_mask
+                common = held[partner] & owner_mask
                 if common:
                     group = shared.get(common)
                     if group is None:
@@ -180,11 +185,32 @@ class SharedWindowIndex:
                 total += len(mine)
                 arrivals.append((bit.bit_length() - 1, mine))
         masks[doc_id] = mask | owner_mask
+        if self.extent is not None:
+            for owner, _ in arrivals:
+                self._arrivals[owner].append(doc_id)
         if self._observed:
             self._probe_count.inc(len(arrivals))
             self._insert_count.inc(len(arrivals))
             self._partner_count.inc(total)
         return arrivals
+
+    def expire(self, owner_mask: int, keep: int) -> None:
+        """Forget all but the latest ``keep`` arrivals at every owner in
+        ``owner_mask`` (an ``extent`` index only).  A document no owner
+        holds leaves the tree, and the cached partner list, which may
+        name it, is dropped."""
+        masks = self._masks
+        while owner_mask:
+            bit = owner_mask & -owner_mask
+            owner_mask ^= bit
+            arrivals = self._arrivals[bit.bit_length() - 1]
+            while len(arrivals) > keep:
+                doc_id = arrivals.popleft()
+                masks[doc_id] &= ~bit
+                if not masks[doc_id]:
+                    del masks[doc_id]
+                    self.tree.remove(doc_id)
+                    self._cached_id = None
 
     def release(self, owner: int) -> bool:
         """``owner``'s window closed; True once every owner that fed the
@@ -196,6 +222,7 @@ class SharedWindowIndex:
         """Evict everything — the tumbling-window eviction of §V-A."""
         self.tree.clear()
         self._masks.clear()
+        self._arrivals.clear()
         self._fed = self._released = 0
         self._cached_id = None
         self._cached = []

@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.obs.tracing import Span
 
@@ -341,11 +341,6 @@ class MetricsRegistry:
             histogram.min = float("inf")
             histogram.max = float("-inf")
         self.finished_spans.clear()
-
-    def series_names(self) -> Iterable[str]:
-        yield from self._counters
-        yield from self._gauges
-        yield from self._histograms
 
 
 class _NullCounter(Counter):

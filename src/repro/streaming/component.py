@@ -134,10 +134,11 @@ class Bolt(ABC):
         """
         return False
 
-    def join_executor(self, resident: "Bolt") -> None:
-        """This task was adopted (live migration) by an executor that
-        already runs ``resident``, a task of the same component: share
-        whatever co-located tasks share."""
+    def join_executor(self, resident: Optional[Bolt], metrics: MetricsRegistry) -> None:
+        """This task was adopted (live migration) by an executor: count
+        into its ``metrics``, and share whatever co-located tasks share
+        with ``resident``, a task of the same component it already runs
+        (None: it runs none)."""
 
     def leave_executor(self) -> None:
         """This task migrated away: release what it holds of the state

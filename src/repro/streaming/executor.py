@@ -32,7 +32,6 @@ from repro.exceptions import TopologyError
 from repro.faults import FaultPlan
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry, ObservabilitySnapshot
 from repro.streaming.component import Bolt, ComponentContext, Executor, Spout
-from repro.streaming.grouping import Grouping
 from repro.streaming.recovery import DeadLetter, DeadLetterQueue
 from repro.streaming.topology import Topology
 from repro.streaming.tuples import StreamTuple

@@ -62,7 +62,9 @@ the emissions back.  Three properties keep runs exact and replayable:
 Crash recovery (the upstream-backup story, ``docs/fault_tolerance.md``):
 the parent journals every batch shipped to a worker since the last
 barrier, as the raw entries it encoded — with tumbling windows, a
-worker's state is exactly replayable from that journal, so no
+worker's state is exactly replayable from that journal (a sliding
+extent spans windows, so sliding mode refuses a restart policy and an
+elastic pool on this backend), so no
 checkpointing is needed, and since encoding is deterministic a replayed
 batch re-encodes to the bytes of its first send.  Under a
 :class:`~repro.streaming.recovery.RestartPolicy`, a dead worker is
@@ -414,10 +416,6 @@ class ParallelCluster(ClusterBase):
         self._pumping = False
         self._started = False
         self._closed = False
-
-    @property
-    def transport_name(self) -> str:
-        return self._transport.name
 
     @property
     def worker_count(self) -> int:

@@ -192,12 +192,12 @@ class WorkerSession:
         link, which the cluster guarantees by staging both in one burst.
         An entry of that replay may address adopted and resident tasks
         together, so the newcomers first join the executor-level state
-        of a resident of their component.
+        of a resident of their component.  They were pickled apart from
+        this worker's registry, so they are rebound to it as well.
         """
         for (component, _task_index), task in tasks.items():
-            residents = self._tasks.get(component)
-            if residents:
-                task.join_executor(next(iter(residents.values())))
+            residents = self._tasks.get(component, {}).values()
+            task.join_executor(next(iter(residents), None), self._registry)
         self._install(tasks)
 
     def _handle_disown(self, keys) -> None:

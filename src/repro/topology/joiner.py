@@ -8,10 +8,10 @@ documents.  When window-done markers from *all* Assigners have arrived,
 the task reports its window statistics and gives the window up.
 
 The Joiner tasks of one executor do not each keep a tree: they share a
-:class:`JoinerGroup`, which holds **one owner-tagged index per open
-window** (:class:`~repro.join.shared_index.SharedWindowIndex`).  A
-document assigned to k co-located tasks is probed and inserted once and
-every task still gets exactly the partners its private tree would have
+:class:`JoinerGroup` of owner-tagged indexes
+(:class:`~repro.join.shared_index.SharedWindowIndex`).  A document
+assigned to k co-located tasks is probed and inserted once and every
+task still gets exactly the partners its private joiner would have
 returned, so per-machine results are unchanged.  All indexes intern
 into one pair dictionary
 (:func:`~repro.core.interning.process_interner`).
@@ -23,19 +23,22 @@ from typing import Optional
 
 from repro.core.interning import process_interner
 from repro.join.base import JoinPair
-from repro.join.binary import BinaryJoinPair, BinaryStreamJoiner
-from repro.join.fptree_join import FPTreeJoiner
-from repro.join.ordering import AttributeOrder
+from repro.join.binary import LEFT, RIGHT, BinaryJoinPair
 from repro.join.shared_index import SharedWindowIndex
-from repro.join.sliding import SlidingFPTreeJoiner
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.streaming.component import Bolt, Collector, ComponentContext
 from repro.streaming.tuples import StreamTuple, owners_of
 from repro.topology import messages as msg
 
+#: an arrival's indexes: the one it is stored into, the one it probes
+Indexes = tuple[SharedWindowIndex, SharedWindowIndex]
+
 
 class JoinerGroup:
-    """The window indexes shared by the Joiner tasks of one executor.
+    """The indexes shared by the Joiner tasks of one executor: one per
+    open tumbling window, one per side of an open two-stream window (an
+    arrival probes the other side's), or one sliding extent for the
+    executor's lifetime, in which each task expires its own documents.
 
     ``build_topology`` hands one group to every :class:`JoinerBolt` of a
     topology; it is deliberately not module-global, because two sessions
@@ -47,62 +50,80 @@ class JoinerGroup:
     no Joiner task, and a degraded worker's copies (an ``InlineLink``'s)
     have a group of their own.
 
-    An index is dropped when the last owner that fed it tumbles that
-    window.  One evicted index is kept as a spare and reused for the
-    next window, unless the Merger shipped another attribute order or
-    the process dictionary started a new generation since it was built.
-    A task migrated to another worker releases its open windows on the
-    way out (:meth:`disown`), and the tasks it joins there take it into
-    their group, so "one index per executor" holds after a migration.
+    A window's indexes are dropped when the last owner that fed them
+    tumbles that window.  One evicted index is kept as a spare and
+    reused for the next window, unless the Merger shipped another
+    attribute order or the process dictionary started a new generation
+    since it was built.  A task migrated to another worker releases what
+    it holds on the way out (:meth:`disown`), and the tasks it joins
+    there take it into their group, so "one index per executor" holds
+    after a migration.
     """
 
     def __init__(self) -> None:
-        self._open: dict[int, SharedWindowIndex] = {}
+        #: window id -> side -> that side's indexes
+        self._open: dict[int, dict[Optional[str], Indexes]] = {}
+        #: sliding mode: side None -> the one index, for every window
+        self._sliding: Optional[dict[None, Indexes]] = None
         self._spare: Optional[SharedWindowIndex] = None
 
     def __reduce__(self) -> tuple:
         return (JoinerGroup, ())
 
-    def index(
-        self,
-        window_id: int,
-        order: Optional[AttributeOrder],
-        registry: MetricsRegistry,
-    ) -> SharedWindowIndex:
-        """The index of ``window_id``, opened under ``order`` if new."""
-        index = self._open.get(window_id)
-        if index is None:
-            interner = process_interner()
-            index, self._spare = self._spare, None
-            if (
-                index is None
-                or index.order is not order
-                or index.tree.interner is not interner
-            ):
-                # Use the Merger's sample-derived global order (Section
-                # V-A) when available; until the first partitions arrive
-                # attributes are ordered by name, which is slower but
-                # equally correct.
-                index = SharedWindowIndex(order, registry=registry, interner=interner)
-            self._open[window_id] = index
+    def indexes(self, window_id: int, side, bolt: "JoinerBolt") -> Indexes:
+        """The indexes of an arrival on ``side`` of ``window_id``, opened
+        in ``bolt``'s mode and under its attribute order if new."""
+        sides = self._sliding or self._open.get(window_id)
+        if sides is None:
+            if bolt.binary:
+                left, right = self._fresh(bolt), self._fresh(bolt)
+                sides = {LEFT: (left, right), RIGHT: (right, left)}
+            else:
+                index = self._fresh(bolt, bolt.sliding_size)
+                sides = {None: (index, index)}
+            if bolt.sliding_size is None:
+                self._open[window_id] = sides
+            else:
+                self._sliding = sides
+        return sides[side]
+
+    def _fresh(self, bolt: "JoinerBolt", extent=None) -> SharedWindowIndex:
+        interner = process_interner()
+        index, self._spare = self._spare, None
+        if (
+            index is None
+            or index.order is not bolt._order
+            or index.tree.interner is not interner
+        ):
+            # Use the Merger's sample-derived global order (Section V-A)
+            # when available; until the first partitions arrive
+            # attributes are ordered by name, which is slower but
+            # equally correct.
+            index = SharedWindowIndex(bolt._order, bolt._metrics, interner, extent)
         return index
 
     def release(self, window_id: int, owner: int) -> None:
         """``owner`` tumbled ``window_id``."""
-        index = self._open.get(window_id)
-        if index is not None and index.release(owner):
+        sides = self._open.get(window_id)
+        if sides is None:
+            return
+        stores = [store for store, _ in sides.values()]
+        if all([store.release(owner) for store in stores]):  # each side records it
             del self._open[window_id]
             # tumbling semantics: evict the entire tree (Section V-A)
-            index.reset()
-            self._spare = index
+            for store in stores:
+                store.reset()
+            self._spare = stores[-1]
 
     def disown(self, owner: int) -> None:
-        """``owner`` left this executor: it tumbles nothing here any more."""
+        """``owner`` left this executor: it holds nothing here any more."""
         for window_id in list(self._open):
             self.release(window_id, owner)
+        if self._sliding:
+            self._sliding[None][0].expire(1 << owner, 0)
 
     def __len__(self) -> int:
-        """Open windows."""
+        """Open tumbling windows."""
         return len(self._open)
 
 
@@ -129,11 +150,11 @@ class JoinerBolt(Bolt):
         holds while partitions are stable, which is why the paper scopes
         its guarantees to tumbling windows.
     group:
-        The executor's shared window indexes; a bolt built without one
-        makes a private group.  Only the tumbling self-join uses it:
-        a sliding extent (the last N documents *of this task*) and the
-        two per-stream stores of ``binary`` mode are per task by
-        definition, so those modes keep a per-task joiner.
+        The executor's shared indexes (a bolt built without one makes a
+        private group), in every mode.  A task still sees only its own
+        documents: a sliding extent stays "the last N documents *of this
+        task*", and a two-stream task probes the other side's documents
+        that reached it.
     """
 
     def __init__(
@@ -152,18 +173,14 @@ class JoinerBolt(Bolt):
         self.collect_pairs = collect_pairs
         self.sliding_size = sliding_size
         self.binary = binary
-        self._per_task = binary or sliding_size is not None
         self._group = group if group is not None else JoinerGroup()
         self._n_assigners = 0
         self._task_index = 0
-        #: sliding / binary only: built on the first document after
-        #: prepare; a binary joiner is rebuilt every window
-        self._joiner: Optional[SlidingFPTreeJoiner | BinaryStreamJoiner] = None
         self._docs = 0
         self._pair_count = 0
         self._pairs: set[JoinPair | BinaryJoinPair] = set()
         self._done_markers: dict[int, int] = {}
-        self._order: Optional[AttributeOrder] = None
+        self._order = None
         self._metrics = NULL_REGISTRY
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -174,23 +191,15 @@ class JoinerBolt(Bolt):
         if "process" in cls.__dict__ and "process_fanout" not in cls.__dict__:
             cls.process_fanout = Bolt.process_fanout
 
-    def _fresh_joiner(self) -> SlidingFPTreeJoiner | BinaryStreamJoiner:
-        order = self._order
-        if self.sliding_size is not None:
-            return SlidingFPTreeJoiner(self.sliding_size, order=order)
-        interner = process_interner()
-        registry = self._metrics
-        return BinaryStreamJoiner(
-            lambda: FPTreeJoiner(order, registry=registry, interner=interner)
-        )
-
     def prepare(self, context: ComponentContext) -> None:
         self._task_index = context.task_index
         self._n_assigners = context.parallelism_of(msg.ASSIGNER)
         self._metrics = context.metrics
 
-    def join_executor(self, resident: "JoinerBolt") -> None:
-        self._group = resident._group
+    def join_executor(self, resident, metrics: MetricsRegistry) -> None:
+        self._metrics = metrics
+        if resident is not None:
+            self._group = resident._group
 
     def leave_executor(self) -> None:
         self._group.disown(self._task_index)
@@ -201,43 +210,43 @@ class JoinerBolt(Bolt):
     ) -> bool:
         """One document assigned to several co-located tasks: index it
         once and hand every task its own partners."""
-        if tup.stream != msg.ASSIGNED or self._per_task:
+        if tup.stream != msg.ASSIGNED:
             return False
+        self._arrive(tup.values, mask, tasks)
+        return True
+
+    def _arrive(self, values: tuple, mask: int, tasks) -> None:
+        """The document of ``values`` reached the tasks in ``mask``
+        (``tasks`` by task index).  It reaches a task once only (the
+        Assigner emits one tuple per target machine); a second arrival
+        is rejected before anything is counted."""
         if not self.compute_joins:
             for owner in owners_of(mask):
                 tasks[owner]._docs += 1
-            return True
-        document, window_id, _side = tup.values
-        index = self._group.index(window_id, self._order, self._metrics)
-        for owner, partners in index.arrive_many(document, mask):
+            return
+        document, window_id, side = values
+        store, probe = self._group.indexes(window_id, side, self)
+        for owner, partners in store.arrive_many(document, mask, probe):
             bolt = tasks[owner]
             bolt._docs += 1
             if partners:
-                bolt._add_partners(document, partners)
-        return True
+                bolt._add_partners(document.doc_id, side, partners)
 
-    def _add_partners(self, document, partners: list[int]) -> None:
+    def _add_partners(self, doc_id: int, side, partners: list[int]) -> None:
         self._pair_count += len(partners)
-        if self.collect_pairs:
-            for partner in partners:
-                self._pairs.add(JoinPair.of(partner, document.doc_id))
+        if not self.collect_pairs:
+            return
+        for partner in partners:
+            if side is None:
+                self._pairs.add(JoinPair.of(partner, doc_id))
+            elif side == LEFT:
+                self._pairs.add(BinaryJoinPair(doc_id, partner))
+            else:
+                self._pairs.add(BinaryJoinPair(partner, doc_id))
 
     def process(self, tup: StreamTuple, collector: Collector) -> None:
         if tup.stream == msg.ASSIGNED:
-            document, window_id, side = tup.values
-            if self.compute_joins and self._per_task:
-                self._process_per_task(document, side)
-            elif self.compute_joins:
-                # A document can reach the same Joiner once only (the
-                # Assigner emits one tuple per target machine), so no
-                # dedup is needed within a machine; a second arrival is
-                # rejected before anything is counted.
-                index = self._group.index(window_id, self._order, self._metrics)
-                ((_, partners),) = index.arrive_many(
-                    document, 1 << self._task_index
-                )
-                self._add_partners(document, partners)
-            self._docs += 1
+            self._arrive(tup.values, 1 << self._task_index, {self._task_index: self})
         elif tup.stream == msg.PARTITIONS:
             (partition_set,) = tup.values
             if partition_set.attribute_order is not None:
@@ -249,25 +258,6 @@ class JoinerBolt(Bolt):
             if count >= self._n_assigners:
                 del self._done_markers[window_id]
                 self._tumble(window_id, collector)
-
-    def _process_per_task(self, document, side) -> None:
-        """Sliding and binary modes: probe-then-insert on this task's own joiner."""
-        joiner = self._joiner
-        if joiner is None:
-            joiner = self._joiner = self._fresh_joiner()
-        if self.binary:
-            cross_pairs = joiner.process(document, side)
-            self._pair_count += len(cross_pairs)
-            if self.collect_pairs:
-                self._pairs.update(cross_pairs)
-        else:
-            partners = joiner.probe(document)
-            self._pair_count += len(partners)
-            if self.collect_pairs:
-                assert document.doc_id is not None
-                for partner in partners:
-                    self._pairs.add(JoinPair.of(partner, document.doc_id))
-            joiner.add(document)
 
     def _tumble(self, window_id: int, collector: Collector) -> None:
         stats = msg.JoinerWindowStats(
@@ -281,10 +271,4 @@ class JoinerBolt(Bolt):
         self._docs = 0
         self._pair_count = 0
         self._pairs = set()
-        if not self._per_task:
-            self._group.release(window_id, self._task_index)
-        elif self.binary:
-            # tumbling semantics: evict both stores; the next window's
-            # are built on the order and dictionary generation then in
-            # force.  A sliding joiner keeps its state across the boundary.
-            self._joiner = None
+        self._group.release(window_id, self._task_index)

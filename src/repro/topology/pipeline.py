@@ -168,6 +168,12 @@ class StreamJoinConfig:
                 "elastic.shed quarantines tuples on the dead-letter queue; "
                 "set dead_letters=True to enable it"
             )
+        replays = [n for n in ("restart_policy", "elastic") if getattr(self, n)]
+        if self.sliding_size is not None and self.backend == "parallel" and replays:
+            raise PartitioningError(
+                f"sliding_size cannot be combined with {replays[0]} on the parallel "
+                "backend: a replay re-ships one window, a sliding extent spans several"
+            )
         workers = self.workers
         if isinstance(workers, list):
             # normalize so frozen configs stay hashable (experiment caches

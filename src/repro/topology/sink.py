@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.join.base import JoinPair
 from repro.metrics.gini import gini_coefficient
 from repro.metrics.report import WindowMetrics

@@ -4,7 +4,9 @@
 ``FPTreeJoiner`` fed only that owner's arrivals would have — under *any*
 arrival interleaving, not just the FIFO fan-out the executor produces.
 Hypothesis drives arrivals, releases and two concurrently open windows
-against k isolated joiners per window and against the brute-force join.
+against k isolated joiners per window and against the brute-force join;
+a second machine does the same for the sliding extent (per-owner
+expiry) and for the two indexes of a two-stream window.
 """
 
 import pytest
@@ -15,9 +17,16 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.core.document import Document
 from repro.core.interning import PairInterner
 from repro.join.base import JoinPair, brute_force_pairs
+from repro.join.binary import (
+    LEFT,
+    RIGHT,
+    BinaryStreamJoiner,
+    brute_force_binary_pairs,
+)
 from repro.join.fptree_join import FPTreeJoiner
 from repro.join.ordering import AttributeOrder
 from repro.join.shared_index import SharedWindowIndex
+from repro.join.sliding import SlidingFPTreeJoiner, brute_force_sliding_pairs
 from repro.obs.registry import MetricsRegistry
 
 ORDER = AttributeOrder(("c", "a", "f"))  # the rest rank last, by name
@@ -194,6 +203,141 @@ class SharedIndexMachine(RuleBasedStateMachine):
 
 TestSharedIndexStateful = SharedIndexMachine.TestCase
 TestSharedIndexStateful.settings = settings(
+    max_examples=100, stateful_step_count=60, deadline=None
+)
+
+
+#: a sliding extent far shorter than what an owner receives
+EXTENT = 3
+
+
+class SlidingAndBinaryMachine(RuleBasedStateMachine):
+    """One sliding index (``extent``) and one two-stream window (an
+    index per side), each owner held to its private sliding or binary
+    joiner and to the brute-force join of what it received."""
+
+    def __init__(self):
+        super().__init__()
+        interner = PairInterner()
+        self.sliding = SharedWindowIndex(ORDER, interner=interner, extent=EXTENT)
+        left = SharedWindowIndex(ORDER, interner=interner)
+        right = SharedWindowIndex(ORDER, interner=interner)
+        self.sides = {LEFT: (left, right), RIGHT: (right, left)}
+        self.next_id = 0
+        #: doc id -> (pairs, side): side None for the sliding stream
+        self.pool: dict[int, tuple[dict, object]] = {}
+        self.objects: dict[int, Document] = {}
+        #: sliding: per owner, its arrivals since it last dropped its
+        #: extent, the earlier such segments, its private joiner, pairs
+        self.segment: list[list[Document]] = [[] for _ in range(OWNERS)]
+        self.segments: list[list[list[Document]]] = [[] for _ in range(OWNERS)]
+        self.private = [SlidingFPTreeJoiner(EXTENT, ORDER) for _ in range(OWNERS)]
+        self.pairs: list[set[JoinPair]] = [set() for _ in range(OWNERS)]
+        self.reopen()
+
+    def reopen(self) -> None:
+        """A fresh two-stream window: both indexes and every owner's
+        private joiner evicted."""
+        for store, _ in self.sides.values():
+            store.reset()
+        self.binary = [
+            BinaryStreamJoiner(lambda: FPTreeJoiner(ORDER, interner=PairInterner()))
+            for _ in range(OWNERS)
+        ]
+        self.received = [{LEFT: [], RIGHT: []} for _ in range(OWNERS)]
+        self.cross: list[set] = [set() for _ in range(OWNERS)]
+        for doc_id in [d for d, (_, side) in self.pool.items() if side is not None]:
+            del self.pool[doc_id]
+
+    @rule(pairs=PAIRS, side=st.sampled_from([None, LEFT, RIGHT]))
+    def new_document(self, pairs, side):
+        self.pool[self.next_id] = (pairs, side)
+        self.next_id += 1
+
+    def _received(self, doc_id: int, owner: int) -> bool:
+        side = self.pool[doc_id][1]
+        held = self.segment[owner] if side is None else self.received[owner][side]
+        return any(d.doc_id == doc_id for d in held)
+
+    def _undelivered(self) -> list[tuple[int, int]]:
+        return [
+            (doc_id, owner)
+            for doc_id in self.pool
+            for owner in range(OWNERS)
+            if not self._received(doc_id, owner)
+        ]
+
+    def _document(self, doc_id: int, same_object: bool) -> Document:
+        document = self.objects.get(doc_id) if same_object else None
+        if document is None:
+            document = Document(dict(self.pool[doc_id][0]), doc_id=doc_id)
+            self.objects[doc_id] = document
+        return document
+
+    @precondition(lambda self: self._undelivered())
+    @rule(data=st.data(), same_object=st.booleans())
+    def arrive(self, data, same_object):
+        """One document at any subset of the owners it has not reached:
+        the sliding index, or its side's index probing the other's."""
+        undelivered = self._undelivered()
+        doc_id = data.draw(st.sampled_from(sorted({d for d, _ in undelivered})))
+        free = [owner for d, owner in undelivered if d == doc_id]
+        owners = sorted(data.draw(st.sets(st.sampled_from(free), min_size=1)))
+        document = self._document(doc_id, same_object)
+        mask = sum(1 << owner for owner in owners)
+        side = self.pool[doc_id][1]
+        if side is None:
+            got = self.sliding.arrive_many(document, mask)
+        else:
+            store, probe = self.sides[side]
+            got = store.arrive_many(document, mask, probe)
+        assert [owner for owner, _ in got] == owners
+        for owner, partners in got:
+            if side is None:
+                expected = sorted(self.private[owner].probe(document))
+                self.private[owner].add(document)
+                self.segment[owner].append(document)
+                self.pairs[owner].update(JoinPair.of(p, doc_id) for p in partners)
+            else:
+                cross = self.binary[owner].process(document, side)
+                expected = sorted(
+                    pair.right if side == LEFT else pair.left for pair in cross
+                )
+                self.received[owner][side].append(document)
+                self.cross[owner].update(cross)
+            assert sorted(partners) == expected
+
+    @rule(owner=st.integers(0, OWNERS - 1))
+    def owner_drops_its_extent(self, owner):
+        """What a migrated task's executor does on the way out."""
+        self.sliding.expire(1 << owner, 0)
+        self.segments[owner].append(self.segment[owner])
+        self.segment[owner] = []
+        self.private[owner] = SlidingFPTreeJoiner(EXTENT, ORDER)
+
+    @rule()
+    def tumble_the_two_stream_window(self):
+        self.reopen()
+
+    @invariant()
+    def each_owner_holds_its_exact_join(self):
+        held = set()
+        for owner in range(OWNERS):
+            expected = set()
+            for segment in [*self.segments[owner], self.segment[owner]]:
+                expected |= brute_force_sliding_pairs(segment, EXTENT)
+            assert self.pairs[owner] == expected
+            held |= {d.doc_id for d in self.segment[owner][-EXTENT:]}
+            received = self.received[owner]
+            assert self.cross[owner] == brute_force_binary_pairs(
+                received[LEFT], received[RIGHT]
+            )
+        # a document leaves the tree once no owner's extent holds it
+        assert len(self.sliding) == len(held)
+
+
+TestSlidingAndBinaryStateful = SlidingAndBinaryMachine.TestCase
+TestSlidingAndBinaryStateful.settings = settings(
     max_examples=100, stateful_step_count=60, deadline=None
 )
 

@@ -106,14 +106,14 @@ def _run_parallel(config, windows, monkeypatch):
     return result, cluster, parent_ran
 
 
-def _assert_matches_local(result, config, windows, counters=True):
-    """Per-window metrics and join pairs equal the local run's and, if
-    ``counters``, so do the merged :data:`COUNTERS`."""
+def _assert_matches_local(result, config, windows):
+    """Per-window metrics, join pairs and the merged :data:`COUNTERS`
+    equal the local run's."""
     local = run_stream_join(config, windows)
     assert result.per_window == local.per_window
     assert result.join_pairs == local.join_pairs
     assert result.repartition_windows == local.repartition_windows
-    for name in COUNTERS if counters else ():
+    for name in COUNTERS:
         assert result.observability.counters[name] == (
             local.observability.counters[name]
         ), name
@@ -134,9 +134,7 @@ class TestInlineCluster:
         )
         windows = _windows()
         result, cluster, _ = _run_parallel(config, windows, monkeypatch)
-        # an adopted task counts into the registry it was pickled with,
-        # not its new worker's: the Joiner counters undercount
-        _assert_matches_local(result, config, windows, counters=False)
+        _assert_matches_local(result, config, windows)
         stats = result.tuple_stats
         assert (stats["scale_ups"], stats["scale_downs"]) == (1, 1)
         assert cluster.worker_count == 2
@@ -177,7 +175,7 @@ class TestInlineCluster:
         )
         windows = _windows()
         result, cluster, parent_ran = _run_parallel(config, windows, monkeypatch)
-        _assert_matches_local(result, config, windows, counters=False)
+        _assert_matches_local(result, config, windows)
         assert cluster.degraded_workers == 1
         stats = result.tuple_stats
         assert (stats["scale_ups"], stats["scale_downs"]) == (0, 1)

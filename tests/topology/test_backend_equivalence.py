@@ -163,6 +163,34 @@ def test_every_task_matches_its_isolated_joiner(dataset, backend, transport):
     assert stats["joiner"] == isolated_stats["joiner"]  # per assignment
 
 
+@pytest.mark.parametrize("mode", ["sliding", "binary"])
+@pytest.mark.parametrize("dataset", ["rwData", "nbData", "idealData"])
+@pytest.mark.parametrize("backend,transport", MATRIX)
+def test_every_task_matches_its_isolated_joiner_in_every_mode(
+    dataset, mode, backend, transport
+):
+    """The sliding and two-stream Joiners on the executor's shared
+    indexes, per task, on every backend: each task's window reports
+    equal a private per-task joiner's on the local backend."""
+    from tests.topology.per_task import MODES, mode_windows, run_per_task
+
+    def config(backend, transport="pipe"):
+        return StreamJoinConfig(
+            m=4, n_creators=2, n_assigners=3,
+            compute_joins=True, collect_pairs=True,
+            backend=backend, transport=transport,
+            workers=2 if backend == "parallel" else None,
+            **MODES[mode],
+        )
+
+    windows = mode_windows(dataset, mode)
+    shared, stats = run_per_task(config(backend, transport), windows, isolated=False)
+    isolated, isolated_stats = run_per_task(config("local"), windows, isolated=True)
+    assert len(shared) == 3 * 4
+    assert shared == isolated
+    assert stats["joiner"] == isolated_stats["joiner"]
+
+
 def test_joiner_dispatches_are_per_executor_while_counters_stay_per_assignment():
     """``executor.processed{joiner}`` counts assignments on every
     backend; the *observations* of ``executor.execute_seconds{joiner}``

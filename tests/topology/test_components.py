@@ -595,7 +595,7 @@ class TestJoiner:
                         doc_tuple(doc, 7, source=msg.ASSIGNER, stream=msg.ASSIGNED),
                         collector,
                     )
-        assert len(group) == 1 and len(group.index(7, None, None)) == 4
+        assert len(group) == 1 and len(group.indexes(7, None, tasks[0])[0]) == 4
         for bolt in tasks[:2]:
             self._window(bolt, [], 7, collector)
         assert len(group) == 1  # task 2 still holds window 7
@@ -649,7 +649,7 @@ class TestJoiner:
                           source=msg.ASSIGNER, stream=msg.ASSIGNED),
                 collector,
             )
-        assert len(loaded[0]._group.index(1, None, None)) == 1
+        assert len(loaded[0]._group.indexes(1, None, loaded[0])[0]) == 1
 
     def test_process_dictionary_is_bounded_across_generations(self, monkeypatch):
         """A stream of never-repeating values must not grow the shared

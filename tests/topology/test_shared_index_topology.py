@@ -15,7 +15,7 @@ from repro.faults import FaultPlan
 from repro.topology import messages as msg
 from repro.topology.pipeline import StreamJoinConfig, run_stream_join
 from repro.topology.session import StreamJoinSession
-from tests.topology.per_task import run_per_task
+from tests.topology.per_task import MODES, mode_windows, run_per_task
 
 
 def _config(**overrides) -> StreamJoinConfig:
@@ -34,6 +34,25 @@ def test_every_task_reports_what_its_private_tree_would(dataset):
     assert len(shared) == 3 * 4
     assert shared == isolated
     assert any(pairs for _, _, pairs in shared.values())
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("dataset", ["rwData", "nbData", "idealData"])
+def test_every_task_reports_what_its_private_joiner_would(dataset, mode):
+    """Sliding and two-stream tasks share the executor's indexes too:
+    each reports what its private ``SlidingFPTreeJoiner`` (one for the
+    stream) or ``BinaryStreamJoiner`` (one per window) would have."""
+    config = _config(**MODES[mode])
+    windows = mode_windows(dataset, mode)
+    shared, stats = run_per_task(config, windows, isolated=False)
+    isolated, isolated_stats = run_per_task(config, windows, isolated=True)
+    assert len(shared) == 3 * 4
+    assert shared == isolated
+    assert stats["joiner"] == isolated_stats["joiner"]
+    assert any(pairs for _, _, pairs in shared.values())
+    if mode == "sliding":  # some task outgrew its extent
+        received = [sum(shared[(w, task)][0] for w in range(3)) for task in range(4)]
+        assert max(received) > config.sliding_size
 
 
 def test_two_live_sessions_do_not_share_window_state():

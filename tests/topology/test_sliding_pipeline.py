@@ -1,7 +1,12 @@
 """Integration tests for sliding windows in the full topology."""
 
+import pytest
+
 from repro.core.document import Document
+from repro.exceptions import PartitioningError
 from repro.join.base import JoinPair
+from repro.streaming.elastic import ElasticPolicy
+from repro.streaming.recovery import RestartPolicy
 from repro.topology.pipeline import StreamJoinConfig, run_stream_join
 
 
@@ -63,3 +68,16 @@ class TestSlidingPipeline:
     def test_tumbling_remains_default(self):
         config = StreamJoinConfig(m=2)
         assert config.sliding_size is None
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("restart_policy", RestartPolicy()), ("elastic", ElasticPolicy())],
+    )
+    def test_parallel_sliding_refuses_replay(self, field, value):
+        """A replay re-ships only the current window's journal, but a
+        sliding extent spans windows: a respawned or migrated worker
+        would join against a shorter extent than the local run."""
+        with pytest.raises(PartitioningError, match=f"sliding_size.*{field}"):
+            StreamJoinConfig(backend="parallel", sliding_size=10, **{field: value})
+        StreamJoinConfig(backend="parallel", sliding_size=10)
+        StreamJoinConfig(sliding_size=10, **{field: value})  # local: no replay
