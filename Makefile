@@ -29,7 +29,7 @@ test-distributed:
 	PYTHONPATH=src timeout 600 $(PYTHON) -m pytest -m distributed
 
 # elastic worker-pool chaos suite (forced scale/migrate schedules,
-# destination kills mid-migration, load shedding) on pipe and socket;
+# destination kills mid-migration) on pipe and socket;
 # three passes back to back, so an outcome that depends on timing fails
 # the gate instead of one run in fifteen
 test-elastic:

@@ -62,6 +62,53 @@ class CountingLink:
         return getattr(self._link, name)
 
 
+def run_once(data: str, transport: str, windows: int, profiler=None) -> dict:
+    """Push ``WARMUP_WINDOWS`` + ``windows`` windows through one
+    benchmark-shaped session and return what the parent shipped over the
+    measured windows: ``frames``, ``entries`` and frame ``bytes``, next
+    to ``docs``, ``wall`` and parent ``cpu`` seconds and the run's
+    ``replication``.  ``profiler`` (a ``cProfile.Profile``) is enabled
+    over the measured windows only."""
+    generator = (ServerLogGenerator if data == "rw" else NoBenchGenerator)(seed=7)
+    size = WINDOW_DOCS[data]
+    stream = [generator.next_window(size) for _ in range(WARMUP_WINDOWS + windows)]
+    session = StreamJoinSession(
+        StreamJoinConfig(
+            m=8,
+            algorithm="AG",
+            compute_joins=True,
+            backend="parallel",
+            transport=transport,
+            workers=2,
+        )
+    )
+    totals = {"frames": 0, "entries": 0, "bytes": 0}
+    cluster = session._cluster
+    spawn = cluster._transport.spawn
+    cluster._transport.spawn = lambda init: CountingLink(spawn(init), totals)
+
+    for window in stream[:WARMUP_WINDOWS]:
+        session.push_window(window)
+    totals.update(frames=0, entries=0, bytes=0)
+    if profiler is not None:
+        profiler.enable()
+    wall, cpu = perf_counter(), process_time()
+    for window in stream[WARMUP_WINDOWS:]:
+        session.push_window(window)
+    cluster.drain()
+    wall, cpu = perf_counter() - wall, process_time() - cpu
+    if profiler is not None:
+        profiler.disable()
+    result = session.result()
+    return {
+        **totals,
+        "docs": windows * size,
+        "wall": wall,
+        "cpu": cpu,
+        "replication": result.summary().replication,
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--data", default="rw", choices=("rw", "nb"))
@@ -70,51 +117,19 @@ def main() -> int:
     parser.add_argument("--top", type=int, default=25)
     args = parser.parse_args()
 
-    generator = (ServerLogGenerator if args.data == "rw" else NoBenchGenerator)(seed=7)
-    size = WINDOW_DOCS[args.data]
-    windows = [
-        generator.next_window(size) for _ in range(WARMUP_WINDOWS + args.windows)
-    ]
-    session = StreamJoinSession(
-        StreamJoinConfig(
-            m=8,
-            algorithm="AG",
-            compute_joins=True,
-            backend="parallel",
-            transport=args.transport,
-            workers=2,
-        )
-    )
-    totals = {"frames": 0, "entries": 0, "bytes": 0}
-    transport = session._cluster._transport
-    spawn = transport.spawn
-    transport.spawn = lambda init: CountingLink(spawn(init), totals)
-
-    for window in windows[:WARMUP_WINDOWS]:
-        session.push_window(window)
-    totals.update(frames=0, entries=0, bytes=0)
     profiler = cProfile.Profile()
-    wall, cpu = perf_counter(), process_time()
-    profiler.enable()
-    for window in windows[WARMUP_WINDOWS:]:
-        session.push_window(window)
-    session._cluster.drain()
-    profiler.disable()
-    wall, cpu = perf_counter() - wall, process_time() - cpu
-    result = session.result()
-
-    docs = args.windows * size
-    summary = result.summary()
+    run = run_once(args.data, args.transport, args.windows, profiler)
+    docs = run["docs"]
     print(
         f"# {args.data} x {args.transport}2, joins on: {docs} docs over "
-        f"{args.windows} windows, {docs / wall:.0f} docs/s and "
-        f"{cpu / docs * 1e6:.1f} parent CPU us/doc under the profiler"
+        f"{args.windows} windows, {docs / run['wall']:.0f} docs/s and "
+        f"{run['cpu'] / docs * 1e6:.1f} parent CPU us/doc under the profiler"
     )
     print(
-        f"# replication {summary.replication:.2f} copies/doc -> "
-        f"{totals['entries'] / docs:.2f} entries/doc (incl. control tuples), "
-        f"{totals['frames'] / args.windows:.1f} frames/window, "
-        f"{totals['bytes'] / docs:.0f} frame bytes/doc"
+        f"# replication {run['replication']:.2f} copies/doc -> "
+        f"{run['entries'] / docs:.2f} entries/doc (incl. control tuples), "
+        f"{run['frames'] / args.windows:.1f} frames/window, "
+        f"{run['bytes'] / docs:.0f} frame bytes/doc"
     )
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats("cumulative").print_stats(args.top)

@@ -586,15 +586,11 @@ def _cmd_soak(args: argparse.Namespace) -> int:
                 f"worker_restarts={report.worker_restarts} "
                 f"degraded_workers={report.degraded_workers}"
             )
-        if (
-            report.scale_ups or report.scale_downs
-            or report.migrations or report.shed_tuples
-        ):
+        if report.scale_ups or report.scale_downs or report.migrations:
             lines.append(
                 f"elastic: scale_ups={report.scale_ups} "
                 f"scale_downs={report.scale_downs} "
-                f"migrations={report.migrations} "
-                f"shed_tuples={report.shed_tuples}"
+                f"migrations={report.migrations}"
             )
         text = "\n".join(lines)
     if args.out:

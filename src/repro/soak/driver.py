@@ -86,7 +86,7 @@ class SoakConfig:
     transport: str = "pipe"
     workers: Optional[Union[int, tuple[str, ...], list[str]]] = None
     #: elastic worker pool (parallel backend): scale/migrate at window
-    #: barriers, optional dead-letter shedding — ``docs/elasticity.md``
+    #: barriers — ``docs/elasticity.md``
     elastic: Optional[ElasticPolicy] = None
     # -- load ramp -----------------------------------------------------
     #: offered docs/sec of the first epoch
@@ -195,10 +195,6 @@ class SoakReport:
     scale_ups: int = 0
     scale_downs: int = 0
     migrations: int = 0
-    #: tuples dropped by elastic load shedding; shed documents are
-    #: *excluded* from the achieved rate fed back into the ramp, so a
-    #: shedding topology cannot report throughput it didn't deliver
-    shed_tuples: int = 0
     #: (offered, achieved) docs/sec per epoch
     ramp: list[tuple[float, float]] = field(default_factory=list)
     stop_reason: str = ""
@@ -236,7 +232,6 @@ class SoakReport:
             "scale_ups": self.scale_ups,
             "scale_downs": self.scale_downs,
             "migrations": self.migrations,
-            "shed_tuples": self.shed_tuples,
             "ramp": [
                 {"offered": offered, "achieved": achieved}
                 for offered, achieved in self.ramp
@@ -281,17 +276,6 @@ def check_monotonic(
                 f"{before.get('sum')} -> {after.get('sum')}"
             )
     return violations
-
-
-def _shed_counter_total(snapshot: ObservabilitySnapshot) -> int:
-    """Sum of ``executor.shed_tuples`` across its per-component labels."""
-    return int(
-        sum(
-            value
-            for name, value in snapshot.counters.items()
-            if name.startswith("executor.shed_tuples")
-        )
-    )
 
 
 def _resolve_generator(config: SoakConfig) -> DatasetGenerator:
@@ -353,7 +337,6 @@ def run_soak(
     report = SoakReport(config=config)
     started = time.monotonic()
     previous_snapshot: Optional[ObservabilitySnapshot] = None
-    previous_shed = 0
     # unmeasured warmup: pay one-time costs (worker spawn, codec and
     # allocator warmup) outside the ramp so the first epoch's achieved
     # rate reflects steady-state throughput, not startup latency
@@ -408,13 +391,7 @@ def run_soak(
         # epoch bookkeeping: memory, metric monotonicity, compaction
         monitor.sample()
         current = session.observability()
-        # honest achieved-vs-offered: documents the elastic relief valve
-        # shed never reached the join, so they don't count toward the
-        # rate the controller credits this epoch
-        shed_total = _shed_counter_total(current)
-        delivered = max(0, epoch_docs - (shed_total - previous_shed))
-        previous_shed = shed_total
-        achieved = delivered / epoch_wall if epoch_wall > 0 else float(rate)
+        achieved = epoch_docs / epoch_wall if epoch_wall > 0 else float(rate)
         controller.record_epoch(achieved)
         report.epochs += 1
         violations = check_monotonic(previous_snapshot, current)
@@ -453,7 +430,6 @@ def run_soak(
     report.scale_ups = int(stats.get("scale_ups", 0))
     report.scale_downs = int(stats.get("scale_downs", 0))
     report.migrations = int(stats.get("migrations", 0))
-    report.shed_tuples = int(stats.get("shed_tuples", 0))
     monitor.sample()
     report.memory = monitor.check()
     return report

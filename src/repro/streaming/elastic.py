@@ -6,16 +6,14 @@ worker can drown while the rest idle.  This module is the *decision*
 half of the elasticity layer (``docs/elasticity.md``): a pure, seeded,
 side-effect-free controller that the cluster consults once per
 completed window barrier.  The *mechanism* half — live partition
-migration over the window-replay journal, worker retirement, load
-shedding — lives in :class:`~repro.streaming.parallel.ParallelCluster`.
+migration over the window-replay journal, worker retirement — lives
+in :class:`~repro.streaming.parallel.ParallelCluster`.
 
 Signals: one :class:`WorkerLoad` per live worker, whose ``docs`` /
 ``task_docs`` count the documents the completed window delivered to the
 worker's tasks — the skew signal.  The cluster counts them per window
 (:class:`~repro.streaming.protocol.BarrierTracker`), so window k's load
 is exactly window k's documents however far the pipeline runs ahead.
-Sustained backpressure reaches the controller separately, through
-:meth:`ElasticController.observe_pressure`.
 
 Decisions are deliberately coarse — at most one action per barrier,
 with a cooldown between actions — because a migration is not free: the
@@ -26,8 +24,8 @@ its policy thresholds are unit-testable without any worker processes.
 Determinism: migration preserves per-task delivery order and re-acks
 of replayed state are suppressed, so *whatever* the controller decides,
 per-window results stay byte-identical to the local backend.  The
-document counts are deterministic too, so only the backpressure streak
-depends on timing; ``ElasticPolicy.force`` pins exact schedules.
+document counts are a function of the input, so no decision depends on
+timing; ``ElasticPolicy.force`` pins exact schedules.
 """
 
 from __future__ import annotations
@@ -43,8 +41,6 @@ DEFAULT_HOT_SHARE = 0.6
 DEFAULT_COLD_SHARE = 0.02
 #: default barriers to wait between consecutive elastic actions
 DEFAULT_COOLDOWN_WINDOWS = 1
-#: default consecutive backpressured windows before shedding engages
-DEFAULT_SHED_AFTER_WINDOWS = 3
 
 
 @dataclass(frozen=True)
@@ -55,11 +51,7 @@ class ElasticPolicy:
     share of the window's documents reaches ``hot_share`` triggers a
     scale-up (its hottest task migrates to a fresh worker); one whose
     share drops to ``cold_share`` is retired into the least-loaded
-    survivor.  ``shed=True`` arms load shedding: after
-    ``shed_after_windows`` consecutive backpressured windows, routable
-    tuples headed for a saturated worker are quarantined on the
-    dead-letter queue with ``reason="shed"`` instead of ballooning
-    queues (requires a configured DeadLetterQueue).
+    survivor.
 
     ``force`` pins an exact action schedule for tests and drills:
     ``((window_index, "up"), ...)`` fires the named action at that
@@ -72,8 +64,6 @@ class ElasticPolicy:
     hot_share: float = DEFAULT_HOT_SHARE
     cold_share: float = DEFAULT_COLD_SHARE
     cooldown_windows: int = DEFAULT_COOLDOWN_WINDOWS
-    shed: bool = False
-    shed_after_windows: int = DEFAULT_SHED_AFTER_WINDOWS
     force: tuple[tuple[int, str], ...] = ()
 
     def __post_init__(self) -> None:
@@ -97,10 +87,6 @@ class ElasticPolicy:
         if self.cooldown_windows < 0:
             raise TopologyError(
                 f"cooldown_windows must be >= 0, got {self.cooldown_windows}"
-            )
-        if self.shed_after_windows < 1:
-            raise TopologyError(
-                f"shed_after_windows must be >= 1, got {self.shed_after_windows}"
             )
         for entry in self.force:
             if (
@@ -146,38 +132,16 @@ class Decision:
 class ElasticController:
     """Pure decision logic consulted once per completed barrier.
 
-    State is limited to cooldown tracking and the backpressure streak;
-    everything else is derived from the :class:`WorkerLoad` list passed
-    in, so the controller can be unit-tested with synthetic loads.
+    State is limited to cooldown tracking; everything else is derived
+    from the :class:`WorkerLoad` list passed in, so the controller can
+    be unit-tested with synthetic loads.
     """
 
     def __init__(self, policy: ElasticPolicy) -> None:
         self.policy = policy
         self._forced = dict(policy.force)
         self._last_action_window: Optional[int] = None
-        self._pressure_streak = 0
 
-    # -- backpressure / shedding ---------------------------------------
-    def observe_pressure(self, backpressured: bool) -> None:
-        """Record whether the window that just closed hit backpressure."""
-        if backpressured:
-            self._pressure_streak += 1
-        else:
-            self._pressure_streak = 0
-
-    @property
-    def pressure_streak(self) -> int:
-        return self._pressure_streak
-
-    @property
-    def shed_active(self) -> bool:
-        """True once sustained overload should shed instead of queue."""
-        return (
-            self.policy.shed
-            and self._pressure_streak >= self.policy.shed_after_windows
-        )
-
-    # -- scale / migrate -----------------------------------------------
     def decide(
         self, window_index: int, loads: list[WorkerLoad]
     ) -> Optional[Decision]:

@@ -419,9 +419,8 @@ class ClusterBase:
         ``reconnects`` (worker links established beyond the first per
         slot).  The gauge ``inflight_high_water`` (peak unacknowledged
         batches on any one worker) and the elasticity counters
-        ``scale_ups``/``scale_downs``/``migrations``/``shed_tuples``
-        share the schema too.  On the local backend all of these are
-        zero-valued/None.
+        ``scale_ups``/``scale_downs``/``migrations`` share the schema
+        too.  On the local backend all of these are zero-valued/None.
         """
         stats: dict[str, object] = {
             name: {
@@ -440,7 +439,6 @@ class ClusterBase:
         stats["scale_ups"] = 0
         stats["scale_downs"] = 0
         stats["migrations"] = 0
-        stats["shed_tuples"] = 0
         return stats
 
 

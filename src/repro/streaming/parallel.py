@@ -21,15 +21,18 @@ transport-agnostic.
 Design, in terms of the Fig. 2 topology: the Joiners are pure "leaf"
 workers — they receive routed documents and punctuation and emit only
 per-window statistics — so the parent ships their input tuples to
-workers in **size/time-bounded batches** over their links and merges
-the emissions back.  Three properties keep runs exact and replayable:
+workers in **size-bounded batches** over their links and merges the
+emissions back.  A batch is cut when it reaches ``batch_size`` entries
+or at a window barrier, never by the clock, so with no fault and no
+elastic action each worker's frames are a function of the input alone.
+Three properties keep runs exact and replayable:
 
 * **Per-task FIFO.**  Every delivery to a remote task flows through its
   worker's single ordered link, so a task observes tuples in exactly
   the order the local backend would have delivered them.  A fan-out
   (``emit_fanout``) travels as **one entry per destination worker**
   carrying the bitmask of that worker's addressed tasks; buffering,
-  journaling, shedding and the wire handle the entry once, while every
+  journaling and the wire handle the entry once, while every
   counter keeps counting per assignment (``popcount(mask)``).
 * **Two-phase overlapped barrier.**  When a tuple on a configured
   *barrier stream* (the window-end markers) is shipped, the parent
@@ -108,11 +111,8 @@ receives an ``("adopt", tasks)`` message followed by the re-encoded
 history as suppressed batches, the source a ``("disown", keys)``, and
 routing (the slots' ``assigned`` and the per-worker task masks) swaps — so
 per-task delivery order and the seq-deterministic release are
-preserved and output stays byte-identical to the static pool.  With
-``policy.shed`` armed, sustained backpressure (consecutive
-backpressured windows) flips the end-to-end relief valve: routable
-tuples headed for a saturated worker quarantine on the dead-letter
-queue with ``reason="shed"`` instead of ballooning queues.
+preserved and output stays byte-identical to the static pool.  Nothing
+routable is ever dropped: ``max_inflight`` only makes the parent wait.
 """
 
 from __future__ import annotations
@@ -137,12 +137,7 @@ from repro.streaming.elastic import (
 )
 from repro.streaming.executor import ClusterBase
 from repro.streaming.protocol import BarrierTracker, Journal
-from repro.streaming.recovery import (
-    DeadLetter,
-    DeadLetterQueue,
-    RestartPolicy,
-    truncated_repr,
-)
+from repro.streaming.recovery import DeadLetterQueue, RestartPolicy
 from repro.streaming.topology import Topology
 from repro.streaming.transport import (
     InlineLink,
@@ -156,18 +151,18 @@ from repro.streaming.transport import (
 from repro.streaming.transport.framing import parse_address
 from repro.streaming.tuples import StreamTuple, lowest_owner, owners_of
 
-#: default number of tuples per shipped batch; deep batches amortize
-#: per-frame encode/send/ack costs — the flush barrier still bounds a
-#: window's tail, and ``linger_s`` bounds trickle latency
+#: default number of entries per shipped batch; deep batches amortize
+#: per-frame encode/send/ack costs — the window barrier cuts a window's
+#: tail
 DEFAULT_BATCH_SIZE = 512
 #: minimum seconds between opportunistic ack polls on the idle path (an
 #: empty poll is still an ``epoll_wait`` syscall plus the selector's
-#: Python wrapper, ~1.3 us on a 2-CPU x86 host; at ~8 delivered tuples
-#: per document, polling once per tuple would add a fifth to the
-#: parent's per-document CPU)
+#: Python wrapper, ~1.3 us on a 2-CPU x86 host; the idle path runs at
+#: least once per document, while the Fig. 2 topology ships only ~2.1
+#: entries per document to the workers on rwData and NoBench, in
+#: batches of up to ``batch_size`` — most unthrottled polls would find
+#: no ack)
 IDLE_POLL_INTERVAL_S = 0.0005
-#: default age (seconds) after which a partial batch is flushed anyway
-DEFAULT_LINGER_S = 0.005
 #: default bound on unacknowledged batches per worker before the parent
 #: blocks (backpressure; also keeps link buffers from deadlocking).
 #: Sized so a full-depth pipeline of large windows stages without
@@ -193,7 +188,6 @@ class _WorkerHandle:
         "link",
         "pending",
         "buffer",
-        "buffer_since",
         "snapshots",
         "awaiting_snapshot",
         "journal",
@@ -211,7 +205,6 @@ class _WorkerHandle:
         #: raw (component, task_index, StreamTuple, mask) entries not yet
         #: shipped: one tuple for this worker's tasks in ``mask``
         self.buffer: list = []
-        self.buffer_since = 0.0
         #: incarnation -> its latest registry snapshot; a dead
         #: incarnation's stays, so merged counters never move backward
         self.snapshots: dict[int, dict] = {}
@@ -266,10 +259,11 @@ class ParallelCluster(ClusterBase):
         ``host:port`` addresses, one worker per entry (``tcp://host:port``
         attaches to an already-running worker instead of spawning one).
         Defaults to ``min(#remote tasks, os.cpu_count())``.
-    batch_size / linger_s:
-        Size and age bounds of shipped batches.
+    batch_size:
+        Entries per shipped batch; a window barrier ships a partial one.
     max_inflight:
-        Per-worker cap on unacknowledged batches (backpressure).
+        Per-worker cap on unacknowledged batches: flow control — the
+        parent waits for acks, it never drops an entry.
     pipeline_depth:
         How many window barriers may be outstanding before the parent
         blocks on the oldest.  0 restores the fully synchronous
@@ -292,11 +286,9 @@ class ParallelCluster(ClusterBase):
     elastic:
         An :class:`~repro.streaming.elastic.ElasticPolicy` arming the
         elastic worker pool: scale-up/down and live partition migration
-        decided at completed window barriers, plus (``policy.shed``)
-        dead-letter load shedding under sustained backpressure.  The
-        initial pool keeps its configured size; the policy's
-        ``min_workers``/``max_workers`` bound how far the controller
-        may move it.  ``shed=True`` requires ``dead_letters``.
+        decided at completed window barriers.  The initial pool keeps
+        its configured size; the policy's ``min_workers``/``max_workers``
+        bound how far the controller may move it.
     """
 
     def __init__(
@@ -313,7 +305,6 @@ class ParallelCluster(ClusterBase):
         transport: Union[str, Transport] = "pipe",
         workers: Optional[Union[int, Sequence[str]]] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        linger_s: float = DEFAULT_LINGER_S,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         pipeline_depth: int = DEFAULT_PIPELINE_DEPTH,
         barrier_timeout_s: float = DEFAULT_BARRIER_TIMEOUT_S,
@@ -364,16 +355,10 @@ class ParallelCluster(ClusterBase):
         self._restart_policy = restart_policy
         self._rng = random.Random(restart_policy.seed if restart_policy else 0)
         self._batch_size = batch_size
-        self._linger_s = linger_s
         self._max_inflight = max_inflight
         self._pipeline_depth = pipeline_depth
         self._barrier_timeout_s = barrier_timeout_s
         self._codec = codec if codec is not None else WireCodec()
-        if elastic is not None and elastic.shed and dead_letters is None:
-            raise TopologyError(
-                "ElasticPolicy.shed quarantines tuples on the dead-letter "
-                "queue; pass dead_letters=DeadLetterQueue() to enable it"
-            )
         self._elastic = (
             ElasticController(elastic) if elastic is not None else None
         )
@@ -381,7 +366,6 @@ class ParallelCluster(ClusterBase):
         self.scale_ups = 0
         self.scale_downs = 0
         self.migrations = 0
-        self.shed_tuples = 0
         #: peak simultaneous unacknowledged batches across all workers
         self.inflight_high_water = 0
         #: dead workers respawned onto an in-process link
@@ -507,61 +491,16 @@ class ParallelCluster(ClusterBase):
     ) -> None:
         """Queue one entry — ``tup`` for ``handle``'s tasks in ``mask`` —
         for the worker's next batch."""
-        if (
-            self._elastic is not None
-            and self._elastic.shed_active
-            # the blocking flush loop drains to max_inflight - 1, so
-            # "at the cap" at routing time means the next flush blocks
-            and len(handle.pending) >= self._max_inflight - 1
-            and tup.stream not in self._barrier_streams
-            and tup.stream not in self._sticky_streams
-        ):
-            # end-to-end relief valve: the worker is saturated and the
-            # overload has persisted — quarantine instead of queueing.
-            # Barrier and sticky tuples are never shed (they carry
-            # window/control semantics, not load).
-            self._shed(handle, component, mask, tup)
-            return
         if self._elastic is not None:
             docs = self._barriers.docs
             key = (component, mask)
             docs[key] = docs.get(key, 0) + 1
-        if not handle.buffer:
-            handle.buffer_since = monotonic()
         # buffered raw: the journal keeps raw entries, every send encodes
         handle.buffer.append((component, lowest_owner(mask), tup, mask))
         if tup.stream in self._barrier_streams:
             self._barrier_pending = True
         if len(handle.buffer) >= self._batch_size:
             self._flush(handle)
-
-    def _shed(
-        self, handle: _WorkerHandle, component: str, mask: int,
-        tup: StreamTuple,
-    ) -> None:
-        """Quarantine one entry: a dead letter per addressed task."""
-        n = mask.bit_count()
-        self.shed_tuples += n
-        if self._obs:
-            self.registry.counter(
-                "executor.shed_tuples", component=component
-            ).inc(n)
-        for task_index in owners_of(mask):
-            self._record_dead_letter(
-                DeadLetter(
-                    component=component,
-                    task_index=task_index,
-                    stream=tup.stream,
-                    attempts=0,
-                    cause=(
-                        f"shed: worker {handle.index} saturated for "
-                        f"{self._elastic.pressure_streak} consecutive windows"
-                    ),
-                    values_repr=truncated_repr(tup.values),
-                    worker=handle.index,
-                    reason="shed",
-                )
-            )
 
     def _flush(self, handle: _WorkerHandle) -> None:
         if not handle.buffer:
@@ -593,7 +532,6 @@ class ParallelCluster(ClusterBase):
         # blocking limit below is the exception, not the steady state
         self._poll_results(timeout=0.0)
         if len(handle.pending) >= self._max_inflight:
-            self._barriers.backpressured = True
             self._wait_until(
                 lambda: len(handle.pending) < self._max_inflight, "backpressure"
             )
@@ -620,11 +558,6 @@ class ParallelCluster(ClusterBase):
             # a barrier formed: drain whatever acks arrived right away so
             # completion latency stays low at window ends
             self._last_idle_poll = 0.0
-        else:
-            now = monotonic()
-            for handle in self._workers:
-                if handle.buffer and now - handle.buffer_since >= self._linger_s:
-                    self._flush(handle)
         # opportunistic, non-blocking ack collection keeps the links
         # drained; emissions stay stashed until their barrier completes
         # so the re-injection order stays deterministic.  Throttled:
@@ -710,7 +643,6 @@ class ParallelCluster(ClusterBase):
         released = self._reinject(window.emissions)
         controller = self._elastic
         if controller is not None and not self._closed:
-            controller.observe_pressure(window.backpressured)
             decision = controller.decide(window.index, self._worker_loads(window.docs))
             if decision is not None:
                 self._apply_decision(decision)
@@ -1127,7 +1059,6 @@ class ParallelCluster(ClusterBase):
         stats["scale_ups"] = self.scale_ups
         stats["scale_downs"] = self.scale_downs
         stats["migrations"] = self.migrations
-        stats["shed_tuples"] = self.shed_tuples
         return stats
 
     def snapshot(self) -> ObservabilitySnapshot:

@@ -153,27 +153,24 @@ class Window(NamedTuple):
     emissions: list
     #: entries delivered during the window, per ``(component, mask)``
     docs: dict
-    #: a flush blocked on the inflight limit during the window
-    backpressured: bool
 
 
 class BarrierTracker:
     """Outstanding window barriers of one cluster, oldest first.
 
-    The open window's :attr:`docs` and :attr:`backpressured` are plain
-    attributes the cluster updates in place on its delivery path;
+    The open window's :attr:`docs` is a plain attribute the cluster
+    updates in place on its delivery path;
     :meth:`record` closes the window, so deliveries counted after it
     belong to the next one.
     """
 
-    __slots__ = ("open", "docs", "backpressured", "completed", "_stash")
+    __slots__ = ("open", "docs", "completed", "_stash")
 
     def __init__(self) -> None:
-        #: recorded, not yet completed barriers as ``(seq, docs,
-        #: backpressured)``, oldest first
+        #: recorded, not yet completed barriers as ``(seq, docs)``,
+        #: oldest first
         self.open: deque = deque()
         self.docs: dict = {}
-        self.backpressured = False
         self.completed = 0
         #: emissions of acknowledged batches, by batch seq, until their
         #: barrier completes
@@ -182,9 +179,8 @@ class BarrierTracker:
     def record(self, seq: int) -> None:
         """Close the open window under a barrier covering batches up to
         ``seq``."""
-        self.open.append((seq, self.docs, self.backpressured))
+        self.open.append((seq, self.docs))
         self.docs = {}
-        self.backpressured = False
 
     def stash(self, seq: int, emissions: tuple) -> None:
         """Hold an acknowledged batch's emissions until its barrier."""
@@ -200,9 +196,9 @@ class BarrierTracker:
 
     def complete(self) -> Window:
         """Complete the oldest barrier (the caller checked :meth:`ready`)."""
-        seq, docs, backpressured = self.open.popleft()
+        seq, docs = self.open.popleft()
         self.completed += 1
-        return Window(self.completed - 1, seq, self._release(seq), docs, backpressured)
+        return Window(self.completed - 1, seq, self._release(seq), docs)
 
     def release_rest(self) -> list:
         """Emissions of every stashed batch, in seq order — the batches

@@ -91,10 +91,6 @@ class DeadLetter:
     values_repr: str = ""
     worker: Optional[int] = None
     batch_seq: Optional[int] = None
-    #: why the tuple was quarantined: ``"error"`` (exhausted its retry
-    #: budget) or ``"shed"`` (dropped by elastic load shedding under
-    #: sustained overload — see ``docs/elasticity.md``)
-    reason: str = "error"
 
 
 class DeadLetterQueue:

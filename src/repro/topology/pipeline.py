@@ -109,9 +109,9 @@ class StreamJoinConfig:
     #: entries attach to pre-started workers instead of spawning them
     workers: Optional[Union[int, tuple[str, ...], list[str]]] = None
     #: elastic worker pool for the parallel backend: scale-up/down and
-    #: live partition migration at window barriers, plus optional
-    #: dead-letter load shedding (``docs/elasticity.md``).  Ignored on
-    #: the local backend (there is no pool to resize).
+    #: live partition migration at window barriers
+    #: (``docs/elasticity.md``).  Ignored on the local backend (there is
+    #: no pool to resize).
     elastic: Optional[ElasticPolicy] = None
     #: tuples per shipped worker batch on the parallel backend (None ->
     #: the cluster default); larger batches amortize per-frame framing
@@ -158,15 +158,6 @@ class StreamJoinConfig:
         if self.max_retries < 0:
             raise PartitioningError(
                 f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if (
-            self.elastic is not None
-            and self.elastic.shed
-            and not self.dead_letters
-        ):
-            raise PartitioningError(
-                "elastic.shed quarantines tuples on the dead-letter queue; "
-                "set dead_letters=True to enable it"
             )
         replays = [n for n in ("restart_policy", "elastic") if getattr(self, n)]
         if self.sliding_size is not None and self.backend == "parallel" and replays:

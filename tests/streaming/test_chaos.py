@@ -138,7 +138,7 @@ class TestSyntheticChaos:
         """The first replacement dies on its first frame — the sticky
         pseudo-batch of its replay, which can then never be acked.  The
         second replay must not leave the next barrier waiting for it.
-        Synchronous barriers and no linger make the frame counts exact:
+        Synchronous barriers make the frame counts exact:
         window 1 completes (its tick becomes sticky history) before
         batch 3, the first of window 2, kills the original worker."""
         clean = _clean_reference()
@@ -152,7 +152,6 @@ class TestSyntheticChaos:
             collector,
             sticky_streams=("tick",),
             pipeline_depth=0,
-            linger_s=60.0,
             barrier_timeout_s=10.0,
             restart_policy=FAST_RESTART,
             fault_plan=plan,

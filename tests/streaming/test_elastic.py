@@ -2,15 +2,18 @@
 
 Every case drives the elastic worker pool — forced scale-ups and
 scale-downs, live partition migration, destination-worker kills
-mid-migration, load shedding under sustained backpressure — through the
-``ElasticPolicy.force`` schedule so the *timing* of every action is
-exact, then asserts the run's output against a clean reference.  All
-cases fork worker processes and carry the ``elastic`` marker; run them
-via ``make test-elastic`` (or ``pytest -m elastic``).
+mid-migration — through the ``ElasticPolicy.force`` schedule so the
+*timing* of every action is exact, then asserts the run's output
+against a clean reference.  All cases fork worker processes and carry
+the ``elastic`` marker; run them via ``make test-elastic`` (or
+``pytest -m elastic``).
 """
+
+from dataclasses import replace
 
 import pytest
 
+from repro.data.serverlogs import ServerLogGenerator
 from repro.data.zoo import ZipfSkewGenerator
 from repro.faults import FaultPlan
 from repro.streaming.component import Bolt, Spout
@@ -18,7 +21,7 @@ from repro.streaming.elastic import ElasticPolicy
 from repro.streaming.executor import LocalCluster
 from repro.streaming.grouping import AllGrouping, FieldsGrouping, GlobalGrouping
 from repro.streaming.parallel import ParallelCluster
-from repro.streaming.recovery import DeadLetterQueue, RestartPolicy
+from repro.streaming.recovery import RestartPolicy
 from repro.streaming.topology import TopologyBuilder
 from repro.topology.pipeline import StreamJoinConfig, run_stream_join
 
@@ -223,56 +226,6 @@ class TestSyntheticElasticity:
         assert stats["scale_ups"] == 1
         assert stats["worker_restarts"] >= 1
 
-    def test_no_shed_below_overload_threshold(self):
-        """An armed shedder must stay silent on a healthy run."""
-        clean = _clean_reference()
-        collector = CollectBolt()
-        cluster = _parallel(
-            collector,
-            dead_letters=DeadLetterQueue(),
-            elastic=ElasticPolicy(max_workers=2, shed=True),
-        )
-        with cluster:
-            cluster.run()
-            stats = cluster.stats()
-        assert sorted(collector.values) == clean
-        assert stats["shed_tuples"] == 0
-        assert stats["dead_letters"] == 0
-
-    def test_sustained_overload_sheds_to_dead_letters(self):
-        """With a one-batch inflight budget every window backpressures;
-        once the streak passes the policy threshold, excess tuples are
-        quarantined with ``reason="shed"`` instead of queueing."""
-        collector = CollectBolt()
-        dlq = DeadLetterQueue()
-        cluster = _parallel(
-            collector,
-            n=120,
-            max_inflight=1,
-            dead_letters=dlq,
-            elastic=ElasticPolicy(
-                max_workers=2, shed=True, shed_after_windows=1
-            ),
-        )
-        with cluster:
-            cluster.run()
-            stats = cluster.stats()
-        assert stats["shed_tuples"] > 0
-        assert stats["shed_tuples"] == len(
-            [letter for letter in dlq if letter.reason == "shed"]
-        )
-        # every shed tuple is missing from the output, nothing else
-        clean = _clean_reference(120)
-        assert len(collector.values) == len(clean) - stats["shed_tuples"]
-        assert set(collector.values) <= set(clean)
-
-    def test_shed_without_dead_letters_rejected(self):
-        from repro.exceptions import TopologyError
-
-        collector = CollectBolt()
-        with pytest.raises(TopologyError, match="dead_letters"):
-            _parallel(collector, elastic=ElasticPolicy(shed=True))
-
     def test_stats_expose_elastic_counters(self):
         collector = CollectBolt()
         cluster = _parallel(
@@ -282,7 +235,7 @@ class TestSyntheticElasticity:
         with cluster:
             cluster.run()
             stats = cluster.stats()
-        for key in ("scale_ups", "scale_downs", "migrations", "shed_tuples"):
+        for key in ("scale_ups", "scale_downs", "migrations"):
             assert key in stats
         assert stats["inflight_high_water"] > 0
         # every barrier drained: nothing is left journaled for replay
@@ -333,7 +286,6 @@ class TestViralSkewTopology:
         assert elastic.join_pairs == clean.join_pairs
         assert elastic.tuple_stats["scale_ups"] == 2
         assert elastic.tuple_stats["migrations"] == 2
-        assert elastic.tuple_stats["shed_tuples"] == 0
 
     def test_hot_worker_killed_mid_window_still_matches(self):
         """Kill the worker holding the viral partition mid-window while
@@ -438,3 +390,40 @@ class TestMaskSplit:
         assert spanning, "no journaled entry named moved and kept tasks"
         assert all(mask & (mask - 1) for mask in spanning)
         assert (stats["worker_restarts"] >= 1) == kill_destination
+
+
+@pytest.mark.parallel
+class TestMigratedCounters:
+    """Merged worker counters after live migrations on forked workers.
+
+    At ``pipeline_depth=0`` a migration happens with an empty window
+    journal, so the destination re-runs no batch the source already
+    counted.  (At the default depth it does, and ``joiner.probes`` /
+    ``joiner.inserts`` over-count — a known defect,
+    ``docs/observability.md``.)"""
+
+    @pytest.mark.parametrize(
+        "force", [((1, "up"),), ((1, "up"), (3, "down"))], ids=["up", "up_down"]
+    )
+    def test_joiner_counters_match_the_local_run(self, force):
+        generator = ServerLogGenerator(seed=5)
+        windows = [generator.next_window(300) for _ in range(8)]
+        config = StreamJoinConfig(m=8, compute_joins=True, observability=True)
+        local = run_stream_join(config, windows)
+        elastic = run_stream_join(
+            replace(
+                config,
+                backend="parallel",
+                transport="pipe",
+                workers=2,
+                pipeline_depth=0,
+                elastic=ElasticPolicy(max_workers=4, force=force),
+            ),
+            windows,
+        )
+        assert elastic.per_window == local.per_window
+        assert elastic.tuple_stats["migrations"] == len(force)
+        for name in ("joiner.probes{algorithm=FPJ}", "joiner.inserts{algorithm=FPJ}"):
+            assert elastic.observability.counters[name] == (
+                local.observability.counters[name]
+            ), name

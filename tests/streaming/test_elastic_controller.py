@@ -57,7 +57,7 @@ class TestPolicyValidation:
             {"cold_share": -0.1},
             {"cold_share": 0.7, "hot_share": 0.6},
             {"cooldown_windows": -1},
-            {"shed_after_windows": 0},
+            {"force": ((1,),)},
             {"force": (("1", "up"),)},
             {"force": ((1, "sideways"),)},
         ],
@@ -221,27 +221,6 @@ class TestCooldownAndForce:
     def test_empty_load_list_is_a_no_op(self):
         controller = ElasticController(ElasticPolicy(force=((0, "up"),)))
         assert controller.decide(0, []) is None
-
-
-class TestShedding:
-    def test_streak_arms_and_clears(self):
-        controller = ElasticController(
-            ElasticPolicy(shed=True, shed_after_windows=3)
-        )
-        for _ in range(2):
-            controller.observe_pressure(True)
-        assert not controller.shed_active
-        controller.observe_pressure(True)
-        assert controller.shed_active
-        controller.observe_pressure(False)
-        assert controller.pressure_streak == 0
-        assert not controller.shed_active
-
-    def test_shed_disarmed_without_the_flag(self):
-        controller = ElasticController(ElasticPolicy(shed=False))
-        for _ in range(10):
-            controller.observe_pressure(True)
-        assert not controller.shed_active
 
 
 class TestDecisionShape:

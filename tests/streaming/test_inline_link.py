@@ -5,8 +5,8 @@ this process, so ``ParallelCluster`` — batching, journals, barriers,
 supervision, migration and degrade — can be driven end to end in the
 tier-1 suite.  A test transport spawns every worker onto such a link;
 its link turns a fault-plan kill into a dead link, the way a worker
-process dies.  Each run of the Fig. 2 topology must match the local
-run window for window.
+process dies, and records every batch frame it is handed.  Each run of
+the Fig. 2 topology must match the local run window for window.
 """
 
 from dataclasses import replace
@@ -21,6 +21,7 @@ from repro.streaming.component import Executor
 from repro.streaming.elastic import ElasticPolicy
 from repro.streaming.recovery import RestartPolicy
 from repro.streaming.transport import InlineLink, LinkDown, Transport
+from repro.streaming.transport.framing import BufferFrame
 from repro.streaming.transport.session import WorkerKilled
 from repro.topology import messages as msg
 from repro.topology.pipeline import StreamJoinConfig, run_stream_join
@@ -38,9 +39,16 @@ COUNTERS = ("assigner.documents", "sink.windows", "joiner.probes{algorithm=FPJ}"
 
 
 class MortalInlineLink(InlineLink):
-    """An inline link whose fault-plan kill leaves it dead."""
+    """An inline link whose fault-plan kill leaves it dead, and which
+    records each batch frame it is handed as ``(seq, bytes)``."""
+
+    def __init__(self, init, transport):
+        super().__init__(init, transport)
+        self._shipped = transport.shipped.setdefault(init.worker_index, [])
 
     def send(self, message) -> None:
+        if isinstance(message, BufferFrame):
+            self._shipped.append((message.envelope[1], message.to_bytes()))
         if self.exit_code is not None:
             raise LinkDown("worker killed")
         try:
@@ -56,6 +64,12 @@ class MortalInlineLink(InlineLink):
 
 class InlineTransport(Transport):
     name = "inline"
+
+    def __init__(self):
+        super().__init__()
+        #: worker index -> ``(seq, frame bytes)`` of every batch frame
+        #: staged or sent to it, every incarnation's, in order
+        self.shipped: dict[int, list] = {}
 
     def spawn(self, init):
         return MortalInlineLink(init, self)
@@ -184,3 +198,38 @@ class TestInlineCluster:
         assert cluster.worker_count == 1
         assert msg.JOINER not in parent_ran
 
+    def test_shipping_is_a_function_of_the_input(self, monkeypatch):
+        """A batch is cut by ``batch_size`` and window barriers only: a
+        run whose parent clock moves 6 ms between the documents of one
+        window ships every worker the same ``(seq, frame bytes)``
+        sequence as an unstalled run."""
+        windows = _windows()
+        real = parallel.monotonic
+        stall = {"offset": 0.0}
+        monkeypatch.setattr(parallel, "monotonic", lambda: real() + stall["offset"])
+
+        def stalled(window):
+            # the spout pulls one item per emit: each later document
+            # arrives 6 ms after the one before
+            for position, document in enumerate(window):
+                if position:
+                    stall["offset"] += 0.006
+                yield document, None
+
+        def shipped(stall_window):
+            session = StreamJoinSession(
+                replace(_config(), backend="parallel", workers=2)
+            )
+            for index, window in enumerate(windows):
+                if index == stall_window:
+                    session._push(stalled(window))
+                else:
+                    session.push_window(window)
+            session.result()
+            return session._cluster._transport.shipped
+
+        steady = shipped(stall_window=None)
+        stalled_run = shipped(stall_window=2)
+        assert stall["offset"] >= 0.006 * (len(windows[2]) - 1)
+        assert sorted(steady) == [0, 1] and all(steady.values())
+        assert stalled_run == steady

@@ -138,8 +138,8 @@ class TestParallelSmoke:
 @pytest.mark.parallel
 class TestParallelBackend:
     def test_barrier_stream_flushes_batches(self):
-        # with a huge batch size and no linger pressure, only the
-        # barrier forces the partial batch out
+        # with a huge batch size, only the barrier forces the partial
+        # batch out
         sink = CollectBolt()
         with ParallelCluster(
             _square_topology(10, sink),

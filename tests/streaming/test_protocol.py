@@ -229,7 +229,6 @@ TestWindowProtocol.settings = settings(
 def test_deliveries_after_a_barrier_count_for_the_next_window():
     tracker = BarrierTracker()
     tracker.docs[("joiner", 0b11)] = 3
-    tracker.backpressured = True
     tracker.record(5)
     # the barrier is recorded but not complete; routing runs ahead
     tracker.docs[("joiner", 0b11)] = tracker.docs.get(("joiner", 0b11), 0) + 1
@@ -237,9 +236,9 @@ def test_deliveries_after_a_barrier_count_for_the_next_window():
     assert tracker.ready([{7}]) and not tracker.ready([{4, 7}])
     first = tracker.complete()
     second = tracker.complete()
-    assert (first.index, first.seq, first.docs, first.backpressured) == (
-        0, 5, {("joiner", 0b11): 3}, True,
+    assert (first.index, first.seq, first.docs) == (
+        0, 5, {("joiner", 0b11): 3},
     )
-    assert (second.index, second.seq, second.docs, second.backpressured) == (
-        1, 9, {("joiner", 0b11): 1}, False,
+    assert (second.index, second.seq, second.docs) == (
+        1, 9, {("joiner", 0b11): 1},
     )

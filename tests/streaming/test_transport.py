@@ -719,7 +719,7 @@ class TransportConformance:
         clean = _clean_reference(n=300, **shape)
         collector = CollectBolt()
         cluster = self._cluster(
-            collector, n=300, shape=shape, batch_size=128, linger_s=60.0
+            collector, n=300, shape=shape, batch_size=128
         )
         staged: list[int] = []
         send_buffers: list[int] = []
