@@ -135,14 +135,10 @@ class Bolt(ABC):
         return False
 
     def join_executor(self, resident: Optional[Bolt], metrics: MetricsRegistry) -> None:
-        """This task was adopted (live migration) by an executor: count
+        """This task was adopted (a task move) by an executor: count
         into its ``metrics``, and share whatever co-located tasks share
         with ``resident``, a task of the same component it already runs
         (None: it runs none)."""
-
-    def leave_executor(self) -> None:
-        """This task migrated away: release what it holds of the state
-        its executor's tasks share."""
 
 
 class Executor:

@@ -4,28 +4,27 @@ The parallel backend's worker pool is sized once at construction; under
 a skewed stream (one viral AV-pair, see ``repro.data.zoo``) a single
 worker can drown while the rest idle.  This module is the *decision*
 half of the elasticity layer (``docs/elasticity.md``): a pure, seeded,
-side-effect-free controller that the cluster consults once per
-completed window barrier.  The *mechanism* half — live partition
-migration over the window-replay journal, worker retirement — lives
-in :class:`~repro.streaming.parallel.ParallelCluster`.
+side-effect-free controller that the cluster consults once per window,
+when the window closes.  The *mechanism* half — task moves at a drained
+window boundary, worker retirement — lives in
+:class:`~repro.streaming.parallel.ParallelCluster`.
 
 Signals: one :class:`WorkerLoad` per live worker, whose ``docs`` /
-``task_docs`` count the documents the completed window delivered to the
-worker's tasks — the skew signal.  The cluster counts them per window
-(:class:`~repro.streaming.protocol.BarrierTracker`), so window k's load
-is exactly window k's documents however far the pipeline runs ahead.
+``task_docs`` count the documents the closing window delivered to the
+worker's tasks — the skew signal.  The cluster counts them per window,
+so window k's load is exactly window k's documents.
 
-Decisions are deliberately coarse — at most one action per barrier,
-with a cooldown between actions — because a migration is not free: the
-hot worker must drain and its journaled state must re-ship.  The
-controller is pure (``decide`` mutates only its own cooldown state), so
-its policy thresholds are unit-testable without any worker processes.
+Decisions are deliberately coarse — at most one action per window,
+with a cooldown between actions — because a move is not free: every
+window still in flight must drain first.  The controller is pure
+(``decide`` mutates only its own cooldown state), so its policy
+thresholds are unit-testable without any worker processes.
 
-Determinism: migration preserves per-task delivery order and re-acks
-of replayed state are suppressed, so *whatever* the controller decides,
-per-window results stay byte-identical to the local backend.  The
-document counts are a function of the input, so no decision depends on
-timing; ``ElasticPolicy.force`` pins exact schedules.
+Determinism: a move happens only with no window in flight and
+preserves per-task delivery order, so *whatever* the controller
+decides, per-window results stay byte-identical to the local backend.
+The document counts are a function of the input, so no decision depends
+on timing; ``ElasticPolicy.force`` pins exact schedules.
 """
 
 from __future__ import annotations
@@ -130,7 +129,7 @@ class Decision:
 
 
 class ElasticController:
-    """Pure decision logic consulted once per completed barrier.
+    """Pure decision logic consulted once per closed window.
 
     State is limited to cooldown tracking; everything else is derived
     from the :class:`WorkerLoad` list passed in, so the controller can
@@ -145,7 +144,7 @@ class ElasticController:
     def decide(
         self, window_index: int, loads: list[WorkerLoad]
     ) -> Optional[Decision]:
-        """The action to take at this barrier, or None.
+        """The action to take as window ``window_index`` closes, or None.
 
         At most one action fires per call; organic (threshold-driven)
         actions additionally respect ``cooldown_windows``.  ``loads``

@@ -44,7 +44,7 @@ Three properties keep runs exact and replayable:
   cleared and its stashed remote emissions released, in global batch
   order — so the parent re-injects them deterministically and
   per-window results stay byte-identical to the local backend.  Every
-  barrier completes through one method (``_complete_barrier``), oldest
+  barrier completes through one method (``_complete_barriers``), oldest
   first: the end of a pump completes the ones whose acks have drained,
   :meth:`ParallelCluster.drain` waits for each in turn.  At most
   ``pipeline_depth`` barriers may be outstanding before the parent
@@ -52,8 +52,9 @@ Three properties keep runs exact and replayable:
   synchronous pre-pipelining plane).  A credit-style ack drain runs on
   every flush and idle pass, keeping links full during compute instead
   of only applying backpressure at the blocking ``max_inflight`` limit.
-  The protocol state — per-worker journals and the barrier tracker —
-  lives in the pure classes of :mod:`repro.streaming.protocol`.
+  The protocol state — per-worker journals, the sticky log and the
+  barrier tracker — lives in the pure classes of
+  :mod:`repro.streaming.protocol`.
 * **Failure containment.**  A worker runs every entry through the
   base's :class:`~repro.streaming.component.Executor`; a tuple that
   exhausts its retry budget ships in the ack as a
@@ -76,16 +77,17 @@ are pristine — it never executes remote tasks itself) and its journal
 is re-shipped.  Acknowledged batches are replayed for state only: their
 re-acks are *suppressed* so emissions and counters are never
 double-applied and recovered runs stay byte-identical to clean ones.
-Tuples on configured ``sticky_streams`` (cross-window control
-broadcasts such as partition versions) are retained past barriers and
-replayed first.  When the per-window restart budget runs out the run
-aborts with :class:`~repro.exceptions.WorkerCrashError` — or, with
+Deliveries on configured ``sticky_streams`` (cross-window control
+broadcasts such as partition versions) are logged once per cluster past
+barriers and replayed first, cut to the tasks the slot runs.  When the
+per-window restart budget runs out the run aborts with
+:class:`~repro.exceptions.WorkerCrashError` — or, with
 ``degrade=True``, the dead worker is respawned *into the parent*, onto
 an :class:`~repro.streaming.transport.InlineLink`: a worker session in
 this process over a copy of the pristine tasks.  It receives the replay
 a fresh worker would, and its replies take the ordinary ack path; from
 then on the slot is one like any other, fed through its link.  Respawn,
-degrade and migration all ship history through one method
+degrade and a task move all ship history through one method
 (``_ship_history``), and every blocking ack wait goes through one
 bounded wait (``_wait_until``).
 
@@ -99,20 +101,20 @@ merges it with the parent's via :func:`repro.obs.registry.merge_snapshots`.
 Elasticity (``docs/elasticity.md``): with an
 :class:`~repro.streaming.elastic.ElasticPolicy`, the cluster consults a
 pure :class:`~repro.streaming.elastic.ElasticController` once per
-*completed* barrier, with the documents that window delivered to each
-task.  A scale-up spawns a fresh worker and live-migrates
-the hot worker's hottest task to it; a scale-down migrates a cold
-worker's tasks into the least-loaded survivor and retires it.
-Migration reuses the replay machinery wholesale: the source drains, its
-journal splits off the moved tasks' history (entries addressed to moved
-and kept tasks together are cut in two by mask), which merges into the
-destination's journal under the original batch seqs, the destination
-receives an ``("adopt", tasks)`` message followed by the re-encoded
-history as suppressed batches, the source a ``("disown", keys)``, and
-routing (the slots' ``assigned`` and the per-worker task masks) swaps — so
-per-task delivery order and the seq-deterministic release are
-preserved and output stays byte-identical to the static pool.  Nothing
-routable is ever dropped: ``max_inflight`` only makes the parent wait.
+window, when the window *closes*, with the documents that window
+delivered to each task.  A scale-up spawns a fresh worker and moves
+the hot worker's hottest task to it; a scale-down moves a cold worker's
+tasks into the least-loaded survivor and retires it.  Like the paper's
+repartitioning (§VI-A), tasks move only at a window boundary with no
+window in flight: a decision first completes every outstanding barrier,
+so no batch journal holds an entry and no first ack is owed.  Routing
+(the slots' ``assigned`` and the per-worker task masks) then swaps, the
+destination receives an ``("adopt", tasks)`` message followed by the
+sticky log's cut for the moved tasks, the source a ``("disown", keys)``,
+and the moved tasks take effect from the next window on — so per-task
+delivery order is preserved and output and counters stay identical to
+the static pool.  Nothing routable is ever dropped: ``max_inflight``
+only makes the parent wait.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ from repro.streaming.elastic import (
     WorkerLoad,
 )
 from repro.streaming.executor import ClusterBase
-from repro.streaming.protocol import BarrierTracker, Journal
+from repro.streaming.protocol import BarrierTracker, Journal, StickyLog
 from repro.streaming.recovery import DeadLetterQueue, RestartPolicy
 from repro.streaming.topology import Topology
 from repro.streaming.transport import (
@@ -149,7 +151,7 @@ from repro.streaming.transport import (
     make_transport,
 )
 from repro.streaming.transport.framing import parse_address
-from repro.streaming.tuples import StreamTuple, lowest_owner, owners_of
+from repro.streaming.tuples import StreamTuple, lowest_owner, owners_of, task_masks
 
 #: default number of entries per shipped batch; deep batches amortize
 #: per-frame encode/send/ack costs — the window barrier cuts a window's
@@ -212,7 +214,7 @@ class _WorkerHandle:
         #: reply is owed
         self.awaiting_snapshot: Optional[int] = None
         #: upstream backup: every batch shipped since the last completed
-        #: barrier, plus the sticky history a replacement replays first
+        #: barrier
         self.journal = Journal()
         self.restarts_in_window = 0
         self.incarnation = 0
@@ -234,10 +236,10 @@ class ParallelCluster(ClusterBase):
         budgets reset.
     sticky_streams:
         Streams whose tuples carry cross-window control state (e.g.
-        partition-set broadcasts).  They are retained past barriers and
-        replayed into a replacement worker before its window journal, so
-        restarted workers see the control decisions made in earlier
-        windows.
+        partition-set broadcasts).  They are logged past barriers and
+        replayed into a replacement worker before its window journal,
+        and into the destination of a task move, so a task sees the
+        control decisions made in earlier windows wherever it runs.
     restart_policy:
         Enables worker supervision: a dead worker is replaced (bounded
         restarts per window, exponential backoff with seeded jitter) and
@@ -285,10 +287,11 @@ class ParallelCluster(ClusterBase):
         with the batch ack, fault rules run in the worker loop).
     elastic:
         An :class:`~repro.streaming.elastic.ElasticPolicy` arming the
-        elastic worker pool: scale-up/down and live partition migration
-        decided at completed window barriers.  The initial pool keeps
-        its configured size; the policy's ``min_workers``/``max_workers``
-        bound how far the controller may move it.
+        elastic worker pool: scale-up/down decided when a window closes
+        and carried out as task moves at a drained window boundary.
+        The initial pool keeps its configured size; the policy's
+        ``min_workers``/``max_workers`` bound how far the controller may
+        move it.
     """
 
     def __init__(
@@ -394,9 +397,13 @@ class ParallelCluster(ClusterBase):
         self._batch_seq = 0
         self._barrier_pending = False
         self._last_idle_poll = 0.0
-        #: outstanding window barriers, their stashed emissions and the
-        #: open window's load signals
+        #: outstanding window barriers and their stashed emissions
         self._barriers = BarrierTracker()
+        #: every delivery on a sticky stream to a remote component
+        self._sticky = StickyLog()
+        #: the open window's entries per ``(component, mask)`` — the
+        #: elastic controller's load signal
+        self._docs: dict[tuple[str, int], int] = {}
         self._pumping = False
         self._started = False
         self._closed = False
@@ -466,18 +473,17 @@ class ParallelCluster(ClusterBase):
     # Delivery / batching
     # ------------------------------------------------------------------
     def _rebuild_worker_masks(self) -> None:
-        """Placement changed (construction, migration)."""
-        masks: dict[str, dict[_WorkerHandle, int]] = {}
+        """Placement changed (construction, a task move)."""
+        masks: dict[str, list[tuple[_WorkerHandle, int]]] = {}
         for handle in self._workers:
-            for component, task_index in handle.assigned:
-                per_worker = masks.setdefault(component, {})
-                per_worker[handle] = per_worker.get(handle, 0) | 1 << task_index
-        self._worker_masks = {
-            component: list(per_worker.items())
-            for component, per_worker in masks.items()
-        }
+            for component, mask in task_masks(handle.assigned).items():
+                masks.setdefault(component, []).append((handle, mask))
+        self._worker_masks = masks
 
     def _deliver(self, component: str, mask: int, tup: StreamTuple) -> None:
+        if tup.stream in self._sticky_streams and component in self._worker_masks:
+            # the lowest seq its batch can ship under (see StickyLog)
+            self._sticky.record(self._batch_seq + 1, component, mask, tup)
         for handle, worker_mask in self._worker_masks.get(component, ()):
             owners = mask & worker_mask
             if owners:
@@ -492,7 +498,7 @@ class ParallelCluster(ClusterBase):
         """Queue one entry — ``tup`` for ``handle``'s tasks in ``mask`` —
         for the worker's next batch."""
         if self._elastic is not None:
-            docs = self._barriers.docs
+            docs = self._docs
             key = (component, mask)
             docs[key] = docs.get(key, 0) + 1
         # buffered raw: the journal keeps raw entries, every send encodes
@@ -514,7 +520,7 @@ class ParallelCluster(ClusterBase):
         raw = handle.buffer
         handle.buffer = []
         message = self._codec.encode_batch(seq, raw)
-        handle.journal.record(seq, raw, self._sticky_streams)
+        handle.journal.batches[seq] = raw
         handle.pending.add(seq)
         if len(handle.pending) > self.inflight_high_water:
             self.inflight_high_water = len(handle.pending)
@@ -540,12 +546,22 @@ class ParallelCluster(ClusterBase):
         """Phase 1: flush every buffer and, if a barrier tuple was
         shipped, record its barrier over every batch shipped so far.
         Routing and encoding of the next window continue while the acks
-        drain."""
+        drain.
+
+        The window's per-task document counts are final here, so this
+        is where the elastic controller is consulted, once per window.
+        A decision costs one drain: every outstanding barrier completes
+        before the move (:meth:`_complete_barriers`)."""
         for handle in self._workers:
             self._flush(handle)
         if self._barrier_pending:
             self._barrier_pending = False
-            self._barriers.record(self._batch_seq)
+            index = self._barriers.record(self._batch_seq)
+            if self._elastic is not None:
+                docs, self._docs = self._docs, {}
+                decision = self._elastic.decide(index, self._worker_loads(docs))
+                if decision is not None:
+                    self._complete_barriers(0, decision)
 
     def _on_idle(self) -> bool:
         if not self._started:
@@ -568,9 +584,12 @@ class ParallelCluster(ClusterBase):
         ):
             self._last_idle_poll = monotonic()
             self._poll_results(timeout=0.0)
-        elif len(barriers.open) <= self._pipeline_depth:
-            return False
-        return self._complete_barriers(self._pipeline_depth)
+            self._complete_barriers(self._pipeline_depth)
+        elif len(barriers.open) > self._pipeline_depth:
+            self._complete_barriers(self._pipeline_depth)
+        # completed barriers (an elastic drain's too) released their
+        # emissions into the local FIFO
+        return bool(self._queue)
 
     def _finish(self) -> None:
         """End-of-pump hook: close the window, but only complete the
@@ -598,59 +617,53 @@ class ParallelCluster(ClusterBase):
             self._close_window()
             self._pump_links()
             self._poll_results(timeout=0.0)
-            released = self._complete_barriers(0 if block else self._pipeline_depth)
+            self._complete_barriers(0 if block else self._pipeline_depth)
             if block:
                 self._wait_until(lambda: not self._any_pending(), "drain")
                 # the run is over: trailing batches are history too
                 self._clear_through(self._batch_seq)
-                released |= self._reinject(self._barriers.release_rest())
-            if released:
+                self._reinject(self._barriers.release_rest())
+            if self._queue:
                 self._drain()
-                continue
-            if not self._queue and not any(h.buffer for h in self._workers):
+            elif not any(h.buffer for h in self._workers):
                 break
 
     def _oldest_barrier_ready(self) -> bool:
         return self._barriers.ready(handle.pending for handle in self._workers)
 
-    def _complete_barriers(self, keep: int) -> bool:
-        """Complete barriers oldest first: every one whose acks have
-        drained, then — blocking on each in turn — as many as it takes
-        to leave at most ``keep`` outstanding (the depth cap bounds
-        stash and journal growth to ``keep + 1`` windows).  True if
-        emissions were released."""
-        released = False
+    def _complete_barriers(
+        self, keep: int, decision: Optional[Decision] = None
+    ) -> None:
+        """Phase 2, the one path every barrier completes through: oldest
+        first, every barrier whose acks have drained, then — blocking on
+        each in turn — as many as it takes to leave at most ``keep``
+        outstanding (the depth cap bounds stash and journal growth to
+        ``keep + 1`` windows).  Each completion clears the journals
+        through its seq.
+
+        With nothing outstanding any more, ``decision`` (``keep`` is 0)
+        moves tasks at a drained window boundary: every journal is
+        empty and no first ack is owed.  Only then are the completed
+        windows' stashed emissions routed, in batch order, so whatever
+        they address follows the new placement."""
+        emissions: list = []
         while self._barriers.open:
             if not self._oldest_barrier_ready():
                 if len(self._barriers.open) <= keep:
                     break
                 self._wait_until(self._oldest_barrier_ready, "barrier")
-            released |= self._complete_barrier()
-        return released
-
-    def _complete_barrier(self) -> bool:
-        """Phase 2 of the oldest barrier, whose acks have all arrived —
-        the one path every barrier completes through.
-
-        Clears the journals through the barrier's seq, re-injects the
-        window's stashed emissions in batch order, advances the window
-        count and consults the elastic controller once — at the quietest
-        point of the pipeline, so a migration moves the least state.
-        True if emissions were released.
-        """
-        window = self._barriers.complete()
-        self._clear_through(window.seq)
-        released = self._reinject(window.emissions)
-        controller = self._elastic
-        if controller is not None and not self._closed:
-            decision = controller.decide(window.index, self._worker_loads(window.docs))
-            if decision is not None:
-                self._apply_decision(decision)
-        return released
+            window = self._barriers.complete()
+            self._clear_through(window.seq)
+            emissions += window.emissions
+        if decision is not None:
+            self._apply_decision(decision)
+        self._reinject(emissions)
 
     def _clear_through(self, seq: int) -> None:
         """Batches at or below ``seq`` are acknowledged history: drop
-        them from every journal and reset the restart budgets."""
+        them from every journal, count the sticky deliveries they
+        carried as history and reset the restart budgets."""
+        self._sticky.through = seq
         for handle in self._workers:
             handle.journal.clear_through(seq)
             handle.restarts_in_window = 0
@@ -659,7 +672,7 @@ class ParallelCluster(ClusterBase):
                 self.inflight_high_water
             )
 
-    def _reinject(self, emissions: list) -> bool:
+    def _reinject(self, emissions: list) -> None:
         """Route released remote emissions, in the order given."""
         for component, task_index, stream, direct, values in emissions:
             self._route(
@@ -671,7 +684,6 @@ class ParallelCluster(ClusterBase):
                     direct_task=direct,
                 )
             )
-        return bool(emissions)
 
     # ------------------------------------------------------------------
     # Result collection
@@ -683,10 +695,10 @@ class ParallelCluster(ClusterBase):
         """Poll acks and supervise workers until ``done()`` holds.
 
         The parent's one blocking wait — ``phase`` is ``"barrier"``,
-        ``"backpressure"``, ``"drain"``, ``"migration"``, ``"snapshot"``
-        or ``"retire"``.  Past ``barrier_timeout_s`` it raises a
-        :class:`TopologyError` naming the phase and every worker still
-        owing acks or a snapshot.
+        ``"backpressure"``, ``"drain"``, ``"snapshot"`` or ``"retire"``.
+        Past ``barrier_timeout_s`` it raises a :class:`TopologyError`
+        naming the phase and every worker still owing acks or a
+        snapshot.
         """
         deadline = monotonic() + self._barrier_timeout_s
         while not done():
@@ -838,7 +850,9 @@ class ParallelCluster(ClusterBase):
                     sleep(delay)
             self._spawn(handle, inline=exhausted)
             try:
-                self._ship_history(handle, handle.journal.history())
+                self._ship_history(
+                    handle, handle.assigned, list(handle.journal.batches.items())
+                )
                 return
             except LinkDown:  # the replacement died mid-replay
                 exit_code = handle.link.exit_code
@@ -848,33 +862,36 @@ class ParallelCluster(ClusterBase):
             handle.link.reap(timeout)
             handle.link = None
 
-    def _ship_history(self, handle: _WorkerHandle, history: tuple) -> None:
-        """Re-ship ``history`` (:meth:`Journal.history`) over ``handle``'s
-        fresh link.
+    def _ship_history(self, handle: _WorkerHandle, keys, shipments=()) -> None:
+        """Ship what ``handle``'s link must run before anything new for
+        the tasks ``keys``: the sticky log's cut for them, then the
+        journaled ``shipments`` (``(seq, entries)``, in seq order).
 
-        The one replay path (respawn, degrade, migration).  The sticky
-        entries go first as one pseudo-batch under a fresh seq, then
-        every journaled batch in seq order under its original seq, so
-        the bookkeeping (pending set, stash) lines up; encoding is
+        The one replay path: a respawn or degrade passes every task of
+        the slot and its journal, a task move the moved tasks and no
+        batch.  The cut goes first as one pseudo-batch under a fresh
+        seq, then every journaled batch under its original seq, so the
+        bookkeeping (pending set, stash) lines up; encoding is
         deterministic, so a journaled batch goes out bit-identical to
         its first send.  A re-shipped seq whose effects were already
-        applied is suppressed (:meth:`Journal.reship`): its re-ack only
-        rebuilds executor state.  The books are updated before each
-        send, so a :class:`LinkDown` from the link simply propagates.
+        applied — the cut always — is suppressed
+        (:meth:`Journal.reship`): its re-ack only rebuilds executor
+        state.  The books are updated before each send, so a
+        :class:`LinkDown` from the link simply propagates.
         """
-        sticky, shipments = history
+        sticky = self._sticky.replay(task_masks(keys))
         if sticky:
             self._batch_seq += 1
-            shipments.insert(0, (self._batch_seq, sticky))
+            shipments = [(self._batch_seq, sticky), *shipments]
         for seq, entries in shipments:
             handle.journal.reship(seq, handle.pending)
             handle.link.send(self._codec.encode_batch(seq, entries))
 
     # ------------------------------------------------------------------
-    # Elasticity: scale-up/down and live partition migration
+    # Elasticity: scale-up/down by task moves
     # ------------------------------------------------------------------
     def _worker_loads(self, docs: dict) -> list[WorkerLoad]:
-        """One load record per live worker for a completed window's
+        """One load record per live worker for a closing window's
         delivered-entry counts, attributed to each task's current
         worker."""
         task_docs: dict[tuple[str, int], int] = {}
@@ -920,7 +937,7 @@ class ParallelCluster(ClusterBase):
         """Grow the pool by one (initially taskless) worker slot.
 
         Handles are positional (worker indices appear in acks), so the
-        new slot appends; it receives tasks through migration's
+        new slot appends; it receives tasks through a move's
         ``adopt`` path rather than through its ``WorkerInit``.
         """
         handle = _WorkerHandle(len(self._workers), [])
@@ -934,60 +951,34 @@ class ParallelCluster(ClusterBase):
         dst: _WorkerHandle,
         keys: tuple[tuple[str, int], ...],
     ) -> None:
-        """Live-migrate ``keys`` (and their journaled state) src → dst.
+        """Move ``keys`` src → dst at a drained window boundary (the
+        ``docs/elasticity.md`` timeline): no journal holds an entry and
+        no first ack is owed, so the only state the tasks carry is their
+        sticky history.
 
-        The procedure (the ``docs/elasticity.md`` timeline):
-
-        1. **Drain** the source — flush its buffer, await its acks, so
-           the journal below is fully acknowledged history.
-        2. **Split the books** — journal entries, sticky history and
-           placement for the moved tasks transfer to the destination
-           under their *original* batch seqs (globally unique, so the
-           merge is collision-free and sorted-seq replay preserves
-           per-task delivery order).  An entry whose mask names moved
-           and kept tasks is cut in two (:meth:`Journal.split_off`).
-        3. **Ship** — the destination link receives, in one FIFO burst:
-           an ``("adopt", tasks)`` message carrying the parent's
-           pristine task instances, then the moved history through the
-           crash-replay path (:meth:`_ship_history`), all of it
-           suppressed (the source already acked it) — re-acks rebuild
-           worker state without re-applying effects, the same rule that
-           keeps crash recovery byte-identical.  The source is told to
-           ``("disown", keys)``: its copies of the moved tasks release
-           what they hold of the worker's shared state.
-
-        If the destination dies mid-ship its books already hold the
-        merged history, so the ordinary failure path (respawn and full
-        replay) finishes the job.
+        Placement swaps first, so the next window routes to ``dst``.
+        The destination link receives an ``("adopt", tasks)`` message
+        carrying the parent's pristine task instances, then the sticky
+        log's cut for the moved tasks through :meth:`_ship_history`,
+        suppressed; the source is told to ``("disown", keys)``.  If the
+        destination dies on the way, the ordinary failure path respawns
+        it with every task it now holds and replays their cut.
         """
-        moving: dict[str, int] = {}
-        for component, task_index in keys:
-            moving[component] = moving.get(component, 0) | (1 << task_index)
-        # -- 1: drain the source
-        self._flush(src)
-        self._pump_links()
-        self._wait_until(lambda: not src.pending, "migration")
-        # -- 2: split the books (before any wire I/O, so a destination
-        # death mid-ship leaves a consistent merged state behind)
-        moved = src.journal.split_off(moving)
-        dst.journal.merge(moved)
         for key in keys:
             src.assigned.remove(key)
             dst.assigned.append(key)
         self._rebuild_worker_masks()
-        # -- 3: ship adopt + suppressed history over the destination FIFO
-        try:
-            src.link.send(("disown", keys))
-        except LinkDown:
-            pass  # a respawned source starts from what is assigned to it
         try:
             dst.link.send(
                 ("adopt", {key: self._tasks[key[0]][key[1]] for key in keys})
             )
-            # the source acked every moved seq, so all of it is suppressed
-            self._ship_history(dst, moved.history())
+            self._ship_history(dst, keys)
         except LinkDown:
             self._on_worker_failure(dst)
+        try:
+            src.link.send(("disown", keys))
+        except LinkDown:
+            pass  # a respawned source starts from what is assigned to it
         self.migrations += 1
         if self._obs:
             self.registry.counter("executor.migrations").inc()

@@ -1,9 +1,11 @@
 """Pure cores of the parallel backend's window protocol.
 
-:class:`Journal` (one per worker slot) and :class:`BarrierTracker` (one
-per cluster) hold the state behind the per-window exactness of
+:class:`Journal` (one per worker slot), :class:`StickyLog` and
+:class:`BarrierTracker` (one per cluster) hold the state behind the
+per-window exactness of
 :class:`~repro.streaming.parallel.ParallelCluster`: what was shipped and
-must stay replayable until its barrier completes, which re-acks of
+must stay replayable until its barrier completes, which cross-window
+control broadcasts a fresh executor needs first, which re-acks of
 replayed history to drop, which barriers are outstanding and which
 emissions wait for them.  They touch no process, link or clock, so tests
 drive them with plain ints (``tests/streaming/test_protocol.py``
@@ -15,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Mapping, NamedTuple
 
-from repro.streaming.tuples import split_entries
+from repro.streaming.tuples import StreamTuple, lowest_owner
 
 
 class Journal:
@@ -26,72 +28,43 @@ class Journal:
     replayed batch goes out bit-identical to its first send.
     """
 
-    __slots__ = ("batches", "sticky", "through", "suppress")
+    __slots__ = ("batches", "suppress")
 
     def __init__(self) -> None:
         #: batch seq -> raw entries, every batch recorded since the last
-        #: completed barrier
+        #: completed barrier, in seq order
         self.batches: dict[int, list] = {}
-        #: ``(batch seq, entry)`` of every recorded sticky-stream entry,
-        #: in seq order — never cleared
-        self.sticky: list[tuple[int, tuple]] = []
-        #: highest seq a completed barrier cleared: sticky entries at or
-        #: below it are history a replacement replays before the batches
-        self.through = 0
-        #: seq -> re-acks still to drop: replays of history whose
+        #: seqs whose re-ack is still to drop: replays of history whose
         #: original ack was already applied
-        self.suppress: dict[int, int] = {}
+        self.suppress: set[int] = set()
 
     def __len__(self) -> int:
         return len(self.batches)
 
-    def record(self, seq: int, entries: list, sticky_streams) -> None:
-        """Journal one shipped batch."""
-        self.batches[seq] = entries
-        if sticky_streams:
-            self.sticky.extend(
-                (seq, entry) for entry in entries if entry[2].stream in sticky_streams
-            )
-
     def clear_through(self, seq: int) -> None:
         """A barrier covering ``seq`` completed: batches at or below it
-        have served their purpose (worker state tumbles with the window),
-        and the sticky entries they carried become history."""
+        have served their purpose (worker state tumbles with the
+        window)."""
         batches = self.batches
         for old in [s for s in batches if s <= seq]:
             del batches[old]
-        if seq > self.through:
-            self.through = seq
-
-    def history(self) -> tuple[list, list[tuple[int, list]]]:
-        """What a fresh executor must receive: the sticky entries of
-        completed windows, then every journaled batch in seq order."""
-        through = self.through
-        return (
-            [entry for seq, entry in self.sticky if seq <= through],
-            sorted(self.batches.items()),
-        )
 
     def reship(self, seq: int, pending: set[int]) -> None:
         """``seq`` goes out again over the worker's link.  Unless it is
         a first send whose ack is still owed, its effects were already
         applied: it is pending once more and its re-ack only rebuilds
-        executor state — one more re-ack to drop."""
-        if seq not in pending or seq in self.suppress:
+        executor state, to be dropped."""
+        if seq not in pending:
             pending.add(seq)
-            self.suppress[seq] = self.suppress.get(seq, 0) + 1
+            self.suppress.add(seq)
 
     def suppressed(self, seq: int) -> bool:
         """An ack for ``seq`` arrived: True (and count it off) if it is
         the re-ack of replayed history, whose effects must not apply
         twice."""
-        owed = self.suppress.get(seq)
-        if not owed:
+        if seq not in self.suppress:
             return False
-        if owed == 1:
-            del self.suppress[seq]
-        else:
-            self.suppress[seq] = owed - 1
+        self.suppress.discard(seq)
         return True
 
     def link_lost(self, pending: set[int]) -> None:
@@ -103,84 +76,74 @@ class Journal:
             pending.discard(seq)
         self.suppress.clear()
 
-    def split_off(self, moving: Mapping[str, int]) -> "Journal":
-        """Cut out everything addressed to the tasks in ``moving``
-        (component -> task bitmask) and return it as a journal of its
-        own; an entry naming moved and kept tasks is cut in two.  Seqs
-        and per-task order are kept on both sides."""
-        moved = Journal()
-        moved.through = self.through
-        for seq, entries in list(self.batches.items()):
-            kept, out = split_entries(entries, moving)
-            if not out:
-                continue
-            moved.batches[seq] = out
-            if kept:
-                self.batches[seq] = kept
-            else:
-                del self.batches[seq]
-        kept_sticky = []
-        for seq, entry in self.sticky:
-            kept, out = split_entries([entry], moving)
-            kept_sticky.extend((seq, part) for part in kept)
-            moved.sticky.extend((seq, part) for part in out)
-        self.sticky = kept_sticky
-        return moved
 
-    def merge(self, other: "Journal") -> None:
-        """Take over ``other``'s history (the moved half of a split).
+class StickyLog:
+    """Every delivery on a sticky stream (a cross-window control
+    broadcast such as a partition version), once per cluster, in
+    delivery order and with the mask it was routed with.
 
-        Seqs are globally unique per batch, so a seq both sides hold is
-        one batch cut by task: its entries concatenate, and each task's
-        entries still come from one side only.
-        """
-        for seq, entries in other.batches.items():
-            self.batches[seq] = self.batches.get(seq, []) + entries
-        if other.sticky:
-            self.sticky = sorted(self.sticky + other.sticky, key=lambda item: item[0])
-        self.through = max(self.through, other.through)
+    :meth:`replay` cuts it by the task masks of whichever slot receives
+    it, so a task's control history follows the task wherever it is
+    placed now.
+    """
+
+    __slots__ = ("entries", "through")
+
+    def __init__(self) -> None:
+        #: ``(seq, component, mask, tup)``, never cleared; ``seq`` is the
+        #: lowest batch seq the delivery can ship under, so a barrier
+        #: recorded at seq s covers it iff ``seq <= s``
+        self.entries: list[tuple[int, str, int, StreamTuple]] = []
+        #: highest seq a completed barrier cleared
+        self.through = 0
+
+    def record(self, seq: int, component: str, mask: int, tup: StreamTuple) -> None:
+        """Log one delivery, as routed."""
+        self.entries.append((seq, component, mask, tup))
+
+    def replay(self, masks: Mapping[str, int]) -> list:
+        """The raw entries a slot running the tasks in ``masks``
+        (component -> task bitmask) must receive before any journaled
+        batch: the broadcasts of completed windows, cut to those tasks,
+        in order.  Later ones are still in the batch journals."""
+        cut = []
+        for seq, component, mask, tup in self.entries:
+            if seq > self.through:
+                break
+            own = mask & masks.get(component, 0)
+            if own:
+                cut.append((component, lowest_owner(own), tup, own))
+        return cut
 
 
 class Window(NamedTuple):
     """A completed window, as :meth:`BarrierTracker.complete` hands it
     out."""
 
-    #: 0-based over completed barriers — the elastic controller's clock
-    index: int
     #: the barrier's high-water batch seq
     seq: int
     #: emissions of the window's batches, in batch seq order
     emissions: list
-    #: entries delivered during the window, per ``(component, mask)``
-    docs: dict
 
 
 class BarrierTracker:
-    """Outstanding window barriers of one cluster, oldest first.
+    """Outstanding window barriers of one cluster, oldest first."""
 
-    The open window's :attr:`docs` is a plain attribute the cluster
-    updates in place on its delivery path;
-    :meth:`record` closes the window, so deliveries counted after it
-    belong to the next one.
-    """
-
-    __slots__ = ("open", "docs", "completed", "_stash")
+    __slots__ = ("open", "completed", "_stash")
 
     def __init__(self) -> None:
-        #: recorded, not yet completed barriers as ``(seq, docs)``,
-        #: oldest first
-        self.open: deque = deque()
-        self.docs: dict = {}
+        #: seqs of the recorded, not yet completed barriers, oldest first
+        self.open: deque[int] = deque()
         self.completed = 0
         #: emissions of acknowledged batches, by batch seq, until their
         #: barrier completes
         self._stash: dict[int, tuple] = {}
 
-    def record(self, seq: int) -> None:
+    def record(self, seq: int) -> int:
         """Close the open window under a barrier covering batches up to
-        ``seq``."""
-        self.open.append((seq, self.docs))
-        self.docs = {}
+        ``seq``; return its index, 0-based over recorded barriers."""
+        self.open.append(seq)
+        return self.completed + len(self.open) - 1
 
     def stash(self, seq: int, emissions: tuple) -> None:
         """Hold an acknowledged batch's emissions until its barrier."""
@@ -191,14 +154,14 @@ class BarrierTracker:
         its seq is in any of the ``pending`` sets."""
         if not self.open:
             return False
-        seq = self.open[0][0]
+        seq = self.open[0]
         return not any(s <= seq for seqs in pending for s in seqs)
 
     def complete(self) -> Window:
         """Complete the oldest barrier (the caller checked :meth:`ready`)."""
-        seq, docs = self.open.popleft()
+        seq = self.open.popleft()
         self.completed += 1
-        return Window(self.completed - 1, seq, self._release(seq), docs)
+        return Window(seq, self._release(seq))
 
     def release_rest(self) -> list:
         """Emissions of every stashed batch, in seq order — the batches

@@ -26,8 +26,8 @@ parent → worker
     direct, values, mask)`` — one tuple for every task of this worker
     in ``mask``, ``task_index`` the lowest (informational: the worker
     finds the owners from ``mask`` alone); ``("adopt", tasks)`` and
-    ``("disown", keys)`` (live partition migration hands a worker task
-    instances mid-run and tells the worker they left to let them go),
+    ``("disown", keys)`` (a task move, at a window boundary, hands a
+    worker task instances mid-run and tells the old worker they left),
     ``("snapshot",)``, ``("stop",)``; ``adopt``, ``disown`` and
     ``stop`` have no reply — FIFO order already places an adopt before
     the batches that need it
@@ -184,16 +184,15 @@ class WorkerSession:
         raise ValueError(f"unknown worker message kind {kind!r}")
 
     def _handle_adopt(self, tasks: dict) -> None:
-        """Take ownership of migrated tasks (live partition migration).
+        """Take ownership of moved tasks (a task move).
 
-        The parent ships pristine task instances; their journaled state
-        follows as replayed batches under their original seqs, so order
-        matters — ``adopt`` must precede the replay on the same FIFO
-        link, which the cluster guarantees by staging both in one burst.
-        An entry of that replay may address adopted and resident tasks
-        together, so the newcomers first join the executor-level state
-        of a resident of their component.  They were pickled apart from
-        this worker's registry, so they are rebound to it as well.
+        The parent ships pristine task instances; their sticky history
+        follows as one replayed batch, so order matters — ``adopt`` must
+        precede it on the same FIFO link.  A later entry may address
+        adopted and resident tasks together, so the newcomers first join
+        the executor-level state of a resident of their component.  They
+        were pickled apart from this worker's registry, so they are
+        rebound to it as well.
         """
         for (component, _task_index), task in tasks.items():
             residents = self._tasks.get(component, {}).values()
@@ -201,11 +200,10 @@ class WorkerSession:
         self._install(tasks)
 
     def _handle_disown(self, keys) -> None:
-        """Let go of tasks that migrated to another worker."""
+        """Let go of tasks that moved to another worker; at a window
+        boundary they hold nothing of the worker's shared state."""
         for component, task_index in keys:
-            task = self._tasks.get(component, {}).pop(task_index, None)
-            if task is not None:
-                task.leave_executor()
+            if self._tasks.get(component, {}).pop(task_index, None) is not None:
                 del self._collectors[component][task_index]
                 self._own[component] &= ~(1 << task_index)
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Mapping, NamedTuple, Optional
+from typing import Any, NamedTuple, Optional
 
 
 class StreamTuple(NamedTuple):
@@ -45,28 +45,9 @@ def owners_of(mask: int) -> list[int]:
     return owners
 
 
-def split_entries(
-    entries: list, moving: Mapping[str, int]
-) -> tuple[list, list]:
-    """Split ``entries`` into ``(kept, moved)`` by a set of task keys.
-
-    ``moving`` maps a component to the bitmask of its tasks that leave;
-    an entry addressed to tasks on both sides is cut in two.  Order is
-    preserved on each side, so expanding either half per owner gives the
-    per-task deliveries of the original list that fall on that side, in
-    their original order.
-    """
-    kept: list = []
-    moved: list = []
-    for entry in entries:
-        component, _task_index, tup, mask = entry
-        out = mask & moving.get(component, 0)
-        if not out:
-            kept.append(entry)
-        elif out == mask:
-            moved.append(entry)
-        else:
-            stay = mask ^ out
-            kept.append((component, lowest_owner(stay), tup, stay))
-            moved.append((component, lowest_owner(out), tup, out))
-    return kept, moved
+def task_masks(keys) -> dict[str, int]:
+    """``(component, task_index)`` keys as component -> task bitmask."""
+    masks: dict[str, int] = {}
+    for component, task_index in keys:
+        masks[component] = masks.get(component, 0) | 1 << task_index
+    return masks

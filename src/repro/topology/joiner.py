@@ -44,7 +44,7 @@ class JoinerGroup:
     topology; it is deliberately not module-global, because two sessions
     alive in one interpreter reuse window ids and doc ids.  A group
     pickles *empty*: the tasks shipped to a socket worker in one
-    ``WorkerInit`` (or to a migration target in one ``adopt``) arrive
+    ``WorkerInit`` (or to a move's destination in one ``adopt``) arrive
     sharing one fresh group, whatever the sender's group held.  A forked
     worker inherits the parent's group, which is empty: the parent runs
     no Joiner task, and a degraded worker's copies (an ``InlineLink``'s)
@@ -54,10 +54,10 @@ class JoinerGroup:
     tumbles that window.  One evicted index is kept as a spare and
     reused for the next window, unless the Merger shipped another
     attribute order or the process dictionary started a new generation
-    since it was built.  A task migrated to another worker releases what
-    it holds on the way out (:meth:`disown`), and the tasks it joins
-    there take it into their group, so "one index per executor" holds
-    after a migration.
+    since it was built.  A task moves to another worker only at a
+    drained window boundary, when it holds nothing here any more; the
+    tasks it joins there take it into their group, so "one index per
+    executor" holds after a move.
     """
 
     def __init__(self) -> None:
@@ -114,13 +114,6 @@ class JoinerGroup:
             for store in stores:
                 store.reset()
             self._spare = stores[-1]
-
-    def disown(self, owner: int) -> None:
-        """``owner`` left this executor: it holds nothing here any more."""
-        for window_id in list(self._open):
-            self.release(window_id, owner)
-        if self._sliding:
-            self._sliding[None][0].expire(1 << owner, 0)
 
     def __len__(self) -> int:
         """Open tumbling windows."""
@@ -200,9 +193,6 @@ class JoinerBolt(Bolt):
         self._metrics = metrics
         if resident is not None:
             self._group = resident._group
-
-    def leave_executor(self) -> None:
-        self._group.disown(self._task_index)
 
     # ------------------------------------------------------------------
     def process_fanout(

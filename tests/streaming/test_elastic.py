@@ -1,8 +1,8 @@
 """Seeded elasticity chaos suite: scaling must not change results.
 
 Every case drives the elastic worker pool — forced scale-ups and
-scale-downs, live partition migration, destination-worker kills
-mid-migration — through the ``ElasticPolicy.force`` schedule so the
+scale-downs, task moves, destination-worker kills during a move —
+through the ``ElasticPolicy.force`` schedule so the
 *timing* of every action is exact, then asserts the run's output
 against a clean reference.  All cases fork worker processes and carry
 the ``elastic`` marker; run them via ``make test-elastic`` (or
@@ -20,7 +20,7 @@ from repro.streaming.component import Bolt, Spout
 from repro.streaming.elastic import ElasticPolicy
 from repro.streaming.executor import LocalCluster
 from repro.streaming.grouping import AllGrouping, FieldsGrouping, GlobalGrouping
-from repro.streaming.parallel import ParallelCluster
+from repro.streaming.parallel import DEFAULT_PIPELINE_DEPTH, ParallelCluster
 from repro.streaming.recovery import RestartPolicy
 from repro.streaming.topology import TopologyBuilder
 from repro.topology.pipeline import StreamJoinConfig, run_stream_join
@@ -134,9 +134,9 @@ class TestSyntheticElasticity:
     def test_drain_completes_windows_like_the_pump(self, last_window, scale_ups):
         """Delayed acks keep the last windows' barriers open until the
         final drain, which completes them through the same path as the
-        pump: each of the five windows consults the controller once, so
-        an action forced at window k fires iff the run has more than k
-        windows.  No worker ever holds a whole window, so ``hot_share=1``
+        pump.  Each of the five windows consults the controller once, as
+        it closes, so an action forced at window k fires iff the run has
+        more than k windows.  No worker ever holds a whole window, so ``hot_share=1``
         leaves the forced action the only one."""
         clean = _clean_reference()
         collector = CollectBolt()
@@ -330,94 +330,40 @@ class TestViralSkewTopology:
         assert elastic.join_pairs == clean.join_pairs
 
 
-class TestMaskSplit:
-    """Worker-granular fan-out meets live migration: the source's journal
-    holds one entry per (document, worker) whose mask names the task
-    that moves *and* tasks that stay."""
-
-    @pytest.mark.parametrize("kill_destination", [False, True])
-    @pytest.mark.parametrize("transport", ["pipe", "socket"])
-    def test_mid_window_scale_up_cuts_entries_by_mask(
-        self, transport, kill_destination, monkeypatch
-    ):
-        """Forced 2 -> 4 growth while later windows are already
-        journaled: every worker's acks are delayed, so the barrier that
-        triggers a migration completes long after the parent has routed
-        the following windows.  The books must split by mask — checked
-        on the wire by spying on the split — and every task must still
-        report exactly what it reports on the static local run, also
-        when the fresh destination dies on its second replayed batch."""
-        from repro.streaming import protocol
-        from tests.topology.per_task import run_per_task
-
-        spanning = []
-        split = protocol.split_entries
-
-        def spy(entries, moving):
-            kept, moved = split(entries, moving)
-            spanning.extend(
-                entry[3] for entry in entries
-                if entry[3] & moving.get(entry[0], 0)
-                and entry[3] & ~moving.get(entry[0], 0)
-            )
-            return kept, moved
-
-        monkeypatch.setattr(protocol, "split_entries", spy)
-        plan = FaultPlan().delay_acks(0, 0.02).delay_acks(1, 0.02)
-        if kill_destination:
-            # worker 2 is the first scale-up's destination: batch 1 is
-            # its sticky history, batch 2 a replayed journal batch
-            plan = plan.kill_worker(2, after_batches=1)
-        windows = _zipf_windows(n_windows=5)
-        clean, _ = run_per_task(_config(), windows, isolated=False)
-        scaled, stats = run_per_task(
-            _config(
-                backend="parallel",
-                transport=transport,
-                workers=2,
-                batch_size=16,
-                restart_policy=FAST_RESTART,
-                elastic=ElasticPolicy(
-                    max_workers=4, force=((0, "up"), (1, "up"))
-                ),
-                fault_plan=plan,
-            ),
-            windows,
-            isolated=False,
-        )
-        assert scaled == clean
-        assert stats["scale_ups"] == 2 and stats["migrations"] == 2
-        assert spanning, "no journaled entry named moved and kept tasks"
-        assert all(mask & (mask - 1) for mask in spanning)
-        assert (stats["worker_restarts"] >= 1) == kill_destination
-
-
 @pytest.mark.parallel
 class TestMigratedCounters:
-    """Merged worker counters after live migrations on forked workers.
+    """Merged worker counters after task moves on forked workers.
 
-    At ``pipeline_depth=0`` a migration happens with an empty window
-    journal, so the destination re-runs no batch the source already
-    counted.  (At the default depth it does, and ``joiner.probes`` /
-    ``joiner.inserts`` over-count — a known defect,
-    ``docs/observability.md``.)"""
+    A move waits for the windows in flight to drain, so the destination
+    receives only the moved tasks' sticky history and re-runs no batch
+    the source already counted: ``joiner.probes`` and
+    ``joiner.inserts`` equal the local run's at every pipeline depth —
+    also when delayed acks keep later windows in flight as the decision
+    fires."""
 
+    @pytest.mark.parametrize(
+        "depth,delayed",
+        [(0, False), (DEFAULT_PIPELINE_DEPTH, False), (DEFAULT_PIPELINE_DEPTH, True)],
+        ids=["depth0", "default_depth", "default_depth_delayed_acks"],
+    )
     @pytest.mark.parametrize(
         "force", [((1, "up"),), ((1, "up"), (3, "down"))], ids=["up", "up_down"]
     )
-    def test_joiner_counters_match_the_local_run(self, force):
+    def test_joiner_counters_match_the_local_run(self, force, depth, delayed):
         generator = ServerLogGenerator(seed=5)
         windows = [generator.next_window(300) for _ in range(8)]
         config = StreamJoinConfig(m=8, compute_joins=True, observability=True)
         local = run_stream_join(config, windows)
+        plan = FaultPlan().delay_acks(0, 0.02).delay_acks(1, 0.02) if delayed else None
         elastic = run_stream_join(
             replace(
                 config,
                 backend="parallel",
                 transport="pipe",
                 workers=2,
-                pipeline_depth=0,
+                pipeline_depth=depth,
                 elastic=ElasticPolicy(max_workers=4, force=force),
+                fault_plan=plan,
             ),
             windows,
         )

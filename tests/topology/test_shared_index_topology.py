@@ -116,21 +116,23 @@ def test_counters_stay_per_assignment_and_histograms_count_tree_operations():
         assert snap.histograms[f"joiner.{name}{{algorithm=FPJ}}"]["count"] == 300
 
 
-def test_a_task_migrated_mid_window_leaves_no_index_on_either_worker():
-    """Live migration against two in-process ``WorkerSession``s: task 2
-    moves mid-window from the worker of tasks 0-2 to the worker of task
-    3.  The journal entry naming moved and kept tasks is cut by mask,
-    the adopted (pickled, so differently-grouped) bolt joins the
-    destination's group before an entry addresses it together with the
-    resident, the source disowns its copy — and after the tumble both
-    groups are empty while every task reports its private join."""
+def test_a_task_moved_at_a_window_boundary_shares_one_index():
+    """A task move against two in-process ``WorkerSession``s: after
+    window 0 tumbled on both workers, task 2 moves from the worker of
+    tasks 0-2 to the worker of task 3.  The source's group is already
+    empty when ``disown`` arrives, and the source stops holding the
+    task; the adopted (pickled, so differently-grouped) bolt joins the
+    destination's group, so window 1's entries addressing it together
+    with the resident share one index — and every task reports its
+    private join in both windows."""
     import pickle
 
     from repro.core.document import Document
     from repro.join.base import brute_force_pairs
     from repro.streaming.component import ComponentContext
     from repro.streaming.transport import WorkerInit, WorkerSession
-    from repro.streaming.tuples import StreamTuple, split_entries
+    from repro.streaming.transport.framing import FrameError
+    from repro.streaming.tuples import StreamTuple
     from repro.topology.joiner import JoinerBolt, JoinerGroup
 
     codec = msg.ColumnarWireCodec()
@@ -150,52 +152,59 @@ def test_a_task_migrated_mid_window_leaves_no_index_on_either_worker():
     groups = [JoinerGroup(), JoinerGroup()]
     source = session(0, [bolt(i, groups[0]) for i in range(3)])
     target = session(1, [bolt(3, groups[1])])
-    docs = [Document({"a": i % 2, "k": i % 3}, doc_id=i) for i in range(12)]
+    docs = [Document({"a": i % 2, "k": i % 3}, doc_id=i) for i in range(24)]
 
-    def entry(doc, mask):
-        tup = StreamTuple(msg.ASSIGNED, (doc, 0, None), msg.ASSIGNER, 0)
+    def entry(doc, window, mask):
+        tup = StreamTuple(msg.ASSIGNED, (doc, window, None), msg.ASSIGNER, 0)
         return (msg.JOINER, (mask & -mask).bit_length() - 1, tup, mask)
 
-    received: dict[int, list] = {task: [] for task in range(4)}
+    received = [{task: [] for task in range(4)} for _window in range(2)]
+    seqs = iter(range(1, 100))
 
-    def ship(worker, seq, entries, replay=False):
+    def ship(worker, entries):
         for _component, _lowest, tup, mask in entries:
             for task in range(4):
-                if mask >> task & 1 and tup.stream == msg.ASSIGNED and not replay:
-                    received[task].append(tup.values[0])
-        (ack,) = worker.handle(codec.encode_batch(seq, entries))
+                if mask >> task & 1 and tup.stream == msg.ASSIGNED:
+                    received[tup.values[1]][task].append(tup.values[0])
+        (ack,) = worker.handle(codec.encode_batch(next(seqs), entries))
         assert ack[0] == "ack" and ack[4] == 0
         return ack[5]
 
-    journal = [entry(doc, 0b111 if doc.doc_id % 2 else 0b101) for doc in docs[:6]]
-    ship(source, 1, journal)
-    ship(target, 2, [entry(doc, 0b1000) for doc in docs[:6]])
-    assert len(groups[0]) == len(groups[1]) == 1
+    def done(window, mask):
+        tup = StreamTuple(msg.WINDOW_DONE, (window,), msg.ASSIGNER, 0)
+        return [(msg.JOINER, task, tup, 1 << task) for task in range(4) if mask >> task & 1]
 
-    kept, moved = split_entries(journal, {msg.JOINER: 0b100})
-    assert [e[3] for e in kept] == [0b001, 0b011] * 3
+    def reports(emissions):
+        out = {}
+        for _component, task, stream, _direct, values in emissions:
+            stats, pairs = codec.decode(stream, values)
+            out[task] = (stats.documents, pairs)
+        return out
+
+    first = docs[:12]
+    ship(source, [entry(doc, 0, 0b111 if doc.doc_id % 2 else 0b101) for doc in first])
+    ship(target, [entry(doc, 0, 0b1000) for doc in first])
+    assert len(groups[0]) == len(groups[1]) == 1
+    window0 = ship(source, done(0, 0b0111)) + ship(target, done(0, 0b1000))
+    assert len(groups[0]) == len(groups[1]) == 0
+
+    # the move, at the drained boundary: nothing is left to release
     adopted = pickle.loads(pickle.dumps({(msg.JOINER, 2): bolt(2, JoinerGroup())}))
     assert target.handle(("adopt", adopted)) == []
     assert adopted[(msg.JOINER, 2)]._group is groups[1]
-    ship(target, 1, moved, replay=True)  # state transfer under the original seq
     assert source.handle(("disown", ((msg.JOINER, 2),))) == []
-    assert len(groups[0]) == 1  # tasks 0 and 1 still hold the window
+    with pytest.raises(FrameError):
+        source.handle(codec.encode_batch(next(seqs), [entry(docs[0], 1, 0b100)]))
 
-    ship(source, 3, [entry(doc, 0b011) for doc in docs[6:]])
-    ship(target, 4, [entry(doc, 0b1100) for doc in docs[6:]])
-
-    def done(mask):
-        tup = StreamTuple(msg.WINDOW_DONE, (0,), msg.ASSIGNER, 0)
-        return [(msg.JOINER, task, tup, 1 << task) for task in range(4) if mask >> task & 1]
-
-    emissions = ship(source, 5, done(0b0011)) + ship(target, 6, done(0b1100))
+    second = docs[12:]
+    ship(source, [entry(doc, 1, 0b011) for doc in second])
+    ship(target, [entry(doc, 1, 0b1100 if doc.doc_id % 2 else 0b0100) for doc in second])
+    assert len(groups[0]) == len(groups[1]) == 1  # one index on the destination
+    window1 = ship(source, done(1, 0b0011)) + ship(target, done(1, 0b1100))
     assert len(groups[0]) == len(groups[1]) == 0
-    reports = {}
-    for _component, task, stream, _direct, values in emissions:
-        stats, pairs = codec.decode(stream, values)
-        reports[task] = (stats.documents, pairs)
-    assert reports == {
-        task: (len(arrived), brute_force_pairs(arrived))
-        for task, arrived in received.items()
-    }
-    assert any(pairs for _, pairs in reports.values())
+    for emissions, arrived in ((window0, received[0]), (window1, received[1])):
+        assert reports(emissions) == {
+            task: (len(docs_in), brute_force_pairs(docs_in))
+            for task, docs_in in arrived.items()
+        }
+    assert any(pairs for _, pairs in reports(window1).values())
