@@ -43,7 +43,7 @@ test-elastic:
 verify: test test-parallel test-chaos test-distributed test-elastic bench-hotpath-smoke bench-throughput-smoke bench-repo-smoke soak-smoke
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Regenerate results/ext_scaling.json: throughput vs m for both the
 # local and the parallel execution backend (one row per backend/m).
@@ -123,13 +123,13 @@ bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro stats --json --out results/obs_smoke.json
 
 figures:
-	$(PYTHON) -m repro figure all --save
+	PYTHONPATH=src $(PYTHON) -m repro figure all --save
 
 report:
-	$(PYTHON) -m repro report --out results/REPORT.md
+	PYTHONPATH=src $(PYTHON) -m repro report --out results/REPORT.md
 
 examples:
-	@for f in examples/*.py; do echo "=== $$f"; $(PYTHON) $$f || exit 1; done
+	@for f in examples/*.py; do echo "=== $$f"; PYTHONPATH=src $(PYTHON) $$f || exit 1; done
 
 clean:
 	rm -rf results .pytest_cache .hypothesis

@@ -43,7 +43,7 @@ from repro.join.hash_join import HashJoiner
 from repro.join.nested_loop import NestedLoopJoiner
 from repro.join.ordering import AttributeOrder
 from repro.join.binary import BinaryJoinPair, BinaryStreamJoiner, binary_join_window
-from repro.join.sliding import SlidingFPTreeJoiner, TimeSlidingFPTreeJoiner
+from repro.join.sliding import SlidingFPTreeJoiner
 from repro.partitioning.association import AssociationGroupPartitioner
 from repro.partitioning.base import Partition, Partitioner, PartitioningResult
 from repro.partitioning.disjoint import DisjointSetPartitioner
@@ -118,7 +118,6 @@ __all__ = [
     "StreamJoinConfig",
     "StreamJoinResult",
     "StreamJoinSession",
-    "TimeSlidingFPTreeJoiner",
     "TimeWindow",
     "TopologyError",
     "WindowError",

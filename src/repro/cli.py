@@ -154,7 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
     figure = sub.add_parser("figure", help="regenerate a paper figure")
     figure.add_argument("name", choices=sorted(FIGURES) + ["all"])
     figure.add_argument("--save", action="store_true", help="write rows to results/")
-    figure.add_argument("--chart", action="store_true", help="render unicode bar charts")
 
     analyze = sub.add_parser(
         "analyze", help="run the security-analysis scenario end-to-end"
@@ -355,17 +354,16 @@ def _print_dead_letters(result) -> None:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    chart = getattr(args, "chart", False)
     if args.name == "all":
         for name in sorted(FIGURES):
-            _print_one_figure(name, args.save, chart)
+            _print_one_figure(name, args.save)
             print()
         return 0
-    _print_one_figure(args.name, args.save, chart)
+    _print_one_figure(args.name, args.save)
     return 0
 
 
-def _print_one_figure(name: str, save: bool, chart: bool = False) -> None:
+def _print_one_figure(name: str, save: bool) -> None:
     title, producer = FIGURES[name]
     rows = producer()
     if name == "fig11":
@@ -373,22 +371,8 @@ def _print_one_figure(name: str, save: bool, chart: bool = False) -> None:
         print(format_table(rows, (
             "panel", "algorithm", "documents", "creation_s", "join_s", "total_s",
         )))
-        if chart:
-            from repro.metrics.charts import bar_chart
-
-            items = [
-                (f"{row['algorithm']}@{row['documents']}", float(row["total_s"]))
-                for row in rows
-            ]
-            print()
-            print(bar_chart(items, title="total seconds"))
     else:
         fig.print_figure(rows, title)
-        if chart:
-            from repro.metrics.charts import figure_chart
-
-            print()
-            print(figure_chart(rows))
     if save:
         target = save_rows(name, rows)
         print(f"\nrows written to {target}")

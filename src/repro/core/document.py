@@ -219,10 +219,6 @@ class Document:
     # ------------------------------------------------------------------
     # Join semantics
     # ------------------------------------------------------------------
-    def shared_attributes(self, other: "Document") -> set[str]:
-        """Attributes present in both documents."""
-        return self._pairs.keys() & other._pairs.keys()
-
     def conflicts_with(self, other: "Document") -> bool:
         """True if any shared attribute carries different values."""
         small, large = (

@@ -165,10 +165,6 @@ class PairInterner:
             pid = self._intern_pair(item)
         return pid
 
-    def peek_pair_id(self, attribute: str, value: Value) -> Optional[int]:
-        """Id of the pair if already interned, else None (no interning)."""
-        return self._pair_ids.get((attribute, value))
-
     def _intern_pair(self, item: tuple) -> int:
         pid = len(self._pairs)
         pair = AVPair(*item)
@@ -185,14 +181,6 @@ class PairInterner:
 
     def pair(self, pair_id: int) -> AVPair:
         return self._pairs[pair_id]
-
-    def attr_of_pair(self, pair_id: int) -> int:
-        """Attribute id of a pair id."""
-        return self._pair_attrs[pair_id]
-
-    @property
-    def attr_count(self) -> int:
-        return len(self._attrs)
 
     @property
     def pair_count(self) -> int:

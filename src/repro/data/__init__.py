@@ -11,7 +11,6 @@ from repro.data.stream import (
     timestamped_stream,
     windows_by_time,
 )
-from repro.data.tweets import TweetGenerator
 from repro.data.zoo import (
     ZOO_WORKLOADS,
     FlashCrowdGenerator,
@@ -30,7 +29,6 @@ __all__ = [
     "SchemaDriftGenerator",
     "ServerLogGenerator",
     "TimestampedDocument",
-    "TweetGenerator",
     "ZOO_WORKLOADS",
     "ZipfSkewGenerator",
     "make_zoo_generator",

@@ -1,6 +1,5 @@
 """Local join computation: FP-tree join and baseline algorithms."""
 
-from repro.join.approximate import ApproximateJoiner, BloomFilter
 from repro.join.base import JoinPair, LocalJoiner, join_window
 from repro.join.cost import predict_nlj_hbj_winner, profile_and_predict
 from repro.join.binary import (
@@ -12,20 +11,15 @@ from repro.join.fptree import FPTree, NodeView
 from repro.join.fptree_join import FPTreeJoiner, fptree_join
 from repro.join.hash_join import HashJoiner
 from repro.join.nested_loop import NestedLoopJoiner
-from repro.join.minibatch import minibatch_join
-from repro.join.multistream import MultiStreamJoiner, StreamPair
 from repro.join.ordering import AttributeOrder
 from repro.join.shared_index import SharedWindowIndex
 from repro.join.sliding import (
     SlidingFPTreeJoiner,
-    TimeSlidingFPTreeJoiner,
     sliding_join_stream,
 )
 
 __all__ = [
-    "ApproximateJoiner",
     "AttributeOrder",
-    "BloomFilter",
     "BinaryJoinPair",
     "BinaryStreamJoiner",
     "binary_join_window",
@@ -37,14 +31,10 @@ __all__ = [
     "LocalJoiner",
     "NestedLoopJoiner",
     "NodeView",
-    "minibatch_join",
-    "MultiStreamJoiner",
-    "StreamPair",
     "predict_nlj_hbj_winner",
     "profile_and_predict",
     "SharedWindowIndex",
     "SlidingFPTreeJoiner",
-    "TimeSlidingFPTreeJoiner",
     "sliding_join_stream",
     "join_window",
 ]

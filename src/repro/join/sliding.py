@@ -8,12 +8,8 @@ removal (:meth:`repro.join.fptree.FPTree.remove`), and the joiners here
 maintain a sliding extent over the stream, evicting expired documents
 incrementally instead of rebuilding the tree.
 
-Two sliding semantics are provided:
-
-* **count-based** — a probe joins the ``window_size`` most recently
-  added documents;
-* **time-based** — a probe at time ``t`` joins documents added within
-  ``(t - window_length, t]``; callers supply monotone timestamps.
+The sliding semantics is count-based: a probe joins the ``window_size``
+most recently added documents.
 """
 
 from __future__ import annotations
@@ -74,58 +70,6 @@ class SlidingFPTreeJoiner:
         # survives.
         self.tree.clear()
         self._arrivals.clear()
-
-    def __len__(self) -> int:
-        return len(self._arrivals)
-
-
-class TimeSlidingFPTreeJoiner:
-    """Time-based sliding-window FP-tree join.
-
-    Timestamps passed to :meth:`add` must be non-decreasing; ``probe``
-    evicts everything older than ``window_length`` before matching.
-    """
-
-    name = "FPJ-time-sliding"
-
-    def __init__(
-        self, window_length: float, order: Optional[AttributeOrder] = None,
-        use_fast_path: bool = True,
-    ):
-        if window_length <= 0:
-            raise WindowError(f"window length must be positive, got {window_length}")
-        self.window_length = window_length
-        self.use_fast_path = use_fast_path
-        self.tree = FPTree(order)
-        self._arrivals: deque[tuple[float, int]] = deque()
-        self._clock = float("-inf")
-
-    def _advance(self, now: float) -> None:
-        if now < self._clock:
-            raise WindowError(
-                f"timestamps must be non-decreasing (got {now} after {self._clock})"
-            )
-        self._clock = now
-        horizon = now - self.window_length
-        while self._arrivals and self._arrivals[0][0] <= horizon:
-            _, doc_id = self._arrivals.popleft()
-            self.tree.remove(doc_id)
-
-    def probe(self, document: Document, timestamp: float) -> list[int]:
-        self._advance(timestamp)
-        return fptree_join(self.tree, document, use_fast_path=self.use_fast_path)
-
-    def add(self, document: Document, timestamp: float) -> None:
-        if document.doc_id is None:
-            raise ValueError("stored documents need a doc_id")
-        self._advance(timestamp)
-        self.tree.insert(document)
-        self._arrivals.append((timestamp, document.doc_id))
-
-    def reset(self) -> None:
-        self.tree.clear()
-        self._arrivals.clear()
-        self._clock = float("-inf")
 
     def __len__(self) -> int:
         return len(self._arrivals)

@@ -54,17 +54,6 @@ class Topology:
     def bolts(self) -> list[ComponentSpec]:
         return [c for c in self.components.values() if not c.is_spout]
 
-    def subscribers(self, source: str, stream: str) -> list[ComponentSpec]:
-        """Bolts subscribed to ``(source, stream)`` in declaration order."""
-        return [
-            bolt
-            for bolt in self.bolts()
-            if any(
-                s.source == source and s.stream == stream
-                for s in bolt.subscriptions
-            )
-        ]
-
 
 class TopologyBuilder:
     """Storm-style builder: declare spouts/bolts, then :meth:`build`."""

@@ -127,11 +127,6 @@ class TestJoinSemantics:
         assert not a.conflicts_with(Document({"y": 2}))
         assert not a.conflicts_with(Document({"q": 7}))
 
-    def test_shared_attributes(self):
-        a = Document({"x": 1, "y": 2})
-        b = Document({"y": 9, "z": 0})
-        assert a.shared_attributes(b) == {"y"}
-
     def test_fig1_pairs(self, fig1_documents):
         """The joinable pairs of the paper's running example."""
         d = {doc.doc_id: doc for doc in fig1_documents}

@@ -14,7 +14,6 @@ class TestPairInterner:
         ]
         assert ids == [0, 1, 2]
         assert interner.pair_count == 3
-        assert interner.attr_count == 3
 
     def test_interning_is_idempotent(self):
         interner = PairInterner()
@@ -39,14 +38,6 @@ class TestPairInterner:
         interner = PairInterner()
         pid = interner.pair_id("severity", "warn")
         assert interner.pair(pid) == AVPair("severity", "warn")
-        assert interner.attribute(interner.attr_of_pair(pid)) == "severity"
-
-    def test_peek_does_not_intern(self):
-        interner = PairInterner()
-        assert interner.peek_pair_id("a", 1) is None
-        assert interner.pair_count == 0
-        pid = interner.pair_id("a", 1)
-        assert interner.peek_pair_id("a", 1) == pid
 
     def test_encode_pairs(self):
         interner = PairInterner()

@@ -12,7 +12,6 @@ from repro.join.fptree_join import fptree_join
 from repro.join.ordering import AttributeOrder
 from repro.join.sliding import (
     SlidingFPTreeJoiner,
-    TimeSlidingFPTreeJoiner,
     brute_force_sliding_pairs,
     sliding_join_stream,
 )
@@ -195,48 +194,3 @@ class TestSlidingJoiner:
         ]
         pairs = sliding_join_stream(SlidingFPTreeJoiner(3), docs)
         assert JoinPair(0, 2) in pairs
-
-
-class TestTimeSlidingJoiner:
-    def test_time_based_expiry(self):
-        joiner = TimeSlidingFPTreeJoiner(window_length=10.0)
-        joiner.add(Document({"a": 1}, doc_id=1), timestamp=0.0)
-        assert joiner.probe(Document({"a": 1}), timestamp=5.0) == [1]
-        assert joiner.probe(Document({"a": 1}), timestamp=10.5) == []
-
-    def test_boundary_is_exclusive_at_horizon(self):
-        joiner = TimeSlidingFPTreeJoiner(window_length=10.0)
-        joiner.add(Document({"a": 1}, doc_id=1), timestamp=0.0)
-        # at exactly t = window_length the document has expired
-        assert joiner.probe(Document({"a": 1}), timestamp=10.0) == []
-
-    def test_non_monotone_timestamps_rejected(self):
-        joiner = TimeSlidingFPTreeJoiner(window_length=10.0)
-        joiner.add(Document({"a": 1}, doc_id=1), timestamp=5.0)
-        with pytest.raises(WindowError, match="non-decreasing"):
-            joiner.add(Document({"a": 2}, doc_id=2), timestamp=4.0)
-
-    def test_window_length_validation(self):
-        with pytest.raises(WindowError):
-            TimeSlidingFPTreeJoiner(window_length=0)
-
-    def test_reset_clears_clock(self):
-        joiner = TimeSlidingFPTreeJoiner(window_length=10.0)
-        joiner.add(Document({"a": 1}, doc_id=1), timestamp=100.0)
-        joiner.reset()
-        joiner.add(Document({"a": 2}, doc_id=2), timestamp=0.0)  # no error
-        assert len(joiner) == 1
-
-    def test_matches_count_based_reference(self):
-        """With unit-spaced timestamps, time window W == count window W."""
-        docs = ServerLogGenerator(seed=9).documents(150)
-        window = 25
-        joiner = TimeSlidingFPTreeJoiner(window_length=float(window))
-        pairs = set()
-        from repro.join.base import JoinPair
-
-        for i, doc in enumerate(docs):
-            for partner in joiner.probe(doc, timestamp=float(i)):
-                pairs.add(JoinPair.of(partner, doc.doc_id))
-            joiner.add(doc, timestamp=float(i))
-        assert frozenset(pairs) == brute_force_sliding_pairs(docs, window)

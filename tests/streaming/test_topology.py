@@ -70,14 +70,6 @@ class TestTopologyBuilder:
         with pytest.raises(TopologyError, match="parallelism"):
             builder.set_bolt("b", NullBolt, parallelism=0)
 
-    def test_subscribers_lookup(self):
-        builder = TopologyBuilder()
-        builder.set_spout("src", NullSpout)
-        builder.set_bolt("a", NullBolt).subscribe("src", "s", ShuffleGrouping())
-        builder.set_bolt("b", NullBolt).subscribe("src", "other", ShuffleGrouping())
-        topology = builder.build()
-        assert [c.name for c in topology.subscribers("src", "s")] == ["a"]
-
     def test_cycles_between_bolts_allowed(self):
         """Control loops (Assigner <-> Merger) are legal topologies."""
         builder = TopologyBuilder()
